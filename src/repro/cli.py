@@ -373,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--seed", type=int, default=1)
 
     lint_p = sub.add_parser(
-        "lint", help="AST invariant checks: determinism, MSR safety, units, meters, pickling"
+        "lint",
+        help="AST invariant checks: determinism, MSR safety, units, meters, pickling, "
+        "seed provenance, worker shared state",
     )
     lint_p.add_argument(
         "paths", nargs="*", default=["src"], help="files/directories to check (default: src)"
@@ -397,18 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory standing in for the repro package root (fixture trees)",
     )
     lint_p.add_argument(
-        "--project", action="store_true",
-        help="also run the whole-program rules (RL008+: seed provenance, "
-        "parallel shared state, units inference) over one linked call graph",
-    )
-    lint_p.add_argument(
         "--call-graph-dump", default=None, metavar="PATH",
-        help="with --project: write call-graph construction stats as JSON",
+        help="write call-graph construction stats as JSON",
     )
-    lint_p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the (path, mtime, size) parse memo shared by the passes",
-    )
+    # Kept so existing invocations still parse: every run is whole-program
+    # and nothing is cached.
+    lint_p.add_argument("--project", action="store_true", help="no-op: every run is whole-program")
+    lint_p.add_argument("--no-cache", action="store_true", help="no-op: there is no parse cache")
 
     return parser
 
@@ -1082,44 +1079,29 @@ def _cmd_lint(args) -> int:
 
     from repro.lintkit import (
         Baseline,
-        default_rules,
         format_json,
         format_text,
-        lint_paths,
         lint_project,
         load_baseline,
-        project_rules,
+        rule_catalogue,
         save_baseline,
     )
 
     if args.list_rules:
-        catalogue = [(r.code, r.name, r.rationale) for r in default_rules()]
-        catalogue += [
-            (r.code, f"{r.name} (--project)", r.rationale) for r in project_rules()
-        ]
         print(
             format_table(
                 ("code", "name", "protects"),
-                catalogue,
+                rule_catalogue(),
                 title="repro lint rules",
             )
         )
         return 0
-    use_cache = not args.no_cache
-    violations, n_files = lint_paths(
-        args.paths, root=args.package_root, use_cache=use_cache
-    )
-    stats_dict = None
-    if args.project:
-        project_violations, _, stats = lint_project(
-            args.paths, root=args.package_root, use_cache=use_cache
-        )
-        violations = sorted([*violations, *project_violations])
-        stats_dict = stats.to_dict()
-        if args.call_graph_dump:
-            with open(args.call_graph_dump, "w") as fh:
-                _json.dump(stats_dict, fh, indent=2)
-                fh.write("\n")
+    violations, n_files, stats = lint_project(args.paths, root=args.package_root)
+    stats_dict = stats.to_dict()
+    if args.call_graph_dump:
+        with open(args.call_graph_dump, "w") as fh:
+            _json.dump(stats_dict, fh, indent=2)
+            fh.write("\n")
     if args.update_baseline:
         n = save_baseline(args.baseline, violations)
         print(f"baseline {args.baseline} rewritten with {n} entr{'y' if n == 1 else 'ies'}")

@@ -3,50 +3,37 @@
 A domain-specific static-analysis pass that turns the repo's core
 invariants (bit-reproducibility, MSR table discipline, unit-suffix
 hygiene, meter-preserving exception handling, picklable pool tasks) from
-tribal knowledge into CI-enforced rules.  Beyond the per-file rules, the
-whole-program pass (``repro lint --project``) parses the full tree into
-a :class:`~repro.lintkit.project.Project` — module graph, symbol table,
-call graph — and runs the interprocedural rules (seed provenance,
-parallel shared-state hygiene, units inference).  See
-``docs/STATIC_ANALYSIS.md`` for the rule catalogue and suppression
-syntax.
+tribal knowledge into CI-enforced rules.  One pass parses the full tree
+into a :class:`~repro.lintkit.project.Project` — module graph, symbol
+table, call graph — and runs every rule against it, the interprocedural
+ones (seed provenance, parallel shared-state hygiene, units inference)
+included.  See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and
+suppression syntax.
 """
 
 from repro.lintkit.baseline import Baseline, load_baseline, save_baseline
-from repro.lintkit.core import LintContext, ProjectRule, Rule, Violation
-from repro.lintkit.engine import (
-    collect_files,
-    lint_file,
-    lint_paths,
-    lint_project,
-)
-from repro.lintkit.loader import clear_parse_cache, parse_cache_stats
+from repro.lintkit.core import Rule, Violation
+from repro.lintkit.engine import collect_files, lint_project
 from repro.lintkit.project import Project, ProjectStats, build_project
 from repro.lintkit.reporters import format_json, format_text
-from repro.lintkit.rules import default_rules, project_rules
+from repro.lintkit.rules import default_rules, rule_catalogue
 from repro.lintkit.suppressions import SuppressionIndex, scan_suppressions
 
 __all__ = [
     "Baseline",
-    "LintContext",
     "Project",
-    "ProjectRule",
     "ProjectStats",
     "Rule",
     "SuppressionIndex",
     "Violation",
     "build_project",
-    "clear_parse_cache",
     "collect_files",
     "default_rules",
     "format_json",
     "format_text",
-    "lint_file",
-    "lint_paths",
     "lint_project",
     "load_baseline",
-    "parse_cache_stats",
-    "project_rules",
+    "rule_catalogue",
     "save_baseline",
     "scan_suppressions",
 ]

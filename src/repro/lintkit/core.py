@@ -1,12 +1,13 @@
 """Core datatypes of the ``repro lint`` static-analysis engine.
 
-A lint run is a pipeline: collect files → parse each into an AST →
-hand a :class:`LintContext` to every registered :class:`Rule` → filter
-the resulting :class:`Violation` stream through suppression comments and
-the committed baseline.  This module owns the pieces every rule sees:
-the violation record, the per-file context, and the rule base class.
+A lint run is a pipeline: collect files → parse each into an AST once →
+link the :class:`~repro.lintkit.project.Project` → hand it to every
+registered :class:`Rule` → filter the resulting :class:`Violation`
+stream through suppression comments and the committed baseline.  This
+module owns the pieces every rule sees: the violation record and the
+rule base class.
 
-Rules are pure functions of the context — no filesystem access, no
+Rules are pure functions of the project — no filesystem access, no
 imports of the linted code (the checker must be able to lint a file that
 does not even import) — which is what keeps the engine fast and safe to
 run on arbitrary trees.
@@ -15,16 +16,14 @@ run on arbitrary trees.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # circular only at type-check time: project imports loader
-    from repro.lintkit.project import Project
+if TYPE_CHECKING:  # circular only at type-check time: project imports core
+    from repro.lintkit.project import ModuleInfo, Project
 
 __all__ = [
     "Violation",
-    "LintContext",
-    "ProjectRule",
     "Rule",
     "dotted_name",
     "last_segment",
@@ -64,65 +63,14 @@ class Violation:
         return (self.path, self.rule, self.line)
 
 
-@dataclass
-class LintContext:
-    """Everything one rule needs to check one file.
-
-    Attributes
-    ----------
-    path:
-        The file path as reported in violations (posix form).
-    pkg_path:
-        The file's path relative to the ``repro`` package root (or to the
-        lint root when the file is outside any package), e.g.
-        ``sim/clock.py``.  Rule scoping matches against this, so fixture
-        trees that mirror the package layout exercise the same scopes.
-    tree:
-        The parsed module AST.
-    source:
-        Full source text.
-    lines:
-        Source split into lines (0-based index = line - 1).
-    """
-
-    path: str
-    pkg_path: str
-    tree: ast.Module
-    source: str
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    @property
-    def top_dir(self) -> str:
-        """First directory component of :attr:`pkg_path` ("" at the root)."""
-        return self.pkg_path.split("/")[0] if "/" in self.pkg_path else ""
-
-    def segment(self, node: ast.AST) -> str:
-        """Best-effort source text of ``node`` (empty string if unknown)."""
-        try:
-            lineno = node.lineno  # type: ignore[attr-defined]
-            col = node.col_offset  # type: ignore[attr-defined]
-        except AttributeError:
-            return ""
-        if not (1 <= lineno <= len(self.lines)):
-            return ""
-        end_col = getattr(node, "end_col_offset", None)
-        line = self.lines[lineno - 1]
-        if getattr(node, "end_lineno", lineno) == lineno and end_col is not None:
-            return line[col:end_col]
-        return line[col:]
-
-
 class Rule:
     """Base class for lint rules.
 
     Subclasses set :attr:`code` / :attr:`name` / :attr:`rationale` and
-    implement :meth:`check`, yielding :class:`Violation` records.  The
-    engine instantiates each rule once per run; rules must not keep
-    per-file state across :meth:`check` calls.
+    implement :meth:`check`, yielding :class:`Violation` records for the
+    whole :class:`~repro.lintkit.project.Project` — its modules, symbol
+    table and call graph.  The engine instantiates each rule once per
+    run.
     """
 
     #: Stable rule code used in reports, suppressions and the baseline.
@@ -131,51 +79,29 @@ class Rule:
     name: str = "abstract-rule"
     #: One-line statement of the invariant the rule protects.
     rationale: str = ""
+    #: ``(code, name, rationale)`` of the per-file twin this rule's walk
+    #: also reports: the zero-hop case of an interprocedural rule.
+    twin: Optional[Tuple[str, str, str]] = None
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        """Yield every violation of this rule in ``ctx``."""
-        raise NotImplementedError
-        yield  # pragma: no cover - makes the abstract method a generator
+    def catalogue(self) -> List[Tuple[str, str, str]]:
+        """Every ``(code, name, rationale)`` this rule reports."""
+        entries = [(self.code, self.name, self.rationale)]
+        return entries + [self.twin] if self.twin is not None else entries
 
-    def hit(self, ctx: LintContext, node: ast.AST, message: str) -> Violation:
-        """Build a :class:`Violation` for ``node`` with this rule's code."""
-        return Violation(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=self.code,
-            message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules (``repro lint --project``).
-
-    Project rules see the entire parsed tree at once — the module graph,
-    symbol table and call graph of :class:`repro.lintkit.project.Project`
-    — instead of one file's AST.  They implement :meth:`check_project`;
-    the per-file :meth:`check` is a no-op so a project rule accidentally
-    handed to the per-file engine stays silent rather than crashing.
-    """
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        """Project rules have no per-file pass."""
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Violation]:
+    def check(self, project: "Project") -> Iterator[Violation]:
         """Yield every violation of this rule across ``project``."""
         raise NotImplementedError
         yield  # pragma: no cover - makes the abstract method a generator
 
-    def project_hit(
-        self, path: str, node: ast.AST, message: str
+    def hit(
+        self, mod: "ModuleInfo", node: ast.AST, message: str, *, code: Optional[str] = None
     ) -> Violation:
-        """Build a :class:`Violation` at ``node`` in the file at ``path``."""
+        """Build a :class:`Violation` at ``node`` in ``mod`` (default code: :attr:`code`)."""
         return Violation(
-            path=path,
+            path=mod.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            rule=self.code,
+            rule=code or self.code,
             message=message,
         )
 
@@ -209,16 +135,17 @@ def last_segment(node: ast.AST) -> Optional[str]:
 def iter_child_rules(rules: Sequence[Rule]) -> List[Rule]:
     """Validate a rule set: unique, well-formed codes; returns a list.
 
-    Raises ``ValueError`` on duplicate or malformed codes so a bad
-    registry fails at configuration time, not mid-run.
+    Raises ``ValueError`` on duplicate or malformed codes (twins
+    included) so a bad registry fails at configuration time, not mid-run.
     """
     seen = set()
     out: List[Rule] = []
     for rule in rules:
-        if not rule.code.startswith("RL") or not rule.code[2:].isdigit():
-            raise ValueError(f"malformed rule code {rule.code!r} on {type(rule).__name__}")
-        if rule.code in seen:
-            raise ValueError(f"duplicate rule code {rule.code}")
-        seen.add(rule.code)
+        for code, _, _ in rule.catalogue():
+            if not code.startswith("RL") or not code[2:].isdigit():
+                raise ValueError(f"malformed rule code {code!r} on {type(rule).__name__}")
+            if code in seen:
+                raise ValueError(f"duplicate rule code {code}")
+            seen.add(code)
         out.append(rule)
     return out

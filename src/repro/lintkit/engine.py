@@ -1,158 +1,83 @@
-"""Rule dispatch for ``repro lint``: the per-file and whole-program passes.
+"""Rule dispatch for ``repro lint``: one pass over one linked project.
 
 The engine is deliberately import-free with respect to the linted code:
-files are read and parsed with :mod:`ast` (via the shared, memoising
+files are read and parsed with :mod:`ast` (via
 :mod:`repro.lintkit.loader`), never executed, so the linter can check a
 tree whose dependencies are absent (CI bootstraps) or whose modules
 would have import-time side effects.
 
-Two entry points share one loader pass:
-
-* :func:`lint_paths` — the per-file rules (RL001–RL007), one
-  :class:`~repro.lintkit.core.LintContext` per file;
-* :func:`lint_project` — the whole-program rules (RL008–RL010) over one
-  linked :class:`~repro.lintkit.project.Project`.
-
-Running both (``repro lint --project``) parses each file exactly once:
-the second pass hits the loader's memo.
+:func:`lint_project` is the only entry point.  It collects the files,
+parses each once into a :class:`~repro.lintkit.project.Project`, scans
+each module's suppression comments once, and runs every rule against
+that one model.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.lintkit.core import LintContext, ProjectRule, Rule, Violation
-from repro.lintkit.loader import (
-    ParseFailure,
-    collect_files,
-    package_relative,
-    parse_file,
-)
+from repro.lintkit.core import Violation
+from repro.lintkit.loader import collect_files
 from repro.lintkit.project import ProjectStats, build_project
-from repro.lintkit.rules import default_rules, project_rules
-from repro.lintkit.suppressions import SuppressionIndex, scan_suppressions
+from repro.lintkit.rules import default_rules
+from repro.lintkit.suppressions import scan_suppressions
 
 __all__ = [
     "collect_files",
-    "lint_file",
-    "lint_paths",
     "lint_project",
-    "package_relative",
 ]
 
 
 def _anchor_for(paths: Sequence[str], root: Optional[str]) -> Optional[Path]:
-    """The directory standing in for the package root (see ``lint_paths``)."""
+    """The directory standing in for the package root (see ``lint_project``)."""
     if root is not None:
         return Path(root)
     roots = [Path(p) for p in paths if Path(p).is_dir()]
     return roots[0] if len(roots) == 1 else None
 
 
-def lint_file(
-    path: Path,
-    rules: Sequence[Rule],
-    *,
-    root: Optional[Path] = None,
-    use_cache: bool = True,
-) -> List[Violation]:
-    """Lint one file, returning its (suppression-filtered) violations.
+def lint_project(
+    paths: Sequence[str], *, root: Optional[str] = None
+) -> Tuple[List[Violation], int, ProjectStats]:
+    """Lint every file under ``paths`` with every rule.
 
     A file the parser rejects yields a single ``RL000`` violation at the
-    offending line rather than aborting the run.
-    """
-    display = path.as_posix()
-    try:
-        parsed = parse_file(path, use_cache=use_cache)
-    except ParseFailure as exc:
-        return [Violation(display, exc.line, 0, "RL000", exc.message)]
-    ctx = LintContext(
-        path=display,
-        pkg_path=package_relative(path, root),
-        tree=parsed.tree,
-        source=parsed.source,
-    )
-    suppressions = scan_suppressions(parsed.source)
-    found: List[Violation] = []
-    for rule in rules:
-        for violation in rule.check(ctx):
-            if not suppressions.is_suppressed(violation.rule, violation.line):
-                found.append(violation)
-    return found
-
-
-def lint_paths(
-    paths: Sequence[str],
-    *,
-    rules: Optional[Sequence[Rule]] = None,
-    root: Optional[str] = None,
-    use_cache: bool = True,
-) -> Tuple[List[Violation], int]:
-    """Lint every file under ``paths`` with ``rules`` (default: all).
+    offending line rather than aborting the run.  A
+    ``# repro-lint: disable=RL008`` comment on the flagged line wins over
+    any rule (see :mod:`repro.lintkit.suppressions`).
 
     Parameters
     ----------
     paths:
         Files and/or directories to check.
-    rules:
-        Rule instances to run (default: the full shipped set).
     root:
         Directory that stands in for the ``repro`` package root when a
         file is outside any ``repro`` directory (fixture trees).  When
         omitted and exactly one directory was passed, that directory is
         the root.
-    use_cache:
-        Memoise parses on ``(path, mtime, size)`` (``--no-cache`` turns
-        this off).
-
-    Returns
-    -------
-    (violations, n_files)
-        Sorted violations plus the number of files checked.
-    """
-    active = tuple(rules) if rules is not None else default_rules()
-    files = collect_files(paths)
-    anchor = _anchor_for(paths, root)
-    violations: List[Violation] = []
-    for file in files:
-        violations.extend(lint_file(file, active, root=anchor, use_cache=use_cache))
-    return sorted(violations), len(files)
-
-
-def lint_project(
-    paths: Sequence[str],
-    *,
-    rules: Optional[Sequence[ProjectRule]] = None,
-    root: Optional[str] = None,
-    use_cache: bool = True,
-) -> Tuple[List[Violation], int, ProjectStats]:
-    """Run the whole-program rules over the tree under ``paths``.
-
-    Builds one linked :class:`~repro.lintkit.project.Project` from every
-    parseable file (syntax errors are the per-file pass's to report) and
-    dispatches each :class:`~repro.lintkit.core.ProjectRule` against it.
-    Suppression comments work exactly as in the per-file pass: a
-    ``# repro-lint: disable=RL008`` on the flagged line wins.
 
     Returns
     -------
     (violations, n_files, stats)
-        Sorted suppression-filtered violations, the number of files in
-        the project model, and the call-graph construction stats.
+        Sorted suppression-filtered violations, the number of files
+        checked, and the call-graph construction stats.
+
+    Raises
+    ------
+    LintError
+        If a path does not exist or two files map to one module name.
     """
-    active = tuple(rules) if rules is not None else project_rules()
     files = collect_files(paths)
-    anchor = _anchor_for(paths, root)
-    project = build_project(files, root=anchor, use_cache=use_cache)
-    suppressions: Dict[str, SuppressionIndex] = {
+    project = build_project(files, root=_anchor_for(paths, root))
+    violations = [
+        Violation(path, exc.line, 0, "RL000", exc.message) for path, exc in project.unparsed
+    ]
+    suppressions = {
         mod.path: scan_suppressions(mod.source) for mod in project.modules.values()
     }
-    violations: List[Violation] = []
-    for rule in active:
-        for violation in rule.check_project(project):
-            filt = suppressions.get(violation.path)
-            if filt is not None and filt.is_suppressed(violation.rule, violation.line):
-                continue
-            violations.append(violation)
-    return sorted(violations), len(project.modules), project.stats()
+    for rule in default_rules():
+        for violation in rule.check(project):
+            if not suppressions[violation.path].is_suppressed(violation.rule, violation.line):
+                violations.append(violation)
+    return sorted(violations), len(files), project.stats()

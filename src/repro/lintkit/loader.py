@@ -1,12 +1,9 @@
-"""File collection and cached parsing shared by every lint pass.
+"""File collection and parsing for ``repro lint``.
 
-``repro lint`` runs the per-file rules *and* (with ``--project``) a
-whole-program analysis over the same tree.  Both passes need the same
-things from disk — the ``.py`` file list, the source text, the parsed
-AST, the package-relative path rules scope on — so this module owns them
-once.  Parses are memoised on ``(resolved path, mtime_ns, size)``: a
-second pass over an unchanged file is a dictionary hit, not a re-parse,
-which is what keeps ``--project`` from doubling lint time.
+One lint run reads every ``.py`` file under its paths exactly once: the
+source text, the parsed AST and the package-relative path rules scope on
+all come from here, and the :class:`~repro.lintkit.project.Project`
+keeps them for every rule.
 
 The loader never imports or executes the code it reads (see
 :mod:`repro.lintkit.engine` for why that invariant matters).
@@ -15,19 +12,15 @@ The loader never imports or executes the code it reads (see
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import LintError
 
 __all__ = [
-    "ParsedFile",
     "ParseFailure",
-    "clear_parse_cache",
     "collect_files",
     "package_relative",
-    "parse_cache_stats",
     "parse_file",
 ]
 
@@ -36,24 +29,11 @@ _PACKAGE = "repro"
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
 
 
-@dataclass(frozen=True)
-class ParsedFile:
-    """One successfully parsed source file."""
-
-    #: Display path (posix form), as reported in violations.
-    path: str
-    #: Parsed module AST.
-    tree: ast.Module
-    #: Full source text.
-    source: str
-
-
 class ParseFailure(Exception):
     """A file could not be read or parsed.
 
     Carries the line and message the engine turns into an ``RL000``
-    violation; raising (rather than returning a sentinel) keeps the cache
-    honest — failures are never memoised, so a fixed file re-parses.
+    violation.
     """
 
     def __init__(self, line: int, message: str) -> None:
@@ -62,60 +42,23 @@ class ParseFailure(Exception):
         self.message = message
 
 
-#: Parse memo: resolved path -> ((mtime_ns, size), parse).
-_CACHE: Dict[str, Tuple[Tuple[int, int], ParsedFile]] = {}
-_HITS = [0]
-_MISSES = [0]
-
-
-def clear_parse_cache() -> None:
-    """Drop every memoised parse (tests; long-lived processes)."""
-    _CACHE.clear()
-    _HITS[0] = 0
-    _MISSES[0] = 0
-
-
-def parse_cache_stats() -> Tuple[int, int]:
-    """``(hits, misses)`` since the last :func:`clear_parse_cache`."""
-    return _HITS[0], _MISSES[0]
-
-
-def parse_file(path: Path, *, use_cache: bool = True) -> ParsedFile:
-    """Read and parse ``path``, memoised on ``(path, mtime_ns, size)``.
+def parse_file(path: Path) -> Tuple[str, ast.Module]:
+    """Read and parse ``path``, returning ``(source, tree)``.
 
     Raises
     ------
     ParseFailure
         If the file is unreadable or not valid Python.
     """
-    display = path.as_posix()
-    key: Optional[str] = None
-    stamp: Optional[Tuple[int, int]] = None
-    if use_cache:
-        try:
-            stat = path.stat()
-            key = str(path.resolve())
-            stamp = (stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            key = None  # unstattable files fall through to the read error
-        if key is not None:
-            cached = _CACHE.get(key)
-            if cached is not None and cached[0] == stamp:
-                _HITS[0] += 1
-                return cached[1]
-            _MISSES[0] += 1
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(1, f"unreadable file: {exc}") from exc
     try:
-        tree = ast.parse(source, filename=display)
+        tree = ast.parse(source, filename=path.as_posix())
     except SyntaxError as exc:
         raise ParseFailure(exc.lineno or 1, f"syntax error: {exc.msg}") from exc
-    parsed = ParsedFile(path=display, tree=tree, source=source)
-    if use_cache and key is not None and stamp is not None:
-        _CACHE[key] = (stamp, parsed)
-    return parsed
+    return source, tree
 
 
 def collect_files(paths: Sequence[str]) -> List[Path]:

@@ -1,14 +1,13 @@
-"""The whole-program model behind ``repro lint --project``.
+"""The whole-program model behind ``repro lint``.
 
-Per-file rules see one AST at a time, which is exactly why they cannot
-prove the repo's cross-function invariants: that a seed reaching
-``spawn_generator`` three calls away still derives from the run's master
-seed, or that nothing a pool worker transitively calls writes module
-state.  This module parses the full tree *once* into a
-:class:`Project` — a module graph, a symbol table of every function and
-class, and an alias-aware call graph — that the interprocedural rules
-(RL008–RL010) and the dataflow engine (:mod:`repro.lintkit.dataflow`)
-query.
+One AST at a time is exactly what cannot prove the repo's
+cross-function invariants: that a seed reaching ``spawn_generator``
+three calls away still derives from the run's master seed, or that
+nothing a pool worker transitively calls writes module state.  This
+module parses the full tree *once* into a :class:`Project` — a module
+graph, a symbol table of every function and class, and an alias-aware
+call graph — that every rule and the dataflow engine
+(:mod:`repro.lintkit.dataflow`) query.
 
 Resolution is deliberately conservative: an edge exists only when the
 callee is provable from imports (aliases and ``__init__`` re-exports
@@ -37,6 +36,8 @@ from typing import (
     Union,
 )
 
+from repro.errors import LintError
+from repro.lintkit.core import dotted_name
 from repro.lintkit.loader import ParseFailure, package_relative, parse_file
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
     "Project",
     "ProjectStats",
     "build_project",
+    "HEADER",
+    "OUTSIDE",
+    "OWN",
 ]
 
 #: The namespace every project module is rooted under.  Fixture trees
@@ -53,6 +57,13 @@ __all__ = [
 _ROOT = "repro"
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: Where :meth:`Project.iter_frames` places a node relative to the frame
+#: (function body or module) it evaluates in: one of the frame's own
+#: nodes (:func:`iter_own_nodes`); a decorator or default of a def/class
+#: nested in a function, evaluated in that function's frame; or in no
+#: frame walk.
+OWN, HEADER, OUTSIDE = "own", "header", "outside"
 
 
 @dataclass
@@ -138,6 +149,38 @@ class ModuleInfo:
         """First directory component of :attr:`pkg_path` ("" at the root)."""
         return self.pkg_path.split("/")[0] if "/" in self.pkg_path else ""
 
+    def canonical(self, dotted: str) -> Optional[str]:
+        """``dotted`` with its first segment resolved through :attr:`imports`.
+
+        ``np.random.rand`` → ``numpy.random.rand`` under ``import numpy as
+        np``; ``None`` when the first segment is not an import.
+        """
+        head, _, rest = dotted.partition(".")
+        root = self.imports.get(head)
+        if root is None:
+            return None
+        return f"{root}.{rest}" if rest else root
+
+    def segment(self, node: ast.AST) -> str:
+        """Best-effort source text of ``node`` (empty string if unknown).
+
+        The source is split only here, for the node at hand, so no
+        per-module line list outlives the call.
+        """
+        try:
+            lineno = node.lineno  # type: ignore[attr-defined]
+            col = node.col_offset  # type: ignore[attr-defined]
+        except AttributeError:
+            return ""
+        lines = self.source.splitlines()
+        if not (1 <= lineno <= len(lines)):
+            return ""
+        end_col = getattr(node, "end_col_offset", None)
+        line = lines[lineno - 1]
+        if getattr(node, "end_lineno", lineno) == lineno and end_col is not None:
+            return line[col:end_col]
+        return line[col:]
+
 
 @dataclass(frozen=True)
 class ProjectStats:
@@ -165,18 +208,6 @@ def _module_name(pkg_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join([_ROOT, *[p for p in parts if p]])
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """Render a Name/Attribute chain as ``a.b.c`` (else ``None``)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 _MUTABLE_CONSTRUCTORS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"})
@@ -276,30 +307,6 @@ class _LocalNames(ast.NodeVisitor):
                 self.names.add(alias.asname or alias.name)
 
 
-def iter_body_calls(fn: FunctionNode) -> Iterator[ast.Call]:
-    """Every call in ``fn``'s own body, *excluding* nested def/class bodies.
-
-    Lambda bodies belong to the enclosing function and are included.
-    """
-    yield from _iter_calls(fn.body)
-
-
-def _iter_calls(body: Sequence[ast.stmt]) -> Iterator[ast.Call]:
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            # Decorators and defaults evaluate in the enclosing scope.
-            stack.extend(getattr(node, "decorator_list", []))
-            if not isinstance(node, ast.ClassDef):
-                stack.extend(node.args.defaults)
-                stack.extend(d for d in node.args.kw_defaults if d is not None)
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def iter_own_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
     """Every node under ``body`` that is not inside a nested def/class."""
     stack: List[ast.AST] = list(body)
@@ -320,36 +327,43 @@ class Project:
         self.classes: Dict[str, ClassInfo] = {}
         #: Caller qualname -> resolved callee qualnames.
         self.call_graph: Dict[str, Set[str]] = {}
-        #: Module name -> callee qualnames called from module-level code.
-        self.module_calls: Dict[str, Set[str]] = {}
         #: Function qualname -> locally constructed variable types (cached
         #: at link time; rules and the dataflow engine re-resolve calls).
         self._instance_cache: Dict[str, Dict[str, ClassInfo]] = {}
+        #: ``id`` of each indexed def node -> its symbol (set at link time).
+        self._by_node: Dict[int, FunctionInfo] = {}
+        #: Files that did not parse, as ``(display path, failure)``.
+        self.unparsed: List[Tuple[str, ParseFailure]] = []
         self._unresolved = 0
         self._edges = 0
 
     # ------------------------------------------------------------------
     # construction
 
-    def add_module(self, parsed_path: Path, root: Optional[Path], *, use_cache: bool = True) -> Optional[ModuleInfo]:
-        """Parse and index one file; returns ``None`` on parse failure."""
-        try:
-            parsed = parse_file(parsed_path, use_cache=use_cache)
-        except ParseFailure:
-            return None
-        pkg_path = package_relative(parsed_path, root)
+    def add_module(self, path: str, pkg_path: str, source: str, tree: ast.Module) -> ModuleInfo:
+        """Index one parsed file.
+
+        Raises
+        ------
+        LintError
+            If another file already maps to the same module name: its
+            rules would otherwise silently never run on one of them.
+        """
         name = _module_name(pkg_path)
         if name in self.modules:
-            return self.modules[name]
+            raise LintError(
+                f"{path} and {self.modules[name].path} both map to module {name}; "
+                f"lint them in separate runs or set --package-root"
+            )
         is_package = pkg_path.endswith("__init__.py") or pkg_path == "__init__.py"
         info = ModuleInfo(
             name=name,
-            path=parsed.path,
+            path=path,
             pkg_path=pkg_path,
-            tree=parsed.tree,
-            source=parsed.source,
+            tree=tree,
+            source=source,
             is_package=is_package,
-            imports=_import_map(parsed.tree, name, is_package),
+            imports=_import_map(tree, name, is_package),
         )
         self.modules[name] = info
         self._index_module(info)
@@ -365,7 +379,7 @@ class Project:
                     qualname=f"{mod.name}.{stmt.name}",
                     module=mod.name,
                     node=stmt,
-                    bases=tuple(b for b in (_dotted(base) for base in stmt.bases) if b is not None),
+                    bases=tuple(b for b in (dotted_name(base) for base in stmt.bases) if b is not None),
                 )
                 self.classes[cls.qualname] = cls
                 mod.classes[stmt.name] = cls
@@ -417,7 +431,7 @@ class Project:
             parent=parent,
             params=params,
             decorators=tuple(
-                d for d in (_dotted(dec.func if isinstance(dec, ast.Call) else dec) for dec in node.decorator_list)
+                d for d in (dotted_name(dec.func if isinstance(dec, ast.Call) else dec) for dec in node.decorator_list)
                 if d is not None
             ),
             enclosing_locals=enclosing,
@@ -447,26 +461,66 @@ class Project:
             stack.extend(ast.iter_child_nodes(node))
 
     def link(self) -> None:
-        """Build the call graph once every module is indexed."""
-        for fn in list(self.functions.values()):
-            edges: Set[str] = set()
-            mod = self.modules[fn.module]
-            instance_types = self.instance_types_for(fn)
-            for call in iter_body_calls(fn.node):
-                callee = self.resolve_call(mod, fn, call, instance_types)
+        """Build the call graph once every module is indexed.
+
+        A function's edges come from every call its frame evaluates
+        (lambda bodies, and the decorators and defaults of nested defs,
+        included); module-level calls start no edge.
+        """
+        self._by_node = {id(fn.node): fn for fn in self.functions.values()}
+        self.call_graph = {qualname: set() for qualname in self.functions}
+        for mod in self.modules.values():
+            for node, fn, _ in self.iter_frames(mod):
+                if fn is None or not isinstance(node, ast.Call):
+                    continue
+                callee = self.resolve_call(mod, fn, node, self.instance_types_for(fn))
                 if callee is not None:
-                    edges.add(callee)
+                    self.call_graph[fn.qualname].add(callee)
                     self._edges += 1
                 else:
                     self._unresolved += 1
-            self.call_graph[fn.qualname] = edges
-        for mod in self.modules.values():
-            edges = set()
-            for call in _iter_calls(mod.tree.body):
-                callee = self.resolve_call(mod, None, call, {})
-                if callee is not None:
-                    edges.add(callee)
-            self.module_calls[mod.name] = edges
+
+    def iter_frames(
+        self, mod: ModuleInfo
+    ) -> Iterator[Tuple[ast.AST, Optional[FunctionInfo], str]]:
+        """Every node of ``mod`` — the full :func:`ast.walk` reach — with its frame.
+
+        Yields ``(node, fn, reach)``: ``fn`` is the indexed function whose
+        frame evaluates the node (``None`` at module level and for
+        :data:`OUTSIDE` nodes) and ``reach`` is :data:`OWN`, :data:`HEADER`
+        or :data:`OUTSIDE`.  Class bodies, annotations, bases, the
+        decorators and defaults of top-level defs, and the bodies of defs
+        the symbol table does not index are :data:`OUTSIDE`.  The calls a
+        frame evaluates are those not :data:`OUTSIDE`; the dataflow engine
+        solves facts for the :data:`OWN` nodes.  One walk thus serves a
+        rule that must see every node and its interprocedural twin.
+        """
+        stack: List[Tuple[ast.AST, Optional[FunctionInfo], str]] = [(mod.tree, None, OWN)]
+        while stack:
+            node, fn, reach = stack.pop()
+            yield node, fn, reach
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.extend((child, fn, reach) for child in ast.iter_child_nodes(node))
+                continue
+            # Decorators and defaults evaluate in the enclosing frame.
+            header = HEADER if fn is not None else OUTSIDE
+            stack.extend((dec, fn, header) for dec in node.decorator_list)
+            outside: List[ast.AST] = list(getattr(node, "type_params", []))
+            if isinstance(node, ast.ClassDef):
+                outside += [*node.bases, *node.keywords, *node.body]
+            else:
+                args = node.args
+                defaults = [*args.defaults, *(d for d in args.kw_defaults if d is not None)]
+                stack.extend((default, fn, header) for default in defaults)
+                yield args, None, OUTSIDE
+                outside += [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                outside += [a for a in (args.vararg, args.kwarg, node.returns) if a is not None]
+                inner = self._by_node.get(id(node))
+                if inner is not None:
+                    stack.extend((stmt, inner, OWN) for stmt in node.body)
+                else:
+                    outside += node.body
+            stack.extend((child, None, OUTSIDE) for child in outside)
 
     # ------------------------------------------------------------------
     # resolution
@@ -535,15 +589,9 @@ class Project:
         return None
 
     def _resolve_class_name(self, mod: ModuleInfo, dotted: str) -> Optional[ClassInfo]:
-        head = dotted.split(".")[0]
         if dotted in mod.classes:
             return mod.classes[dotted]
-        if head in mod.imports:
-            rest = dotted.split(".")[1:]
-            target = ".".join([mod.imports[head], *rest])
-            symbol = self.resolve_export(target)
-            return symbol if isinstance(symbol, ClassInfo) else None
-        symbol = self.resolve_export(dotted)
+        symbol = self.resolve_export(mod.canonical(dotted) or dotted)
         return symbol if isinstance(symbol, ClassInfo) else None
 
     def instance_types_for(self, fn: FunctionInfo) -> Dict[str, ClassInfo]:
@@ -565,7 +613,7 @@ class Project:
                 continue
             cls: Optional[ClassInfo] = None
             if isinstance(node.value, ast.Call):
-                dotted = _dotted(node.value.func)
+                dotted = dotted_name(node.value.func)
                 if dotted is not None:
                     symbol = self._symbol_for(mod, fn, dotted)
                     if isinstance(symbol, ClassInfo):
@@ -604,10 +652,8 @@ class Project:
         if local is not None:
             return local
         # Imported (possibly re-exported) symbol?
-        if head in mod.imports:
-            target = mod.imports[head] + (f".{rest}" if rest else "")
-            return self.resolve_export(target)
-        return None
+        target = mod.canonical(dotted)
+        return self.resolve_export(target) if target is not None else None
 
     def resolve_call(
         self,
@@ -648,7 +694,7 @@ class Project:
             if method is not None:
                 return method.qualname
             return None
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         symbol = self._symbol_for(mod, fn, dotted)
@@ -667,7 +713,7 @@ class Project:
         Used for pool-submission first arguments: ``map_parallel(_run_job,
         ...)`` resolves ``_run_job`` through the same alias/symbol chain.
         """
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return None
         symbol = self._symbol_for(mod, fn, dotted)
@@ -706,17 +752,21 @@ class Project:
         )
 
 
-def build_project(
-    files: Sequence[Path], *, root: Optional[Path] = None, use_cache: bool = True
-) -> Project:
-    """Parse ``files`` into a linked :class:`Project`.
+def build_project(files: Sequence[Path], *, root: Optional[Path] = None) -> Project:
+    """Parse each of ``files`` once into a linked :class:`Project`.
 
-    Unparseable files are skipped here — the per-file pass reports them
-    as ``RL000`` — so a single syntax error never hides the whole-program
+    Unparseable files land in :attr:`Project.unparsed` (the engine
+    reports them as ``RL000``) so a single syntax error never hides the
     findings for the rest of the tree.
     """
     project = Project()
     for file in files:
-        project.add_module(file, root, use_cache=use_cache)
+        display = file.as_posix()
+        try:
+            source, tree = parse_file(file)
+        except ParseFailure as exc:
+            project.unparsed.append((display, exc))
+            continue
+        project.add_module(display, package_relative(file, root), source, tree)
     project.link()
     return project

@@ -3,14 +3,15 @@
 The text form is one greppable/clickable line per violation plus a
 per-rule summary; the JSON form is a stable machine-readable document CI
 uploads as an artifact (schema version 1: ``{"version", "files",
-"violations": [{"path","line","col","rule","message"}], "counts"}``).
+"violations": [{"path","line","col","rule","message"}], "counts",
+"project"}``).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.lintkit.core import Violation
 
@@ -36,14 +37,13 @@ def format_json(
     violations: Sequence[Violation],
     n_files: int,
     *,
-    project_stats: Optional[Dict[str, int]] = None,
+    project_stats: Dict[str, int],
 ) -> str:
     """Render violations as the version-1 JSON report document.
 
-    ``project_stats`` (the call-graph construction stats of a
-    ``--project`` run) lands under an optional ``"project"`` key; the
-    document stays schema version 1 — consumers that ignore unknown keys
-    are unaffected.
+    ``project_stats`` (the call-graph construction stats) lands under the
+    ``"project"`` key; the document stays schema version 1 — consumers
+    that ignore unknown keys are unaffected.
     """
     payload: Dict[str, object] = {
         "version": 1,
@@ -59,7 +59,6 @@ def format_json(
             for v in violations
         ],
         "counts": dict(sorted(Counter(v.rule for v in violations).items())),
+        "project": dict(project_stats),
     }
-    if project_stats is not None:
-        payload["project"] = dict(project_stats)
     return json.dumps(payload, indent=2) + "\n"

@@ -13,14 +13,19 @@ from :class:`repro.sim.clock.SimClock` and randomness from
 
 ``sim/clock.py`` and ``sim/rng.py`` are exempt: they *are* the sanctioned
 implementations.
+
+Call targets resolve through :attr:`ModuleInfo.imports
+<repro.lintkit.project.ModuleInfo.imports>`, the same alias map the call
+graph (and with it RL008's seed provenance) resolves through.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Iterator
 
-from repro.lintkit.core import LintContext, Rule, Violation
+from repro.lintkit.core import Rule, Violation, dotted_name
+from repro.lintkit.project import ModuleInfo, Project
 
 __all__ = ["DeterminismRule"]
 
@@ -53,45 +58,6 @@ _WALL_CLOCK_CALLS = frozenset(
 _BANNED_PREFIXES = ("random.", "numpy.random.")
 
 
-def _import_map(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to canonical dotted import paths.
-
-    ``import numpy as np`` → ``{"np": "numpy"}``;
-    ``from time import perf_counter as pc`` → ``{"pc": "time.perf_counter"}``.
-    Star imports are ignored (the chain simply fails to resolve).
-    """
-    mapping: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                canonical = alias.name if alias.asname else alias.name.split(".")[0]
-                mapping[local] = canonical
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue  # relative imports cannot reach stdlib/numpy
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                mapping[local] = f"{node.module}.{alias.name}"
-    return mapping
-
-
-def _canonical(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:
-    """Resolve a call target to its canonical dotted path, if it is one."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = imports.get(node.id)
-    if root is None:
-        return None
-    return ".".join([root, *reversed(parts)])
-
-
 class DeterminismRule(Rule):
     """Flag wall-clock reads and global/unmanaged RNG use in simulated code."""
 
@@ -102,27 +68,30 @@ class DeterminismRule(Rule):
         "sim.rng so runs replay bit-for-bit from a seed"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         """Yield a violation for every banned clock/RNG call."""
-        if ctx.top_dir not in _SCOPED_DIRS or ctx.pkg_path in _EXEMPT_FILES:
-            return
-        imports = _import_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for mod in project.modules.values():
+            if mod.top_dir in _SCOPED_DIRS and mod.pkg_path not in _EXEMPT_FILES:
+                yield from self._check_module(mod)
+
+    def _check_module(self, mod: ModuleInfo) -> Iterator[Violation]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = _canonical(node.func, imports)
+            dotted = dotted_name(node.func)
+            target = mod.canonical(dotted) if dotted is not None else None
             if target is None:
                 continue
             if target in _WALL_CLOCK_CALLS:
                 yield self.hit(
-                    ctx,
+                    mod,
                     node,
                     f"wall-clock call {target}() in simulated code; use the "
                     f"SimClock the engine hands you (repro.sim.clock)",
                 )
             elif target.startswith(_BANNED_PREFIXES) or target == "random":
                 yield self.hit(
-                    ctx,
+                    mod,
                     node,
                     f"direct RNG construction/use {target}() in simulated code; "
                     f"draw from repro.sim.rng (RngStreams.get or spawn_generator) "

@@ -20,7 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lintkit.core import LintContext, Rule, Violation, dotted_name, last_segment
+from repro.lintkit.core import Rule, Violation, dotted_name, last_segment
+from repro.lintkit.project import Project
 
 __all__ = ["GuardBypassRule"]
 
@@ -42,20 +43,21 @@ class GuardBypassRule(Rule):
         "read through ctx.telemetry"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         """Yield a violation for every raw device handle taken off a hub."""
-        if ctx.top_dir not in _SCOPED_DIRS:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute) or node.attr not in _DEVICE_ATTRS:
+        for mod in project.modules.values():
+            if mod.top_dir not in _SCOPED_DIRS:
                 continue
-            if last_segment(node.value) != "hub":
-                continue
-            expr = dotted_name(node) or f"<hub>.{node.attr}"
-            yield self.hit(
-                ctx,
-                node,
-                f"policy code takes the raw device handle {expr!r}, bypassing "
-                f"the telemetry guard; read through ctx.telemetry (guarded "
-                f"when a guard is installed, pass-through otherwise)",
-            )
+            for node in ast.walk(mod.tree):
+                if not isinstance(node, ast.Attribute) or node.attr not in _DEVICE_ATTRS:
+                    continue
+                if last_segment(node.value) != "hub":
+                    continue
+                expr = dotted_name(node) or f"<hub>.{node.attr}"
+                yield self.hit(
+                    mod,
+                    node,
+                    f"policy code takes the raw device handle {expr!r}, bypassing "
+                    f"the telemetry guard; read through ctx.telemetry (guarded "
+                    f"when a guard is installed, pass-through otherwise)",
+                )

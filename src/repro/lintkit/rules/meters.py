@@ -15,7 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lintkit.core import LintContext, Rule, Violation, dotted_name
+from repro.lintkit.core import Rule, Violation, dotted_name
+from repro.lintkit.project import Project
 
 __all__ = ["MeterExceptionRule"]
 
@@ -62,19 +63,20 @@ class MeterExceptionRule(Rule):
         "incident log"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         """Yield a violation for every silently-swallowing broad handler."""
-        if ctx.top_dir not in _SCOPED_DIRS:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
+        for mod in project.modules.values():
+            if mod.top_dir not in _SCOPED_DIRS:
                 continue
-            if _is_broad(node) and not _handles_visibly(node):
-                caught = "bare except" if node.type is None else "except Exception"
-                yield self.hit(
-                    ctx,
-                    node,
-                    f"{caught} swallows silently in a metered path; re-raise, "
-                    f"or record to the IncidentLog / charge the AccessMeter "
-                    f"before continuing",
-                )
+            for node in ast.walk(mod.tree):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                if _is_broad(node) and not _handles_visibly(node):
+                    caught = "bare except" if node.type is None else "except Exception"
+                    yield self.hit(
+                        mod,
+                        node,
+                        f"{caught} swallows silently in a metered path; re-raise, "
+                        f"or record to the IncidentLog / charge the AccessMeter "
+                        f"before continuing",
+                    )

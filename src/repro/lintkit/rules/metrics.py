@@ -32,7 +32,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lintkit.core import LintContext, Rule, Violation, last_segment
+from repro.lintkit.core import Rule, Violation, last_segment
+from repro.lintkit.project import ModuleInfo, Project
 from repro.obs.registry import METRIC_NAME_RE
 
 __all__ = ["MetricNameRule"]
@@ -118,9 +119,13 @@ class MetricNameRule(Rule):
         "lowercase dotted literals"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         """Yield a violation for every suspect instrument/span/series name."""
-        for node in ast.walk(ctx.tree):
+        for mod in project.modules.values():
+            yield from self._check_module(mod)
+
+    def _check_module(self, mod: ModuleInfo) -> Iterator[Violation]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
             method = last_segment(node.func)
@@ -128,7 +133,7 @@ class MetricNameRule(Rule):
                 # Receiver-less constructors: every name-bearing argument
                 # (rule name, target series, threshold series) is checked.
                 for arg in _alert_name_arguments(node):
-                    yield from self._check_name(ctx, f"{method}(...)", arg)
+                    yield from self._check_name(mod, f"{method}(...)", arg)
                 continue
             receiver = (_receiver_hint(node.func) or "").lower()
             if method in _REGISTRY_METHODS:
@@ -144,16 +149,16 @@ class MetricNameRule(Rule):
             arg = _name_argument(node)
             if arg is None:
                 continue
-            yield from self._check_name(ctx, f".{method}()", arg)
+            yield from self._check_name(mod, f".{method}()", arg)
 
     def _check_name(
-        self, ctx: LintContext, where: str, arg: ast.expr
+        self, mod: ModuleInfo, where: str, arg: ast.expr
     ) -> Iterator[Violation]:
         """One name expression: outlaw dynamic builds, grammar-check literals."""
         form = _dynamic_form(arg)
         if form is not None:
             yield self.hit(
-                ctx,
+                mod,
                 arg,
                 f"metric/span/series name for {where} is built with {form}; "
                 f"dynamic names mint unbounded series — use a static "
@@ -162,7 +167,7 @@ class MetricNameRule(Rule):
         elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             if not METRIC_NAME_RE.match(arg.value):
                 yield self.hit(
-                    ctx,
+                    mod,
                     arg,
                     f"metric/span/series name {arg.value!r} breaks the lowercase "
                     f"dotted grammar {METRIC_NAME_RE.pattern!r} "

@@ -16,7 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lintkit.core import LintContext, Rule, Violation, last_segment
+from repro.lintkit.core import Rule, Violation, last_segment
+from repro.lintkit.project import ModuleInfo, Project
 
 __all__ = ["MSRSafetyRule"]
 
@@ -55,13 +56,17 @@ class MSRSafetyRule(Rule):
         "range validation"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         """Yield a violation for every raw address literal / accessor call."""
-        literals_exempt = ctx.pkg_path == _TABLE_FILE
-        accessors_exempt = ctx.pkg_path in _ACCESSOR_FILES or ctx.pkg_path.startswith(
+        for mod in project.modules.values():
+            yield from self._check_module(mod)
+
+    def _check_module(self, mod: ModuleInfo) -> Iterator[Violation]:
+        literals_exempt = mod.pkg_path == _TABLE_FILE
+        accessors_exempt = mod.pkg_path in _ACCESSOR_FILES or mod.pkg_path.startswith(
             _ACCESSOR_DIR
         )
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(mod.tree):
             if (
                 not literals_exempt
                 and isinstance(node, ast.Constant)
@@ -70,11 +75,11 @@ class MSRSafetyRule(Rule):
             ):
                 # Only hex spellings are "register addresses"; a decimal
                 # 1568 elsewhere is a coincidence, not an MSR.
-                text = ctx.segment(node)
+                text = mod.segment(node)
                 if text.lower().startswith("0x"):
                     name = _MSR_TABLE[node.value]
                     yield self.hit(
-                        ctx,
+                        mod,
                         node,
                         f"raw MSR address {text} duplicates the register table; "
                         f"import {name} from repro.telemetry.msr",
@@ -83,7 +88,7 @@ class MSRSafetyRule(Rule):
                 name = last_segment(node.func)
                 if name in _RAW_ACCESSORS:
                     yield self.hit(
-                        ctx,
+                        mod,
                         node,
                         f"raw MSR accessor {name}() outside the telemetry "
                         f"boundary; go through MSRDevice/TelemetryHub so the "

@@ -1,29 +1,24 @@
-"""RL005 — pickle safety: only top-level callables cross the pool.
+"""The pool-submission vocabulary RL005 and RL009 share.
 
 :func:`repro.parallel.pool.map_parallel` ships ``(function, kwargs)``
-pairs to worker processes by pickling them.  Lambdas, closures and
-functions defined inside other functions cannot be pickled; today the
-pool raises a clear error at runtime, but a sweep that only hits the bad
-path on one grid point fails an hour into a campaign.  This rule moves
-the failure to lint time: submission APIs (``map_parallel``,
-``run_grid``, ``pool.submit``, ``apply_async``) must receive a callable
-defined at module top level.
+pairs to worker processes by pickling them.  This module names the
+submission APIs whose first argument is that task callable, and finds
+the callables that cannot make the trip.  Both codes are reported at the
+submission sites :mod:`repro.lintkit.rules.races` finds.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Set
 
-from repro.lintkit.core import LintContext, Rule, Violation, last_segment
-
-__all__ = ["PickleSafetyRule"]
+__all__ = ["SUBMISSION_APIS", "nested_callables"]
 
 #: Callable last-segments that submit work to a process pool.
-_SUBMISSION_APIS = frozenset({"map_parallel", "run_grid", "submit", "apply_async"})
+SUBMISSION_APIS = frozenset({"map_parallel", "run_grid", "submit", "apply_async"})
 
 
-def _nested_callables(tree: ast.Module) -> Set[str]:
+def nested_callables(tree: ast.Module) -> Set[str]:
     """Names bound to non-module-level functions or lambdas anywhere.
 
     Collects functions defined inside other functions plus every
@@ -48,40 +43,3 @@ def _nested_callables(tree: ast.Module) -> Set[str]:
 
     visit(tree, False)
     return nested
-
-
-class PickleSafetyRule(Rule):
-    """Flag lambdas/nested functions handed to pool-submission APIs."""
-
-    code = "RL005"
-    name = "pickle-safety"
-    rationale = (
-        "pool workers receive their task by pickling; a lambda or nested "
-        "function fails at runtime, possibly deep into a sweep"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        """Yield a violation for every unpicklable submission target."""
-        nested = _nested_callables(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            api = last_segment(node.func)
-            if api not in _SUBMISSION_APIS or not node.args:
-                continue
-            func_arg = node.args[0]
-            if isinstance(func_arg, ast.Lambda):
-                yield self.hit(
-                    ctx,
-                    node,
-                    f"lambda passed to {api}(); pool tasks are pickled — "
-                    f"define the task at module top level",
-                )
-            elif isinstance(func_arg, ast.Name) and func_arg.id in nested:
-                yield self.hit(
-                    ctx,
-                    node,
-                    f"locally-defined callable {func_arg.id!r} passed to "
-                    f"{api}(); pool tasks are pickled — move it to module "
-                    f"top level",
-                )

@@ -1,17 +1,26 @@
-"""RL009 — parallel shared-state hygiene for pool-worker call trees.
+"""RL005 and RL009 — what crosses the pool, and what the workers write.
 
-``map_parallel`` hands each worker invocation to a process pool, so a
-worker sees a *copy* of module state — writes to it are silently lost —
-and under a thread fallback the same writes become data races.  Either
-way the sweep's results depend on worker count and scheduling, which is
-exactly the non-determinism the golden-trace gate exists to catch (too
-late, and only when a trace happens to cover it).
+:func:`repro.parallel.pool.map_parallel` ships ``(function, kwargs)``
+pairs to worker processes by pickling them.  One finder locates every
+*submission site* — a call to ``map_parallel`` / ``run_grid`` /
+``pool.submit`` / ``apply_async`` — and reports two codes there.
 
-This rule finds every *worker entry point* — a callable reference passed
-to ``map_parallel`` / ``run_grid`` / ``pool.submit`` / ``apply_async``
-anywhere in the project — takes the transitive closure of the call graph
-from those entries, and flags shared-state writes inside any reachable
-function:
+**RL005 — pickle safety** is the zero-hop case: a lambda, or a name bound
+to a function defined inside another function (or to a lambda), handed
+to the site.  Those cannot be pickled; the pool raises at runtime, but a
+sweep that only hits the bad path on one grid point fails an hour into
+a campaign.  RL005 checks every call site in every module, ``parallel/``
+included.
+
+**RL009 — parallel shared-state hygiene.**  A worker sees a *copy* of
+module state — writes to it are silently lost — and under a thread
+fallback the same writes become data races.  Either way the sweep's
+results depend on worker count and scheduling, which is exactly the
+non-determinism the golden-trace gate exists to catch (too late, and
+only when a trace happens to cover it).  The callable at each site is a
+*worker entry point*; the rule takes the transitive closure of the call
+graph from those entries and flags shared-state writes inside any
+reachable function:
 
 * ``global NAME`` plus a binding of ``NAME`` (the classic counter);
 * mutation of a module-level mutable container (``CACHE.append``,
@@ -35,20 +44,20 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, Iterator, Optional, Set, Tuple, Type, Union
 
-from repro.lintkit.core import ProjectRule, Violation, last_segment
+from repro.lintkit.core import Rule, Violation, last_segment
 from repro.lintkit.project import (
+    OUTSIDE,
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
     Project,
-    iter_body_calls,
     iter_own_nodes,
 )
+from repro.lintkit.rules.pickles import SUBMISSION_APIS, nested_callables
 
 __all__ = ["ParallelSharedStateRule"]
 
-#: Pool submission APIs whose first argument is a worker entry point.
-_SUBMISSION_APIS = frozenset({"map_parallel", "run_grid", "submit", "apply_async"})
+_RL005 = "RL005"
 
 #: Container methods that mutate their receiver in place.
 _MUTATING_METHODS = frozenset(
@@ -75,8 +84,8 @@ def _mutable_default_params(fn: FunctionInfo) -> FrozenSet[str]:
     return frozenset(names)
 
 
-class ParallelSharedStateRule(ProjectRule):
-    """Flag shared-state writes reachable from pool-worker entry points."""
+class ParallelSharedStateRule(Rule):
+    """Flag unpicklable pool tasks (RL005) and worker-reachable shared writes (RL009)."""
 
     code = "RL009"
     name = "parallel-shared-state"
@@ -85,11 +94,17 @@ class ParallelSharedStateRule(ProjectRule):
         "write to module/class state from a worker call tree makes results "
         "depend on worker count and scheduling"
     )
+    twin = (
+        _RL005,
+        "pickle-safety",
+        "pool workers receive their task by pickling; a lambda or nested "
+        "function fails at runtime, possibly deep into a sweep",
+    )
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        entries = self._worker_entries(project)
-        if not entries:
-            return
+    def check(self, project: Project) -> Iterator[Violation]:
+        entries: Set[str] = set()
+        for mod in project.modules.values():
+            yield from self._check_sites(project, mod, entries)
         reachable = project.reachable_from(sorted(entries))
         for qualname in sorted(reachable):
             fn = project.functions.get(qualname)
@@ -98,41 +113,53 @@ class ParallelSharedStateRule(ProjectRule):
             yield from self._check_function(project, fn)
 
     # ------------------------------------------------------------------
-    # entry collection
+    # submission sites
 
-    def _worker_entries(self, project: Project) -> Set[str]:
-        """Qualnames of functions passed to a submission API as workers."""
-        entries: Set[str] = set()
-        for fn in project.functions.values():
-            mod = project.modules[fn.module]
-            if mod.top_dir == "parallel":
-                continue  # the pool's own forwarding shims, not workers
-            for call in iter_body_calls(fn.node):
-                entries.update(self._entry_refs(project, mod, fn, call))
-        for mod in project.modules.values():
-            if mod.top_dir == "parallel":
+    def _check_sites(
+        self, project: Project, mod: ModuleInfo, entries: Set[str]
+    ) -> Iterator[Violation]:
+        """RL005 at every submission site of ``mod``; collect RL009's entries.
+
+        Entries come from the calls a function or the module body
+        evaluates, never from ``parallel/``: submissions there are the
+        pool forwarding work to its own shims, not workers.
+        """
+        nested: Optional[Set[str]] = None
+        for node, fn, reach in project.iter_frames(mod):
+            if not isinstance(node, ast.Call) or not node.args:
                 continue
-            for node in iter_own_nodes(mod.tree.body):
-                if isinstance(node, ast.Call):
-                    entries.update(self._entry_refs(project, mod, None, node))
-        return entries
-
-    @staticmethod
-    def _entry_refs(
-        project: Project,
-        mod: ModuleInfo,
-        fn: Optional[FunctionInfo],
-        call: ast.Call,
-    ) -> Iterator[str]:
-        name = last_segment(call.func)
-        if isinstance(call.func, ast.Name) and call.func.id in mod.imports:
-            # An aliased import still submits: mp = map_parallel.
-            name = mod.imports[call.func.id].rsplit(".", 1)[-1]
-        if name not in _SUBMISSION_APIS or not call.args:
-            return
-        worker = project.resolve_callable_ref(mod, fn, call.args[0])
-        if worker is not None:
-            yield worker.qualname
+            task = node.args[0]
+            api = last_segment(node.func)
+            if api in SUBMISSION_APIS:
+                if isinstance(task, ast.Lambda):
+                    yield self.hit(
+                        mod,
+                        node,
+                        f"lambda passed to {api}(); pool tasks are pickled — "
+                        f"define the task at module top level",
+                        code=_RL005,
+                    )
+                elif isinstance(task, ast.Name):
+                    if nested is None:
+                        nested = nested_callables(mod.tree)
+                    if task.id in nested:
+                        yield self.hit(
+                            mod,
+                            node,
+                            f"locally-defined callable {task.id!r} passed to "
+                            f"{api}(); pool tasks are pickled — move it to module "
+                            f"top level",
+                            code=_RL005,
+                        )
+            if mod.top_dir == "parallel" or reach == OUTSIDE:
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id in mod.imports:
+                # An aliased import still submits: mp = map_parallel.
+                api = mod.imports[node.func.id].rsplit(".", 1)[-1]
+            if api in SUBMISSION_APIS:
+                worker = project.resolve_callable_ref(mod, fn, task)
+                if worker is not None:
+                    entries.add(worker.qualname)
 
     # ------------------------------------------------------------------
     # per-function write checks
@@ -174,8 +201,8 @@ class ParallelSharedStateRule(ProjectRule):
             return
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             if node.id in declared_global:
-                yield self.project_hit(
-                    mod.path,
+                yield self.hit(
+                    mod,
                     node,
                     f"{fn.qualname}() is reachable from a pool worker entry "
                     f"and rebinds module global {node.id!r}; worker writes to "
@@ -183,8 +210,8 @@ class ParallelSharedStateRule(ProjectRule):
                     f"threads — return the value instead",
                 )
             elif node.id in declared_nonlocal:
-                yield self.project_hit(
-                    mod.path,
+                yield self.hit(
+                    mod,
                     node,
                     f"{fn.qualname}() is reachable from a pool worker entry "
                     f"and rebinds closed-over name {node.id!r} via nonlocal; "
@@ -206,8 +233,8 @@ class ParallelSharedStateRule(ProjectRule):
         if name is None:
             return
         if name in mutable_defaults:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 node,
                 f"{fn.qualname}() {how} its mutable default argument "
                 f"{name!r} while reachable from a pool worker entry; one "
@@ -218,8 +245,8 @@ class ParallelSharedStateRule(ProjectRule):
         if name in fn.local_names and name not in declared_global and name not in declared_nonlocal:
             return  # a fresh local container: private to this call
         if name in mod.mutable_globals or name in declared_global:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 node,
                 f"{fn.qualname}() {how} module-level container {name!r} "
                 f"while reachable from a pool worker entry; per-process "
@@ -227,8 +254,8 @@ class ParallelSharedStateRule(ProjectRule):
                 f"return results and merge in the parent",
             )
         elif name in fn.enclosing_locals or name in declared_nonlocal:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 node,
                 f"{fn.qualname}() {how} closed-over container {name!r} "
                 f"while reachable from a pool worker entry; closures capture "
@@ -277,8 +304,8 @@ class ParallelSharedStateRule(ProjectRule):
         )
         target = fn.class_name if is_cls else base.id
         if is_cls or self._names_project_class(project, mod, base.id):
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 node,
                 f"{fn.qualname}() writes class attribute {target}.{node.attr} "
                 f"while reachable from a pool worker entry; class objects are "

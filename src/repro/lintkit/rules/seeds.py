@@ -35,15 +35,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.lintkit.core import ProjectRule, Violation, last_segment
+from repro.lintkit.core import Rule, Violation, last_segment
 from repro.lintkit.dataflow import ArgFacts, DataflowAnalysis, Domain, Env, Fact
-from repro.lintkit.project import (
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    iter_body_calls,
-    iter_own_nodes,
-)
+from repro.lintkit.project import OUTSIDE, FunctionInfo, ModuleInfo, Project
 
 __all__ = ["SeedProvenanceRule"]
 
@@ -115,7 +109,7 @@ class _TaintDomain(Domain):
         return summary
 
 
-class SeedProvenanceRule(ProjectRule):
+class SeedProvenanceRule(Rule):
     """Flag RNG/seed sinks not provably fed from a master seed."""
 
     code = "RL008"
@@ -125,46 +119,33 @@ class SeedProvenanceRule(ProjectRule):
         "master seed; a literal or unprovable seed breaks replay coverage"
     )
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         analysis = DataflowAnalysis(project, _TaintDomain())
-        for fn in project.functions.values():
-            mod = project.modules[fn.module]
-            if mod.top_dir not in _SCOPED_DIRS or mod.pkg_path in _EXEMPT_FILES:
-                continue
-            env = analysis.function_env(fn)
-            yield from self._check_calls(
-                project, analysis, mod, fn, env, iter_body_calls(fn.node)
-            )
         for mod in project.modules.values():
             if mod.top_dir not in _SCOPED_DIRS or mod.pkg_path in _EXEMPT_FILES:
                 continue
-            # Module-level statements (a module-global generator).
-            env = analysis.module_env(mod)
-            yield from self._check_calls(
-                project, analysis, mod, None, env, self._module_calls(mod)
-            )
+            # Every call a function or the module body (a module-global
+            # generator) evaluates.
+            for node, fn, reach in project.iter_frames(mod):
+                if reach == OUTSIDE or not isinstance(node, ast.Call):
+                    continue
+                env = analysis.function_env(fn) if fn is not None else analysis.module_env(mod)
+                yield from self._check_call(project, analysis, mod, fn, env, node)
 
-    @staticmethod
-    def _module_calls(mod: ModuleInfo) -> Iterator[ast.Call]:
-        for node in iter_own_nodes(mod.tree.body):
-            if isinstance(node, ast.Call):
-                yield node
-
-    def _check_calls(
+    def _check_call(
         self,
         project: Project,
         analysis: DataflowAnalysis,
         mod: ModuleInfo,
         fn: Optional[FunctionInfo],
         env: Env,
-        calls: Iterator[ast.Call],
+        call: ast.Call,
     ) -> Iterator[Violation]:
-        for call in calls:
-            name = last_segment(call.func)
-            sink = _SINKS.get(name or "")
-            if sink is not None:
-                yield from self._check_sink(analysis, mod, fn, env, call, name or "", sink)
-                continue
+        name = last_segment(call.func)
+        sink = _SINKS.get(name or "")
+        if sink is not None:
+            yield from self._check_sink(analysis, mod, fn, env, call, name or "", sink)
+        else:
             yield from self._check_seed_params(project, analysis, mod, fn, env, call)
 
     def _check_sink(
@@ -195,16 +176,16 @@ class SeedProvenanceRule(ProjectRule):
             return
         where = f"in {fn.qualname}" if fn is not None else "at module level"
         if fact == _LITERAL:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 call,
                 f"{name}() seeded from a literal {where}; seeds in "
                 f"deterministic code must derive from the run's master seed "
                 f"(derive_seed(seed, \"<stream>\"))",
             )
         else:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 call,
                 f"{name}() seed is not provably derived from a master seed "
                 f"{where}; thread the run seed (or derive_seed of it) "
@@ -236,8 +217,8 @@ class SeedProvenanceRule(ProjectRule):
                 continue
             for key in (i, param):
                 if args.get(key) == _LITERAL:
-                    yield self.project_hit(
-                        mod.path,
+                    yield self.hit(
+                        mod,
                         call,
                         f"literal bound to seed parameter {param!r} of "
                         f"{callee.qualname}(); pass the run seed (or a "

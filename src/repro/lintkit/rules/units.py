@@ -1,33 +1,19 @@
-"""RL003 — units hygiene: suffix-checked arithmetic and call sites.
+"""The unit-suffix vocabulary RL003 and RL010 share.
 
 Every quantity in the library carries its canonical unit in its name
-(``_s``, ``_w``, ``_j``, ``_ghz``...; see :mod:`repro.units`).  The
-suffix convention only protects anyone if it is *checked*, so this rule
-flags the two ways it silently breaks:
-
-* **conflicting arithmetic** — adding, subtracting or comparing two
-  names whose unit suffixes disagree (``power_w + duration_s``,
-  ``freq_mhz - freq_ghz``).  Products and ratios are fine: units
-  legitimately compose there (``power_w * duration_s`` *is* joules).
-* **unitless literals at unit-critical call sites** — passing a bare
-  non-zero numeric literal positionally into a unit-suffixed parameter
-  of a known accounting API (``meter.charge``, ``watts_to_joules``).
-  Naming the unit at the call site (``energy_j=0.25``) is what lets a
-  reviewer check the magnitude.  Zero is exempt: zero seconds and zero
-  joules agree.
-
-Mixed-suffix *keyword* bindings (``duration_s=freq_mhz``) are flagged at
-every call site — the parameter name is the API's unit contract.
+(``_s``, ``_w``, ``_j``, ``_ghz``...; see :mod:`repro.units`).  This
+module is the one statement of that convention the linter checks
+against: the suffix table, the suffix reader, and the unit-critical APIs
+whose positional slots must not take bare literals.  Both codes are
+reported by the one walk in :mod:`repro.lintkit.rules.unitsflow`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.lintkit.core import LintContext, Rule, Violation, last_segment
-
-__all__ = ["UnitsRule", "unit_suffix", "UNIT_SUFFIXES"]
+__all__ = ["KNOWN_APIS", "UNIT_SUFFIXES", "is_bare_nonzero_number", "name_suffix", "unit_suffix"]
 
 #: Recognised unit suffixes.  Each suffix is its own unit: seconds and
 #: milliseconds conflict just as hard as seconds and watts.
@@ -44,7 +30,7 @@ UNIT_SUFFIXES = frozenset(
 #: Unit-critical APIs: callable last-segment → positional parameter names
 #: (``None`` marks non-unit slots). Mirrors AccessMeter.charge and the
 #: repro.units converters.
-_KNOWN_APIS: Dict[str, Tuple[Optional[str], ...]] = {
+KNOWN_APIS: Dict[str, Tuple[Optional[str], ...]] = {
     "charge": (None, "time_s", "energy_j"),
     "watts_to_joules": ("power_w", "duration_s"),
 }
@@ -54,9 +40,7 @@ def unit_suffix(node: ast.AST) -> Optional[str]:
     """The unit suffix of a name-like node, or ``None``.
 
     Resolves through attribute access and subscripts so ``self.backoff_s``
-    and ``delays_s[i]`` both read as seconds.  Shared with the
-    interprocedural RL010 rule, which infers the same dimensions through
-    assignments and calls.
+    and ``delays_s[i]`` both read as seconds.
     """
     while isinstance(node, ast.Subscript):
         node = node.value
@@ -71,7 +55,12 @@ def unit_suffix(node: ast.AST) -> Optional[str]:
     return tail if tail in UNIT_SUFFIXES else None
 
 
-def _is_bare_nonzero_number(node: ast.AST) -> bool:
+def name_suffix(name: str) -> Optional[str]:
+    """Unit suffix of a bare identifier string."""
+    return unit_suffix(ast.Name(id=name))
+
+
+def is_bare_nonzero_number(node: ast.AST) -> bool:
     """True for numeric literals other than 0 (unary minus included)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
@@ -80,68 +69,3 @@ def _is_bare_nonzero_number(node: ast.AST) -> bool:
         and type(node.value) in (int, float)
         and node.value != 0
     )
-
-
-class UnitsRule(Rule):
-    """Flag unit-suffix conflicts in arithmetic and at known call sites."""
-
-    code = "RL003"
-    name = "units-hygiene"
-    rationale = (
-        "the _s/_w/_j/_hz suffix convention is the library's unit system; "
-        "mixed-suffix sums and anonymous literals defeat it"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        """Yield a violation for every suffix conflict in the file."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-                yield from self._check_pair(ctx, node, node.left, node.right, "arithmetic")
-            elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
-                yield from self._check_pair(ctx, node, node.target, node.value, "arithmetic")
-            elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
-                yield from self._check_pair(
-                    ctx, node, node.left, node.comparators[0], "comparison"
-                )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
-
-    def _check_pair(
-        self, ctx: LintContext, node: ast.AST, left: ast.AST, right: ast.AST, what: str
-    ) -> Iterator[Violation]:
-        a, b = unit_suffix(left), unit_suffix(right)
-        if a is not None and b is not None and a != b:
-            yield self.hit(
-                ctx,
-                node,
-                f"{what} mixes units _{a} and _{b} "
-                f"({ctx.segment(node) or 'expression'}); convert via repro.units first",
-            )
-
-    def _check_call(self, ctx: LintContext, node: ast.Call) -> Iterator[Violation]:
-        for kw in node.keywords:
-            if kw.arg is None:
-                continue
-            param = unit_suffix(ast.Name(id=kw.arg))
-            value = unit_suffix(kw.value)
-            if param is not None and value is not None and param != value:
-                yield self.hit(
-                    ctx,
-                    node,
-                    f"keyword {kw.arg}= is bound to a _{value} value; the "
-                    f"parameter name promises _{param} — convert via repro.units",
-                )
-        params = _KNOWN_APIS.get(last_segment(node.func) or "")
-        if params is None:
-            return
-        for slot, arg in zip(params, node.args):
-            if slot is None or unit_suffix(ast.Name(id=slot)) is None:
-                continue
-            if _is_bare_nonzero_number(arg):
-                yield self.hit(
-                    ctx,
-                    node,
-                    f"bare literal {ctx.segment(arg) or arg} fills the "
-                    f"unit-suffixed parameter {slot!r}; pass it by keyword "
-                    f"({slot}=...) so the unit is visible at the call site",
-                )

@@ -1,17 +1,37 @@
-"""RL010 — interprocedural units inference (the dataflow upgrade of RL003).
+"""RL003 and RL010 — units hygiene, literal and inferred.
 
-RL003 checks the ``_s``/``_w``/``_j``/``_hz`` suffix convention where
-both operands *carry* a suffix.  That misses every conflict laundered
-through one assignment: ``x = read_power_w(); total_j += x`` is invisible
-per-file because ``x`` is anonymous.  This rule runs the suffix
-convention through the project dataflow engine — dimensions flow through
-assignments, helper returns (a ``..._j`` function returns joules by
-contract), parameters and keyword arguments — and flags conflicts the
-*inferred* dimensions prove:
+Every quantity in the library carries its canonical unit in its name
+(``_s``, ``_w``, ``_j``, ``_ghz``...; see :mod:`repro.units`).  The
+suffix convention only protects anyone if it is *checked*, so one walk
+over every node of every module reports two codes.
+
+**RL003 — units hygiene** is the zero-hop case, where the names alone
+prove the conflict:
+
+* **conflicting arithmetic** — adding, subtracting or comparing two
+  names whose unit suffixes disagree (``power_w + duration_s``,
+  ``freq_mhz - freq_ghz``).  Products and ratios are fine: units
+  legitimately compose there (``power_w * duration_s`` *is* joules).
+* **unitless literals at unit-critical call sites** — passing a bare
+  non-zero numeric literal positionally into a unit-suffixed parameter
+  of a known accounting API (``meter.charge``, ``watts_to_joules``).
+  Naming the unit at the call site (``energy_j=0.25``) is what lets a
+  reviewer check the magnitude.  Zero is exempt: zero seconds and zero
+  joules agree.
+* **mixed-suffix keyword bindings** (``duration_s=freq_mhz``) at every
+  call site — the parameter name is the API's unit contract.
+
+RL003 sees every node, class bodies, decorators and defaults included.
+
+**RL010 — units flow** covers every conflict laundered through one
+assignment: ``x = read_power_w(); total_j += x`` is invisible to RL003
+because ``x`` is anonymous.  The project dataflow engine carries
+dimensions through assignments, helper returns (a ``..._j`` function
+returns joules by contract), parameters and keyword arguments, and the
+rule flags conflicts the *inferred* dimensions prove:
 
 * add/sub/compare where the inferred dimensions of the two sides differ
-  (sites where both sides carry literal suffixes are RL003's and are not
-  re-reported here);
+  and not both sides carry literal suffixes (those sites are RL003's);
 * a positional or keyword argument whose inferred dimension conflicts
   with the suffixed parameter it binds to in a *resolved* project callee
   (keyword bindings whose value carries a literal suffix are RL003's);
@@ -20,9 +40,11 @@ contract), parameters and keyword arguments — and flags conflicts the
 * returning a value of known conflicting dimension from a suffix-named
   function (``def idle_energy_j(...): return power_w``).
 
-Multiplication and division deliberately erase the dimension — units
-legitimately compose there — and unknown stays unknown: the rule only
-speaks when the lattice *proves* a dimension on both sides.
+RL010 reads facts only where the dataflow engine computed them: the
+bodies of indexed functions and module-level code.  Multiplication and
+division deliberately erase the dimension, and unknown stays unknown:
+the rule only speaks when the lattice *proves* a dimension on both
+sides.
 """
 
 from __future__ import annotations
@@ -30,40 +52,40 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
-from repro.lintkit.core import ProjectRule, Violation, last_segment
+from repro.lintkit.core import Rule, Violation, last_segment
 from repro.lintkit.dataflow import ArgFacts, DataflowAnalysis, Domain, Env, Fact
-from repro.lintkit.project import (
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    iter_own_nodes,
+from repro.lintkit.project import OWN, FunctionInfo, ModuleInfo, Project
+from repro.lintkit.rules.units import (
+    KNOWN_APIS,
+    is_bare_nonzero_number,
+    name_suffix,
+    unit_suffix,
 )
-from repro.lintkit.rules.units import unit_suffix
 
 __all__ = ["UnitsFlowRule"]
 
 #: Builtins that pass their (first/only) argument's dimension through.
 _PASSTHROUGH = frozenset({"abs", "float", "int", "round", "min", "max", "sum"})
 
+_RL003 = "RL003"
 
-def _name_suffix(name: str) -> Optional[str]:
-    """Unit suffix of a bare identifier string."""
-    return unit_suffix(ast.Name(id=name))
+#: The node types either code inspects.
+_CHECKED = (ast.BinOp, ast.AugAssign, ast.Compare, ast.Call, ast.Assign, ast.AnnAssign, ast.Return)
 
 
 class _UnitsDomain(Domain):
     """Dimension lattice: the unit suffix string, or unknown."""
 
     def param_fact(self, fn: FunctionInfo, name: str) -> Fact:
-        return _name_suffix(name)
+        return name_suffix(name)
 
     def name_fact(self, name: str, env_fact: Fact) -> Fact:
         # A literal suffix is the name's contract; the environment only
         # fills in dimensions for anonymous names.
-        return _name_suffix(name) or env_fact
+        return name_suffix(name) or env_fact
 
     def attribute_fact(self, node: ast.Attribute) -> Fact:
-        return _name_suffix(node.attr)
+        return name_suffix(node.attr)
 
     def binop_fact(self, node: ast.BinOp, left: Fact, right: Fact) -> Fact:
         if isinstance(node.op, (ast.Add, ast.Sub)):
@@ -88,11 +110,11 @@ class _UnitsDomain(Domain):
 
     def return_fact(self, fn: FunctionInfo, joined: Fact) -> Fact:
         # A suffix-named function returns that dimension by contract.
-        return _name_suffix(fn.name) or joined
+        return name_suffix(fn.name) or joined
 
 
-class UnitsFlowRule(ProjectRule):
-    """Flag unit conflicts the interprocedural dimension inference proves."""
+class UnitsFlowRule(Rule):
+    """Flag unit conflicts the suffixes (RL003) or the inference (RL010) prove."""
 
     code = "RL010"
     name = "units-flow"
@@ -100,74 +122,122 @@ class UnitsFlowRule(ProjectRule):
         "the suffix convention only protects named values; dataflow "
         "inference extends it through assignments, returns and calls"
     )
+    twin = (
+        _RL003,
+        "units-hygiene",
+        "the _s/_w/_j/_hz suffix convention is the library's unit system; "
+        "mixed-suffix sums and anonymous literals defeat it",
+    )
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         analysis = DataflowAnalysis(project, _UnitsDomain())
-        for fn in project.functions.values():
-            mod = project.modules[fn.module]
-            env = analysis.function_env(fn)
-            yield from self._check_body(
-                project, analysis, mod, fn, env, iter_own_nodes(fn.node.body)
-            )
         for mod in project.modules.values():
-            env = analysis.module_env(mod)
-            yield from self._check_body(
-                project, analysis, mod, None, env, iter_own_nodes(mod.tree.body)
-            )
+            for node, fn, reach in project.iter_frames(mod):
+                if not isinstance(node, _CHECKED):
+                    continue
+                # RL010 reads facts only where the frame's own walk solved them.
+                env: Optional[Env] = None
+                if reach == OWN:
+                    env = analysis.function_env(fn) if fn is not None else analysis.module_env(mod)
+                yield from self._check_node(project, analysis, mod, fn, env, node)
 
-    def _check_body(
+    def _check_node(
         self,
         project: Project,
         analysis: DataflowAnalysis,
         mod: ModuleInfo,
         fn: Optional[FunctionInfo],
-        env: Env,
-        nodes: Iterator[ast.AST],
+        env: Optional[Env],
+        node: ast.AST,
     ) -> Iterator[Violation]:
-        for node in nodes:
-            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-                yield from self._check_pair(
-                    analysis, mod, fn, env, node, node.left, node.right, "arithmetic"
-                )
-            elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
-                yield from self._check_pair(
-                    analysis, mod, fn, env, node, node.target, node.value, "arithmetic"
-                )
-            elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
-                if not isinstance(node.ops[0], (ast.Is, ast.IsNot, ast.In, ast.NotIn)):
-                    yield from self._check_pair(
-                        analysis, mod, fn, env, node, node.left, node.comparators[0], "comparison"
-                    )
-            elif isinstance(node, ast.Call):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            yield from self._check_pair(
+                analysis, mod, fn, env, node, node.left, node.right, "arithmetic"
+            )
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
+            yield from self._check_pair(
+                analysis, mod, fn, env, node, node.target, node.value, "arithmetic"
+            )
+        elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
+            if isinstance(node.ops[0], (ast.Is, ast.IsNot, ast.In, ast.NotIn)):
+                env = None  # RL010 does not judge identity or membership tests
+            yield from self._check_pair(
+                analysis, mod, fn, env, node, node.left, node.comparators[0], "comparison"
+            )
+        elif isinstance(node, ast.Call):
+            yield from self._check_literal_call(mod, node)
+            if env is not None:
                 yield from self._check_call(project, analysis, mod, fn, env, node)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                yield from self._check_assign(analysis, mod, fn, env, node)
-            elif isinstance(node, ast.Return) and fn is not None and node.value is not None:
-                yield from self._check_return(analysis, mod, fn, env, node)
+        elif env is not None and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from self._check_assign(analysis, mod, fn, env, node)
+        elif env is not None and isinstance(node, ast.Return) and fn is not None:
+            yield from self._check_return(analysis, mod, fn, env, node)
 
     def _check_pair(
         self,
         analysis: DataflowAnalysis,
         mod: ModuleInfo,
         fn: Optional[FunctionInfo],
-        env: Env,
+        env: Optional[Env],
         node: ast.AST,
         left: ast.expr,
         right: ast.expr,
         what: str,
     ) -> Iterator[Violation]:
-        if unit_suffix(left) is not None and unit_suffix(right) is not None:
-            return  # both sides carry literal suffixes: RL003's site
+        a, b = unit_suffix(left), unit_suffix(right)
+        if a is not None and b is not None:
+            if a != b:
+                yield self.hit(
+                    mod,
+                    node,
+                    f"{what} mixes units _{a} and _{b} "
+                    f"({mod.segment(node) or 'expression'}); convert via repro.units first",
+                    code=_RL003,
+                )
+            return
+        if env is None:
+            return
         a = analysis.expr_fact(mod, fn, env, left)
         b = analysis.expr_fact(mod, fn, env, right)
         if a is not None and b is not None and a != b:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 node,
                 f"{what} mixes inferred units _{a} and _{b}; the dimension "
                 f"flowed here through assignments/returns — convert via "
                 f"repro.units at the source",
             )
+
+    def _check_literal_call(self, mod: ModuleInfo, node: ast.Call) -> Iterator[Violation]:
+        """RL003 at a call: suffixed keywords and bare literals in unit slots."""
+        for kw in node.keywords:
+            if kw.arg is None:
+                continue
+            param = name_suffix(kw.arg)
+            value = unit_suffix(kw.value)
+            if param is not None and value is not None and param != value:
+                yield self.hit(
+                    mod,
+                    node,
+                    f"keyword {kw.arg}= is bound to a _{value} value; the "
+                    f"parameter name promises _{param} — convert via repro.units",
+                    code=_RL003,
+                )
+        params = KNOWN_APIS.get(last_segment(node.func) or "")
+        if params is None:
+            return
+        for slot, arg in zip(params, node.args):
+            if slot is None or name_suffix(slot) is None:
+                continue
+            if is_bare_nonzero_number(arg):
+                yield self.hit(
+                    mod,
+                    node,
+                    f"bare literal {mod.segment(arg) or arg} fills the "
+                    f"unit-suffixed parameter {slot!r}; pass it by keyword "
+                    f"({slot}=...) so the unit is visible at the call site",
+                    code=_RL003,
+                )
 
     def _check_call(
         self,
@@ -209,13 +279,13 @@ class UnitsFlowRule(ProjectRule):
         param: str,
         value: ast.expr,
     ) -> Iterator[Violation]:
-        expected = _name_suffix(param)
+        expected = name_suffix(param)
         if expected is None:
             return
         got = analysis.expr_fact(mod, fn, env, value)
         if got is not None and got != expected:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 call,
                 f"argument of inferred unit _{got} is bound to parameter "
                 f"{param!r} of {callee.qualname}(), which promises _{expected}; "
@@ -243,8 +313,8 @@ class UnitsFlowRule(ProjectRule):
         for target in targets:
             expected = unit_suffix(target)
             if expected is not None and got != expected:
-                yield self.project_hit(
-                    mod.path,
+                yield self.hit(
+                    mod,
                     node,
                     f"value of inferred unit _{got} is assigned to "
                     f"{'a target' if not isinstance(target, ast.Name) else repr(target.id)} "
@@ -259,13 +329,13 @@ class UnitsFlowRule(ProjectRule):
         env: Env,
         node: ast.Return,
     ) -> Iterator[Violation]:
-        expected = _name_suffix(fn.name)
+        expected = name_suffix(fn.name)
         if expected is None or node.value is None:
             return
         got = analysis.expr_fact(mod, fn, env, node.value)
         if got is not None and got != expected:
-            yield self.project_hit(
-                mod.path,
+            yield self.hit(
+                mod,
                 node,
                 f"{fn.qualname}() promises _{expected} by name but returns a "
                 f"value of inferred unit _{got}; convert via repro.units "

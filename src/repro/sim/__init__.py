@@ -8,7 +8,7 @@ models are built on:
 * :class:`~repro.sim.trace.TraceRecorder` — append-only columnar
   time-series traces (positional ``record_row`` fast path),
 * :class:`~repro.sim.channels.ChannelRegistry` — per-layer trace-channel
-  ownership, replacing the old fixed ``TRACE_CHANNELS`` schema,
+  ownership (each observer declares the channels it records),
 * :mod:`~repro.sim.observers` — the :class:`~repro.sim.observers.TickObserver`
   protocol and the standard observer stack (telemetry advancement, trace
   capture, scheduled-runtime firing),

@@ -29,42 +29,19 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.channels import ChannelRegistry
 from repro.sim.clock import SimClock
-from repro.sim.observers import (
-    NodeStateObserver,
-    ScheduledRuntime,
-    TickObserver,
-    standard_observers,
-)
+from repro.sim.observers import ScheduledRuntime, TickObserver
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # typing-only: sim is the bottom layer and must not
-    # runtime-import the hardware/telemetry/workload packages built on it.
+    # runtime-import the hardware/workload packages built on it.
     from repro.hw.node import HeterogeneousNode
-    from repro.telemetry.hub import TelemetryHub
     from repro.workloads.base import Workload, WorkloadExecution
 
 __all__ = [
     "ScheduledRuntime",
     "EngineResult",
     "SimulationEngine",
-    "TRACE_CHANNELS",
 ]
-
-#: .. deprecated::
-#:    The fixed pre-refactor trace schema (18 node channels + the first
-#:    four per-core channels of socket 0). Channel sets are now declared
-#:    per run through :class:`~repro.sim.channels.ChannelRegistry` — read
-#:    ``result.recorder.channels`` or ``engine.registry`` instead. Kept so
-#:    existing importers and trace-completeness assertions keep working:
-#:    every engine composed with the standard observer stack on a node
-#:    with >= 4 cores still records a superset of these channels.
-TRACE_CHANNELS = (
-    *NodeStateObserver.CHANNELS,
-    "core0_freq_ghz",
-    "core1_freq_ghz",
-    "core2_freq_ghz",
-    "core3_freq_ghz",
-)
 
 
 @dataclass
@@ -98,49 +75,23 @@ class SimulationEngine:
     ----------
     node:
         The hardware node.
-    telemetry:
-        Legacy convenience: the node's telemetry hub. When given (and
-        ``observers`` is not), the engine composes the standard observer
-        stack — telemetry advancement, node-state + per-core trace
-        capture, runtime firing — reproducing the pre-observer engine
-        exactly. Mutually exclusive with ``observers``.
-    runtimes:
-        Legacy convenience: zero or more scheduled runtimes (governor
-        daemons), folded into the standard stack's
-        :class:`~repro.sim.observers.RuntimeObserver`.
-    clock:
-        The simulation clock; a fresh 10 ms clock is created if omitted.
     observers:
         The full observer stack, dispatched in order every tick. Compose
-        with :func:`~repro.sim.observers.standard_observers` or build your
-        own.
+        with :func:`~repro.sim.observers.standard_observers` (telemetry
+        advancement, node-state + per-core trace capture, runtime firing)
+        or build your own.
+    clock:
+        The simulation clock; a fresh 10 ms clock is created if omitted.
     """
 
     def __init__(
         self,
         node: "HeterogeneousNode",
-        telemetry: Optional["TelemetryHub"] = None,
-        runtimes: Sequence[ScheduledRuntime] = (),
-        clock: Optional[SimClock] = None,
         *,
-        observers: Optional[Sequence[TickObserver]] = None,
+        observers: Sequence[TickObserver],
+        clock: Optional[SimClock] = None,
     ) -> None:
-        if observers is not None and (telemetry is not None or runtimes):
-            raise SimulationError(
-                "pass either the legacy (telemetry, runtimes) pair or an explicit "
-                "observer stack, not both"
-            )
-        if observers is None:
-            if telemetry is None:
-                raise SimulationError(
-                    "engine needs observers; pass observers=... or a telemetry hub"
-                )
-            if telemetry.node is not node:
-                raise SimulationError("telemetry hub is bound to a different node")
-            observers = standard_observers(node, telemetry, runtimes)
         self.node = node
-        self.telemetry = telemetry
-        self.runtimes = list(runtimes)
         self.observers: List[TickObserver] = list(observers)
         self.clock = clock if clock is not None else SimClock()
         #: Set per run: the channel schema, shared row buffer and recorder

@@ -348,9 +348,16 @@ def standard_observers(
     complete when a governor fires. Fleet-scale callers pass
     ``per_core_channels=False`` to drop the (wide) per-core block from the
     schema.
+
+    Raises
+    ------
+    SimulationError
+        If ``hub`` is bound to a different node.
     """
     observers: List[TickObserver] = []
     if hub is not None:
+        if hub.node is not node:
+            raise SimulationError("telemetry hub is bound to a different node")
         observers.append(TelemetryObserver(hub))
     observers.append(NodeStateObserver())
     if per_core_channels:

@@ -4,10 +4,9 @@ The simulation engine records one sample per tick for a configurable set of
 channels (delivered memory throughput, uncore frequency, power domains, ...).
 :class:`TraceRecorder` keeps the hot path cheap: samples land in one
 pre-grown 2-D buffer (``channel x tick``), and the positional
-:meth:`TraceRecorder.record_row` fast path writes a whole tick with a
-single vectorised column assignment — no per-tick dict construction or
-schema checks. The validated keyword path (:meth:`TraceRecorder.record`)
-remains for sparse callers and tests. Results are exposed as immutable
+:meth:`TraceRecorder.record_row` writes a whole tick with a single
+vectorised column assignment — no per-tick dict construction or
+per-channel schema checks. Results are exposed as immutable
 :class:`TimeSeries` views for the analysis layer.
 """
 
@@ -159,14 +158,9 @@ class TraceRecorder:
 
     Notes
     -----
-    Two recording paths share one columnar store:
-
-    * :meth:`record` — keyword path, deliberately strict: every call must
-      supply exactly the declared channels. This catches hardware-model
-      refactors that silently stop reporting a power domain.
-    * :meth:`record_row` — positional fast path for the engine's tick
-      loop: one vectorised column write per tick, no dict construction
-      and no per-channel schema check (the row length is the schema).
+    :meth:`record_row` is the one recording path: one vectorised column
+    write per tick, no dict construction, and the row length is the
+    schema check.
     """
 
     def __init__(self, channels: Iterable[str]) -> None:
@@ -208,16 +202,8 @@ class TraceRecorder:
         new_buf[:, : self._n] = self._buf[:, : self._n]
         self._buf = new_buf
 
-    def record(self, time_s: float, **values: float) -> None:
-        """Append one sample at ``time_s`` with a value for every channel."""
-        if set(values) != set(self._channels):
-            missing = set(self._channels) - set(values)
-            extra = set(values) - set(self._channels)
-            raise SimulationError(f"channel mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        self.record_row(time_s, [values[c] for c in self._channels])
-
     def record_row(self, time_s: float, row: Union[Sequence[float], np.ndarray]) -> None:
-        """Append one sample from a positional row (the engine fast path).
+        """Append one sample from a positional row.
 
         Parameters
         ----------

@@ -1,30 +1,32 @@
 """Fixture-driven tests for the ``repro lint`` static-analysis engine.
 
-Every rule is held to a pair: a fixture with known violations (exact
-codes and lines asserted) and a clean fixture that must stay silent.
-The fixture tree under ``tests/data/lint_fixtures/`` mirrors the package
-layout (``sim/``, ``runtime/``...) so path-scoped rules see the same
-scopes they see on ``src/repro``.  The self-check at the bottom is the
-acceptance gate: the repository lints clean against its own rules.
+Every per-file code (RL001–RL007) is held to a pair: a fixture with known
+violations (exact codes and lines asserted) and a clean fixture that must
+stay silent.  The fixture tree under ``tests/data/lint_fixtures/``
+mirrors the package layout (``sim/``, ``runtime/``...) so path-scoped
+rules see the same scopes they see on ``src/repro``.  The self-check at
+the bottom is the acceptance gate: the repository lints clean against
+its own rules.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.errors import LintError
 from repro.lintkit import (
     Baseline,
-    default_rules,
     format_json,
     format_text,
-    lint_file,
-    lint_paths,
+    lint_project,
     load_baseline,
+    rule_catalogue,
     save_baseline,
     scan_suppressions,
 )
@@ -35,8 +37,9 @@ CLI_ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
 
 def run_on(relpath):
-    """Lint one fixture file, returning its violations."""
-    return lint_file(FIXTURES / relpath, default_rules(), root=FIXTURES)
+    """Lint one fixture file under every rule, returning its violations."""
+    violations, _, _ = lint_project([str(FIXTURES / relpath)], root=str(FIXTURES))
+    return violations
 
 
 def codes_and_lines(violations):
@@ -45,11 +48,15 @@ def codes_and_lines(violations):
 
 class TestRuleCatalogue:
     def test_seven_rules_with_unique_codes(self):
-        rules = default_rules()
-        assert [r.code for r in rules] == [
+        # The per-file codes lead the one catalogue; RL003 and RL005 are
+        # reported by the walks of RL010 and RL009.
+        catalogue = rule_catalogue()
+        codes = [code for code, _, _ in catalogue]
+        assert codes[:7] == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
         ]
-        assert all(r.rationale for r in rules)
+        assert len(set(codes)) == len(codes)
+        assert all(rationale for _, _, rationale in catalogue)
 
 
 class TestRL001Determinism:
@@ -100,7 +107,7 @@ class TestRL002MSRSafety:
         assert run_on("faults/rl002_ok.py") == []
 
     def test_the_register_table_itself_is_exempt(self):
-        violations = lint_file(REPO / "src/repro/telemetry/msr.py", default_rules())
+        violations, _, _ = lint_project([str(REPO / "src/repro/telemetry/msr.py")])
         assert [v for v in violations if v.rule == "RL002"] == []
 
     def test_backends_dir_may_use_raw_accessors(self):
@@ -254,15 +261,56 @@ class TestEngineAndBaseline:
     def test_syntax_error_reports_rl000(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
-        violations = lint_file(bad, default_rules())
-        assert [v.rule for v in violations] == ["RL000"]
+        (tmp_path / "fine.py").write_text("x = 1\n")
+        violations, n_files, stats = lint_project([str(tmp_path)])
+        assert [(Path(v.path).name, v.rule) for v in violations] == [("broken.py", "RL000")]
+        # The broken file is counted as checked but kept out of the model.
+        assert n_files == 2
+        assert stats.modules == 1
 
     def test_missing_path_raises(self):
         with pytest.raises(LintError):
-            lint_paths(["definitely/not/a/path"])
+            lint_project(["definitely/not/a/path"])
+
+    def test_two_files_for_one_module_raise(self, capsys):
+        paths = [
+            str(REPO / "src/repro/sim/rng.py"),
+            str(REPO / "tests/data/lint_project_fixtures/sim/rng.py"),
+        ]
+        root = str(REPO / "tests/data/lint_project_fixtures")
+        with pytest.raises(LintError, match="repro.sim.rng") as excinfo:
+            lint_project(paths, root=root)
+        assert all(path in str(excinfo.value) for path in paths)
+        assert cli.main(["lint", *paths, "--package-root", root, "--no-baseline"]) == 2
+        assert "both map to module repro.sim.rng" in capsys.readouterr().err
+
+    def test_each_file_is_parsed_and_scanned_once(self, monkeypatch):
+        import repro.lintkit.engine as engine
+        import repro.lintkit.project as project
+
+        parsed, scanned = Counter(), []
+        real_parse, real_scan = project.parse_file, engine.scan_suppressions
+
+        def counting_parse(path):
+            parsed[path.as_posix()] += 1
+            return real_parse(path)
+
+        def counting_scan(source):
+            scanned.append(source)
+            return real_scan(source)
+
+        monkeypatch.setattr(project, "parse_file", counting_parse)
+        monkeypatch.setattr(engine, "scan_suppressions", counting_scan)
+        _, n_files, _ = lint_project([str(FIXTURES)], root=str(FIXTURES))
+        assert n_files == 24
+        assert sorted(parsed) == sorted(p.as_posix() for p in FIXTURES.rglob("*.py"))
+        assert set(parsed.values()) == {1}
+        assert len(scanned) == n_files
 
     def test_baseline_round_trip(self, tmp_path):
-        violations, _ = lint_paths([str(FIXTURES / "sim" / "rl001_bad.py")], root=str(FIXTURES))
+        violations, _, _ = lint_project(
+            [str(FIXTURES / "sim" / "rl001_bad.py")], root=str(FIXTURES)
+        )
         assert violations
         baseline_path = tmp_path / "baseline.json"
         n = save_baseline(str(baseline_path), violations)
@@ -286,25 +334,93 @@ class TestEngineAndBaseline:
             load_baseline(str(path))
 
     def test_reporters(self):
-        violations, n_files = lint_paths([str(FIXTURES / "runtime")], root=str(FIXTURES))
+        violations, n_files, stats = lint_project(
+            [str(FIXTURES / "runtime")], root=str(FIXTURES)
+        )
         text = format_text(violations, n_files)
         assert "RL004" in text and "rl004_bad.py:7" in text
-        payload = json.loads(format_json(violations, n_files))
+        payload = json.loads(format_json(violations, n_files, project_stats=stats.to_dict()))
         assert payload["version"] == 1
         assert payload["counts"] == {"RL004": 2}
         assert payload["files"] == n_files == 2
+        assert payload["project"]["modules"] == 2
 
     def test_empty_baseline_object(self):
-        violations, _ = lint_paths([str(FIXTURES / "runtime" / "rl004_bad.py")], root=str(FIXTURES))
+        violations, _, _ = lint_project(
+            [str(FIXTURES / "runtime" / "rl004_bad.py")], root=str(FIXTURES)
+        )
         assert Baseline().filter_new(violations) == violations
+
+    def test_fixture_tree_findings_are_pinned(self):
+        # Every (file, line, rule) of the whole tree, linted as its own
+        # package root; any drift in any rule's reach shows here.
+        violations, n_files, _ = lint_project([str(FIXTURES)], root=str(FIXTURES))
+        assert n_files == 24
+        found = sorted(
+            (Path(v.path).relative_to(FIXTURES).as_posix(), v.line, v.rule) for v in violations
+        )
+        assert found == [
+            ("backends/rl002_bad.py", 3, "RL002"),
+            ("backends/rl002_bad.py", 7, "RL002"),
+            ("coordinator/rl001_bad.py", 13, "RL001"),
+            ("coordinator/rl001_bad.py", 18, "RL001"),
+            ("core/rl007_bad.py", 5, "RL007"),
+            ("experiments/rl005_bad.py", 9, "RL005"),
+            ("experiments/rl005_bad.py", 10, "RL005"),
+            ("experiments/rl005_bad.py", 18, "RL005"),
+            ("faults/rl002_bad.py", 3, "RL002"),
+            ("faults/rl002_bad.py", 7, "RL002"),
+            ("faults/rl002_bad.py", 8, "RL002"),
+            ("faults/rl002_bad.py", 8, "RL002"),
+            ("governors/rl007_bad.py", 5, "RL007"),
+            ("governors/rl007_bad.py", 6, "RL007"),
+            ("governors/rl007_bad.py", 8, "RL007"),
+            ("governors/rl007_bad.py", 9, "RL007"),
+            ("governors/rl007_bad.py", 10, "RL007"),
+            ("obs/rl006_bad.py", 5, "RL006"),
+            ("obs/rl006_bad.py", 6, "RL006"),
+            ("obs/rl006_bad.py", 7, "RL006"),
+            ("obs/rl006_bad.py", 8, "RL006"),
+            ("obs/rl006_bad.py", 9, "RL006"),
+            ("obs/rl006_bad.py", 10, "RL006"),
+            ("obs/rl006_bad.py", 11, "RL006"),
+            ("obs/rl006_bad.py", 12, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 5, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 6, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 7, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 8, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 9, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 14, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 15, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 16, "RL006"),
+            ("obs/rl006_tsdb_bad.py", 23, "RL006"),
+            ("runtime/rl004_bad.py", 7, "RL004"),
+            ("runtime/rl004_bad.py", 14, "RL004"),
+            ("sim/rl001_bad.py", 13, "RL001"),
+            ("sim/rl001_bad.py", 14, "RL001"),
+            ("sim/rl001_bad.py", 15, "RL001"),
+            ("sim/rl001_bad.py", 20, "RL001"),
+            ("sim/rl001_bad.py", 21, "RL001"),
+            ("sim/rl001_bad.py", 22, "RL001"),
+            ("sim/suppressed.py", 17, "RL001"),
+            ("telemetry/rl003_bad.py", 5, "RL003"),
+            ("telemetry/rl003_bad.py", 6, "RL003"),
+            ("telemetry/rl003_bad.py", 7, "RL003"),
+            ("telemetry/rl003_bad.py", 10, "RL003"),
+            ("telemetry/rl003_bad.py", 15, "RL003"),
+            ("telemetry/rl003_bad.py", 15, "RL003"),
+            ("telemetry/rl003_bad.py", 16, "RL003"),
+            ("telemetry/rl003_bad.py", 17, "RL003"),
+        ]
 
 
 class TestSelfCheck:
     def test_repo_lints_clean(self):
-        """The acceptance gate: ``repro lint src/`` exits 0 on this repo."""
-        violations, n_files = lint_paths([str(REPO / "src")])
-        assert n_files > 100
+        """The acceptance gate: ``src/repro`` is clean under all ten rules."""
+        violations, n_files, stats = lint_project([str(REPO / "src" / "repro")])
+        assert n_files == 144
         assert violations == [], format_text(violations, n_files)
+        assert stats.call_edges > 1000
 
     def test_cli_verb_end_to_end(self, tmp_path):
         out = tmp_path / "report.json"
@@ -346,5 +462,5 @@ class TestSelfCheck:
             env=CLI_ENV,
         )
         assert proc.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert code in proc.stdout

@@ -1,16 +1,17 @@
-"""Tests for the whole-program lint pass (``repro lint --project``).
+"""Tests for the whole-program side of ``repro lint``.
 
 The fixture tree under ``tests/data/lint_project_fixtures/`` mirrors the
 package layout, so the project model roots its modules at ``repro.`` and
 imports between fixture files resolve exactly as they do on the real
 tree — aliased imports, ``__init__`` re-exports, method calls and all.
-Each interprocedural rule is held to the same contract as the per-file
-rules: a fixture with known violations (exact codes and lines asserted)
-and a clean fixture that must stay silent.  The self-check at the bottom
-is the acceptance gate: ``src/repro`` is clean under RL008–RL010 with an
-empty baseline.
+Each interprocedural code is held to the same contract as the per-file
+codes: a fixture with known violations (exact codes and lines asserted)
+and a clean fixture that must stay silent.  The self-check in
+``TestLintProjectEngine`` is the acceptance gate: ``src/repro`` is clean
+with an empty baseline.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -19,16 +20,14 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.errors import LintError
 from repro.lintkit import (
     build_project,
-    clear_parse_cache,
     collect_files,
-    lint_paths,
     lint_project,
     load_baseline,
-    parse_cache_stats,
-    project_rules,
+    rule_catalogue,
     save_baseline,
 )
 from repro.lintkit.core import Violation
@@ -38,11 +37,16 @@ REPO = Path(__file__).resolve().parent.parent
 CLI_ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
 
+@functools.lru_cache(maxsize=None)
+def lint_fixture_tree():
+    """Lint the whole fixture tree once (violations are immutable)."""
+    return lint_project([str(FIXTURES)], root=str(FIXTURES))
+
+
 def run_project_rule(code):
-    """Run one project rule over the fixture tree, returning its violations."""
-    (rule,) = [r for r in project_rules() if r.code == code]
-    violations, _, _ = lint_project([str(FIXTURES)], rules=[rule], root=str(FIXTURES))
-    return violations
+    """The fixture tree's violations of one rule code."""
+    violations, _, _ = lint_fixture_tree()
+    return [v for v in violations if v.rule == code]
 
 
 def codes_and_lines(violations):
@@ -51,18 +55,10 @@ def codes_and_lines(violations):
 
 class TestProjectRuleCatalogue:
     def test_three_project_rules_with_unique_codes(self):
-        rules = project_rules()
-        assert [r.code for r in rules] == ["RL008", "RL009", "RL010"]
-        assert all(r.rationale for r in rules)
-
-    def test_project_rules_are_silent_per_file(self):
-        # A project rule handed to the per-file engine must not crash or fire.
-        violations, _ = lint_paths(
-            [str(FIXTURES / "sim" / "rl008_bad.py")],
-            rules=list(project_rules()),
-            root=str(FIXTURES),
-        )
-        assert violations == []
+        # The interprocedural codes close the one catalogue.
+        catalogue = rule_catalogue()
+        assert [code for code, _, _ in catalogue][7:] == ["RL008", "RL009", "RL010"]
+        assert all(rationale for _, _, rationale in catalogue[7:])
 
 
 class TestCallGraph:
@@ -216,36 +212,30 @@ class TestLintProjectEngine:
         assert violations == []
         assert stats.to_dict()["call_edges"] > 1000
 
-
-class TestParseCache:
-    def test_second_pass_hits_the_memo(self):
-        clear_parse_cache()
-        lint_paths([str(FIXTURES)], root=str(FIXTURES))
-        _, first_misses = parse_cache_stats()
-        assert first_misses == 10
-        lint_project([str(FIXTURES)], root=str(FIXTURES))
-        hits, misses = parse_cache_stats()
-        assert misses == first_misses  # no re-parses
-        assert hits == 10
-
-    def test_no_cache_bypasses_the_memo(self):
-        clear_parse_cache()
-        lint_paths([str(FIXTURES)], root=str(FIXTURES), use_cache=False)
-        assert parse_cache_stats() == (0, 0)
-
-    def test_modified_file_reparses(self, tmp_path):
-        (tmp_path / "sim").mkdir()
-        target = tmp_path / "sim" / "mod.py"
-        target.write_text("import time\n\n\ndef f():\n    return time.time()\n")
-        clear_parse_cache()
-        first, _ = lint_paths([str(target)], root=str(tmp_path))
-        stamped = os.stat(target)
-        target.write_text("def f():\n    return 0\n")
-        # Force a different (mtime, size) stamp even on coarse filesystems.
-        os.utime(target, ns=(stamped.st_atime_ns, stamped.st_mtime_ns + 1_000_000))
-        second, _ = lint_paths([str(target)], root=str(tmp_path))
-        assert second == []
-        assert second != first
+    def test_fixture_tree_findings_are_pinned(self):
+        violations, n_files, _ = lint_fixture_tree()
+        assert n_files == 10
+        found = [
+            (Path(v.path).relative_to(FIXTURES).as_posix(), v.line, v.rule) for v in violations
+        ]
+        assert found == [
+            ("cluster/rl009_bad.py", 13, "RL009"),
+            ("cluster/rl009_bad.py", 18, "RL009"),
+            ("cluster/rl009_bad.py", 26, "RL009"),
+            ("cluster/rl009_bad.py", 39, "RL009"),
+            ("cluster/rl009_bad.py", 40, "RL009"),
+            ("cluster/rl010_bad.py", 14, "RL010"),
+            ("cluster/rl010_bad.py", 19, "RL010"),
+            ("cluster/rl010_bad.py", 24, "RL010"),
+            ("cluster/rl010_bad.py", 29, "RL010"),
+            ("cluster/rl010_bad.py", 33, "RL010"),
+            ("cluster/rl010_bad.py", 38, "RL010"),
+            ("sim/rl008_bad.py", 9, "RL008"),
+            ("sim/rl008_bad.py", 14, "RL008"),
+            ("sim/rl008_bad.py", 18, "RL008"),
+            ("sim/rl008_bad.py", 22, "RL008"),
+            ("sim/rl008_bad.py", 26, "RL008"),
+        ]
 
 
 class TestBaselineV2:
@@ -351,4 +341,15 @@ class TestProjectCLI:
         assert proc.returncode == 0
         for code in ("RL008", "RL009", "RL010"):
             assert code in proc.stdout
-        assert "--project" in proc.stdout
+
+    def test_plain_lint_runs_project_rules_and_old_flags_are_no_ops(self, capsys):
+        argv = [
+            "lint", str(FIXTURES), "--no-baseline", "--format", "json",
+            "--package-root", str(FIXTURES),
+        ]
+        reports = []
+        for extra in ([], ["--project"], ["--no-cache"], ["--project", "--no-cache"]):
+            assert cli.main(argv + extra) == 1
+            reports.append(capsys.readouterr().out)
+        assert json.loads(reports[0])["counts"] == {"RL008": 5, "RL009": 5, "RL010": 6}
+        assert reports[1:] == reports[:1] * 3

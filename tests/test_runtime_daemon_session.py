@@ -9,6 +9,7 @@ from repro.runtime.overhead import measure_overhead
 from repro.runtime.session import make_governor, run_application
 from repro.sim.clock import SimClock
 from repro.sim.engine import SimulationEngine
+from repro.sim.observers import standard_observers
 
 
 class TestDaemonScheduling:
@@ -66,7 +67,8 @@ class TestDaemonScheduling:
     def test_decisions_are_recorded(self, a100_node, a100_hub):
         gov = make_governor("magus")
         daemon = MonitorDaemon(gov, a100_hub, a100_node)
-        engine = SimulationEngine(a100_node, a100_hub, [daemon], clock=SimClock(0.01))
+        observers = standard_observers(a100_node, a100_hub, [daemon])
+        engine = SimulationEngine(a100_node, observers=observers, clock=SimClock(0.01))
         engine.run(None, max_time_s=3.0)
         assert len(daemon.decisions) >= 5
         assert daemon.mean_invocation_s == pytest.approx(0.1, abs=0.01)

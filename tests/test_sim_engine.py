@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.engine import TRACE_CHANNELS, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.observers import (
     BaseTickObserver,
     CoreFrequencyObserver,
@@ -38,6 +38,13 @@ class _CountingRuntime:
         self._next = now_s + self.period
 
 
+def make_engine(node, hub, runtimes=(), dt_s=0.01):
+    """An engine over the standard observer stack (what the session runner composes)."""
+    return SimulationEngine(
+        node, observers=standard_observers(node, hub, runtimes), clock=SimClock(dt_s)
+    )
+
+
 class _StuckRuntime(_CountingRuntime):
     def invoke(self, now_s):
         self.invocations.append(now_s)
@@ -46,26 +53,26 @@ class _StuckRuntime(_CountingRuntime):
 
 class TestRun:
     def test_workload_runs_to_completion(self, a100_node, a100_hub, tiny_workload):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub)
         result = engine.run(tiny_workload, max_time_s=60.0)
         assert result.completed
         # Min-uncore idle state stretches the memory-heavy middle segment.
         assert result.runtime_s >= tiny_workload.nominal_duration_s - 0.02
 
     def test_idle_run_lasts_exactly_horizon(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub)
         result = engine.run(None, max_time_s=1.0)
         assert result.completed
         assert result.runtime_s == pytest.approx(1.0)
 
     def test_trace_has_all_channels(self, a100_node, a100_hub, tiny_workload):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub)
         result = engine.run(tiny_workload)
-        for channel in TRACE_CHANNELS:
+        for channel in (*NodeStateObserver.CHANNELS, *core_freq_channels(a100_node)):
             assert len(result.recorder.series(channel)) > 0
 
     def test_one_sample_per_tick(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub)
         result = engine.run(None, max_time_s=0.5)
         assert len(result.recorder) == 50
 
@@ -77,26 +84,26 @@ class TestRun:
         node.memory = MemorySubsystem(0.5, f_ref_ghz=1.8, f_max_ghz=2.2)
         node.force_uncore_all(0.8)
         hub = TelemetryHub(node, a100_preset.telemetry)
-        engine = SimulationEngine(node, hub, clock=SimClock(0.01))
+        engine = make_engine(node, hub)
         result = engine.run(tiny_workload, max_time_s=600.0, safety_factor=2.0)
         assert not result.completed
         assert result.horizon_s == pytest.approx(2.0 * tiny_workload.nominal_duration_s)
 
     def test_invalid_horizon_rejected(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub)
+        engine = make_engine(a100_node, a100_hub)
         with pytest.raises(SimulationError):
             engine.run(None, max_time_s=0.0)
 
     def test_mismatched_hub_rejected(self, a100_preset, a100_node, a100_hub):
         other = a100_preset.build_node()
-        with pytest.raises(SimulationError):
-            SimulationEngine(other, a100_hub)
+        with pytest.raises(SimulationError, match="different node"):
+            standard_observers(other, a100_hub)
 
 
 class TestRuntimeScheduling:
     def test_runtime_fires_on_schedule(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=0.25)
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [rt])
         engine.run(None, max_time_s=1.0)
         assert len(rt.invocations) == 4
         assert rt.invocations[0] == pytest.approx(0.25)
@@ -104,18 +111,18 @@ class TestRuntimeScheduling:
     def test_multiple_runtimes(self, a100_node, a100_hub):
         fast = _CountingRuntime(period=0.2)
         slow = _CountingRuntime(period=0.5)
-        engine = SimulationEngine(a100_node, a100_hub, [fast, slow], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [fast, slow])
         engine.run(None, max_time_s=1.0)
         assert len(fast.invocations) == 5
         assert len(slow.invocations) == 2
 
     def test_stuck_runtime_detected(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, [_StuckRuntime()], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [_StuckRuntime()])
         with pytest.raises(SimulationError):
             engine.run(None, max_time_s=1.0)
 
     def test_progress_channel_tracks_workload(self, a100_node, a100_hub, tiny_workload):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub)
         result = engine.run(tiny_workload)
         progress = result.recorder.series("progress").values
         assert progress[0] < 0.05
@@ -139,7 +146,7 @@ class TestFiringSemantics:
                 super().invoke(now_s)
 
         first, second = _Tagged("first"), _Tagged("second")
-        engine = SimulationEngine(a100_node, a100_hub, [first, second], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [first, second])
         engine.run(None, max_time_s=0.5)
         # Both due at 0.25 and 0.5 within the same ticks, dispatched in
         # registration order each time.
@@ -149,7 +156,7 @@ class TestFiringSemantics:
 
     def test_runtime_due_exactly_on_horizon_fires(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=1.0)
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [rt])
         engine.run(None, max_time_s=1.0)
         # next_fire_s == 1.0 lands exactly on the horizon boundary: the tick
         # ending at t=1.0 still runs, so the invocation happens.
@@ -161,12 +168,12 @@ class TestFiringSemantics:
         # the tick fire (4 per tick), none are dropped. Binary-exact values
         # keep the accumulated schedule free of float drift.
         rt = _CountingRuntime(period=0.00390625)
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.015625))
+        engine = make_engine(a100_node, a100_hub, [rt], dt_s=0.015625)
         engine.run(None, max_time_s=0.25)
         assert len(rt.invocations) == 64
 
     def test_schedule_not_advanced_guard(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, [_StuckRuntime()], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [_StuckRuntime()])
         with pytest.raises(SimulationError, match="did not advance its schedule"):
             engine.run(None, max_time_s=1.0)
 
@@ -176,24 +183,26 @@ class TestFiringSemantics:
                 self.invocations.append(now_s)
                 self._next = now_s - self.period
 
-        engine = SimulationEngine(a100_node, a100_hub, [_Backwards()], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [_Backwards()])
         with pytest.raises(SimulationError, match="did not advance its schedule"):
             engine.run(None, max_time_s=1.0)
 
     def test_never_firing_runtime_is_never_invoked(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=float("inf"))
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub, [rt])
         engine.run(None, max_time_s=0.5)
         assert rt.invocations == []
 
 
 class TestObserverAPI:
     def test_legacy_and_observer_args_are_exclusive(self, a100_node, a100_hub):
-        with pytest.raises(SimulationError):
+        # The legacy (node, telemetry, runtimes) form is gone: the hub
+        # reaches the engine only inside an observer.
+        with pytest.raises(TypeError):
             SimulationEngine(a100_node, a100_hub, observers=[NodeStateObserver()])
 
     def test_engine_needs_some_observer_source(self, a100_node):
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError):
             SimulationEngine(a100_node)
 
     def test_explicit_observer_stack_runs(self, a100_node, a100_hub):
@@ -257,7 +266,7 @@ class TestObserverAPI:
         assert names[-1] == f"core{node.n_cores - 1}_freq_ghz"
 
     def test_dual_socket_records_both_sockets(self, a100_preset, a100_hub, a100_node):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = make_engine(a100_node, a100_hub)
         result = engine.run(None, max_time_s=0.1)
         n_cores = a100_preset.n_sockets * a100_preset.cores_per_socket
         per_core = [c for c in result.recorder.channels if c.endswith("_freq_ghz") and c.startswith("core")]
@@ -270,7 +279,7 @@ class TestObserverAPI:
         node = small.build_node(RngStreams(0))
         node.force_uncore_all(small.uncore_min_ghz)
         hub = TelemetryHub(node, small.telemetry)
-        engine = SimulationEngine(node, hub, clock=SimClock(0.01))
+        engine = make_engine(node, hub)
         # Run under load: per-core DVFS jitter makes each core's frequency
         # trace distinct, so a copied channel would be detectable.
         result = engine.run(tiny_workload, max_time_s=2.0)

@@ -95,15 +95,15 @@ class TestResample:
 class TestTraceRecorder:
     def test_records_and_reads_back(self):
         rec = TraceRecorder(["a", "b"])
-        rec.record(0.1, a=1.0, b=2.0)
-        rec.record(0.2, a=3.0, b=4.0)
+        rec.record_row(0.1, [1.0, 2.0])
+        rec.record_row(0.2, [3.0, 4.0])
         assert list(rec.series("a").values) == [1.0, 3.0]
         assert list(rec.series("b").values) == [2.0, 4.0]
 
     def test_growth_beyond_initial_capacity(self):
         rec = TraceRecorder(["x"])
         for i in range(5000):
-            rec.record((i + 1) * 0.01, x=float(i))
+            rec.record_row((i + 1) * 0.01, [float(i)])
         s = rec.series("x")
         assert len(s) == 5000
         assert s.values[-1] == 4999.0
@@ -111,18 +111,18 @@ class TestTraceRecorder:
     def test_missing_channel_rejected(self):
         rec = TraceRecorder(["a", "b"])
         with pytest.raises(SimulationError):
-            rec.record(0.1, a=1.0)
+            rec.record_row(0.1, [1.0])
 
     def test_extra_channel_rejected(self):
         rec = TraceRecorder(["a"])
         with pytest.raises(SimulationError):
-            rec.record(0.1, a=1.0, z=2.0)
+            rec.record_row(0.1, [1.0, 2.0])
 
     def test_non_increasing_time_rejected(self):
         rec = TraceRecorder(["a"])
-        rec.record(0.2, a=1.0)
+        rec.record_row(0.2, [1.0])
         with pytest.raises(SimulationError):
-            rec.record(0.2, a=2.0)
+            rec.record_row(0.2, [2.0])
 
     def test_unknown_channel_read_rejected(self):
         rec = TraceRecorder(["a"])
@@ -140,12 +140,12 @@ class TestTraceRecorder:
     def test_last(self):
         rec = TraceRecorder(["a"])
         assert rec.last("a") is None
-        rec.record(0.1, a=7.0)
+        rec.record_row(0.1, [7.0])
         assert rec.last("a") == 7.0
 
     def test_as_dict_covers_all_channels(self):
         rec = TraceRecorder(["a", "b", "c"])
-        rec.record(0.1, a=1.0, b=2.0, c=3.0)
+        rec.record_row(0.1, [1.0, 2.0, 3.0])
         assert set(rec.as_dict()) == {"a", "b", "c"}
 
 
@@ -165,13 +165,6 @@ class TestRecordRow:
         row[:] = [9.0, 9.0]
         rec.record_row(0.2, row)
         assert list(rec.series("a").values) == [1.0, 9.0]
-
-    def test_row_and_kwargs_paths_interleave(self):
-        rec = TraceRecorder(["a", "b"])
-        rec.record(0.1, a=1.0, b=2.0)
-        rec.record_row(0.2, [3.0, 4.0])
-        assert list(rec.series("b").values) == [2.0, 4.0]
-        assert rec.last("a") == 3.0
 
     def test_wrong_row_length_rejected(self):
         rec = TraceRecorder(["a", "b"])

@@ -187,6 +187,7 @@ class TestCounterWrapRuns:
         from repro.runtime.session import make_governor
         from repro.sim.clock import SimClock
         from repro.sim.engine import SimulationEngine
+        from repro.sim.observers import standard_observers
         from repro.sim.rng import RngStreams
         from repro.telemetry.hub import TelemetryHub
         from repro.workloads.registry import get_workload
@@ -198,7 +199,8 @@ class TestCounterWrapRuns:
         if jump_offset is not None:
             hub.msr.jump_counters(jump_offset)
         daemon = MonitorDaemon(make_governor("ups"), hub, node)
-        engine = SimulationEngine(node, hub, [daemon], SimClock(0.01))
+        observers = standard_observers(node, hub, [daemon])
+        engine = SimulationEngine(node, observers=observers, clock=SimClock(0.01))
         engine.run(get_workload("srad", seed=1), max_time_s=8.0)
         return hub, daemon.decisions
 
