@@ -1,0 +1,211 @@
+"""Regenerate the golden digest manifest for the cross-preset bit-identity test.
+
+Run from the repo root, on a clean tree::
+
+    PYTHONPATH=src python tests/data/gen_golden_manifest.py
+
+The script refuses to run when ``git status --porcelain`` reports any
+change, so every manifest comes from committed code; the hash of that
+``src`` tree is recorded in the file. It writes ``golden_manifest.json`` next to itself: one SHA-256 per
+trace channel (over ``times.tobytes()`` then ``values.tobytes()``) plus one
+over the governor decisions, for every (preset, governor, mode) run of the
+matrix below, and the grant log of one small coordinated fleet.
+``tests/test_golden_manifest.py`` recomputes every digest and lists each
+mismatching (config, channel) pair.
+
+Byte digests are stricter than ``np.array_equal``: a ``-0.0``/``+0.0`` flip
+compares equal but hashes differently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
+
+from repro.cluster.job import ClusterJob
+from repro.cluster.simulator import ClusterSimulator
+from repro.coordinator.config import safe_floor_w
+from repro.coordinator.fleet import ample_budget_w, run_coordinated_fleet
+from repro.faults.plan import coordinated_campaign, standard_campaign
+from repro.runtime.session import RunResult, make_governor, run_application
+from repro.workloads.registry import SUITE_INTEL_A100, get_workload
+
+MANIFEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_manifest.json")
+
+PRESETS = ("intel_a100", "intel_4a100", "intel_max1550", "amd_mi210")
+#: (governor name, make_governor options).
+GOVERNORS: Tuple[Tuple[str, Dict[str, float]], ...] = (
+    ("default", {}),
+    ("magus", {}),
+    ("ups", {}),
+    ("powercap", {"cap_w": 150.0}),
+)
+MODES = ("clean", "faulted", "guarded")
+WORKLOAD = "srad"
+SEED = 1
+HORIZON_S = 4.0
+DT_S = 0.01
+
+FLEET_PRESET = "intel_a100"
+FLEET_NODES = 4
+FLEET_GOVERNOR = "magus"
+FLEET_JOB_HORIZON_S = 2.5
+#: Job starts spread over the coordinated campaign's default 60 s horizon.
+FLEET_STAGGER_S = 15.0
+FLEET_BUDGET_FRAC = 0.7
+
+
+def config_key(preset: str, governor: str, mode: str) -> str:
+    """Manifest key of one matrix run."""
+    return f"{preset}/{governor}/{mode}"
+
+
+def matrix() -> Iterator[Tuple[str, str, Dict[str, float], str]]:
+    """Yield ``(preset, governor, options, mode)`` for every matrix run."""
+    for preset in PRESETS:
+        for governor, options in GOVERNORS:
+            for mode in MODES:
+                yield preset, governor, options, mode
+
+
+def run_config(preset: str, governor: str, options: Dict[str, float], mode: str) -> RunResult:
+    """One matrix run: ``srad`` under ``governor`` for ``HORIZON_S``."""
+    kwargs: Dict[str, object] = {}
+    if mode == "faulted":
+        kwargs = {"fault_plan": standard_campaign(SEED, horizon_s=HORIZON_S), "supervise": True}
+    elif mode == "guarded":
+        kwargs = {"guard": True, "actuation_latency": "msr_fast"}
+    elif mode != "clean":
+        raise ValueError(f"unknown mode {mode!r}")
+    return run_application(
+        preset,
+        get_workload(WORKLOAD, seed=SEED),
+        make_governor(governor, **options),
+        seed=SEED,
+        dt_s=DT_S,
+        max_time_s=HORIZON_S,
+        **kwargs,
+    )
+
+
+def matrix_runs() -> Iterator[Tuple[str, str, RunResult]]:
+    """Yield ``(config key, mode, result)`` for every matrix run, in order."""
+    for preset, governor, options, mode in matrix():
+        yield config_key(preset, governor, mode), mode, run_config(preset, governor, options, mode)
+
+
+def sha256_arrays(*arrays: np.ndarray) -> str:
+    """SHA-256 over the raw bytes of ``arrays``, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def sha256_json(obj: object) -> str:
+    """SHA-256 over canonical JSON (floats by repr, which round-trips)."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def run_digests(result: RunResult) -> Dict[str, str]:
+    """Channel name -> digest, plus ``"decisions"``, for one run."""
+    out = {
+        name: sha256_arrays(series.times, series.values)
+        for name, series in sorted(result.traces.items())
+    }
+    out["decisions"] = sha256_json([[d.time_s, d.target_ghz, d.reason] for d in result.decisions])
+    return out
+
+
+def injector_incidents_within_horizon(result: RunResult) -> int:
+    """Injected faults that fired inside the run's horizon."""
+    return sum(1 for i in result.incidents if i.source == "injector" and i.time_s < HORIZON_S)
+
+
+def fleet_jobs() -> List[ClusterJob]:
+    """The small coordinated fleet: one short job per node, staggered."""
+    return [
+        ClusterJob(
+            name=f"job{i}-{SUITE_INTEL_A100[i % len(SUITE_INTEL_A100)]}",
+            workload=SUITE_INTEL_A100[i % len(SUITE_INTEL_A100)],
+            start_time_s=FLEET_STAGGER_S * i,
+            seed=SEED + i,
+            max_time_s=FLEET_JOB_HORIZON_S,
+        )
+        for i in range(FLEET_NODES)
+    ]
+
+
+def fleet_digests() -> Dict[str, str]:
+    """Digests of the coordinated fleet's per-node caps and granted sum."""
+    sim = ClusterSimulator(FLEET_PRESET, fleet_jobs())
+    demand = sim.run_fleet(FLEET_GOVERNOR, dt_s=DT_S, n_workers=1)
+    floor = safe_floor_w(demand.idle_node_power_w)
+    ample = ample_budget_w(demand, FLEET_NODES, floor)
+    budget = max(FLEET_BUDGET_FRAC * ample, FLEET_NODES * floor * 1.05)
+    result = run_coordinated_fleet(
+        sim,
+        FLEET_GOVERNOR,
+        budget_w=budget,
+        plan=coordinated_campaign(SEED, n_nodes=FLEET_NODES),
+        demand_fleet=demand,
+        dt_s=DT_S,
+        n_workers=1,
+    )
+    return {
+        "node_cap_w": sha256_arrays(result.tick_times_s, result.node_cap_w),
+        "granted_sum_w": sha256_arrays(result.tick_times_s, result.granted_sum_w),
+    }
+
+
+def compute() -> Dict[str, Dict[str, Dict[str, str]]]:
+    """Every digest of the matrix and the fleet, keyed like the manifest."""
+    runs = {key: run_digests(result) for key, _mode, result in matrix_runs()}
+    return {"runs": runs, "fleet": {"coordinated": fleet_digests()}}
+
+
+def _git(*args: str) -> str:
+    here = os.path.dirname(MANIFEST_PATH)
+    return subprocess.run(
+        ["git", *args], check=True, capture_output=True, text=True, cwd=here
+    ).stdout.strip()
+
+
+def main() -> int:
+    dirty = _git("status", "--porcelain")
+    if dirty:
+        print("refusing to generate on a dirty tree; commit or stash first:", file=sys.stderr)
+        print(dirty, file=sys.stderr)
+        return 1
+    manifest = {
+        # The tree hash of src/ names the code the digests came from and
+        # survives amending the commit that adds this file.
+        "src_tree": _git("rev-parse", "HEAD:src"),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "params": {
+            "workload": WORKLOAD,
+            "seed": SEED,
+            "horizon_s": HORIZON_S,
+            "dt_s": DT_S,
+            "fleet_nodes": FLEET_NODES,
+        },
+        **compute(),
+    }
+    with open(MANIFEST_PATH, "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    n_digests = sum(len(d) for d in manifest["runs"].values())
+    print(f"wrote {MANIFEST_PATH}: {len(manifest['runs'])} runs, {n_digests} run digests + fleet")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
