@@ -143,8 +143,7 @@ class SimBackend(ControlBackend):
         Purely observational: nothing here feeds back into simulated
         state, so the zero-latency path stays bit-identical.
         """
-        node = self.hub.node
-        if any(node.uncore(s).in_transition for s in range(node.n_sockets)):
+        if any(unc.in_transition for _, unc in self.hub.node.sockets):
             self.settling_ticks += 1
             if self._metrics is not None:
                 self._metrics.counter("repro.actuation.settling_ticks").inc()

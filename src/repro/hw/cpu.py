@@ -16,18 +16,24 @@ reproduction:
 * **IPC.** UPS (the baseline runtime) reads per-core instructions/cycles
   MSRs and reacts to IPC loss. IPC here degrades when memory demand is
   unmet and, mildly, with uncore frequency itself (higher LLC latency).
+
+:func:`step_cores` advances a stack of identical sockets at once: socket
+``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node pays each
+NumPy call once per tick rather than once per socket.
+:meth:`CPUCoreModel.step` is the same function on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import PowerModelError
 from repro.units import clamp
 
-__all__ = ["CPUPowerParams", "CPUCoreModel"]
+__all__ = ["CPUPowerParams", "CPUCoreModel", "CoreStep", "step_cores"]
 
 
 @dataclass(frozen=True)
@@ -89,43 +95,16 @@ class CPUCoreModel:
         self._utils = np.zeros(self.n_cores)
         self._freqs = np.full(self.n_cores, self.min_ghz)
         self._ipc = np.zeros(self.n_cores)
+        self._jitter = np.empty((1, self.n_cores))
+        self._mean_ipc = 0.0
+        self._power_w = float(_socket_power_w(self, self._utils, self._freqs))
 
     # ------------------------------------------------------------------
     # State update
     # ------------------------------------------------------------------
     def step(self, socket_util: float, mem_stall_factor: float, uncore_ratio: float) -> None:
-        """Advance one tick.
-
-        Parameters
-        ----------
-        socket_util:
-            Average utilisation demanded of the socket, in [0, 1].
-        mem_stall_factor:
-            1.0 when memory demand is fully served, < 1 proportional to the
-            served fraction otherwise — stalls depress IPC.
-        uncore_ratio:
-            Effective uncore frequency over max; low uncore adds LLC/mesh
-            latency that mildly depresses IPC even when bandwidth suffices.
-        """
-        if not (0.0 <= socket_util <= 1.0):
-            raise PowerModelError(f"socket_util must be in [0, 1], got {socket_util!r}")
-        jitter = self._rng.normal(1.0, 0.06, self.n_cores)
-        self._utils = np.clip(socket_util * self._weights * jitter, 0.0, 1.0)
-        # DVFS: frequency tracks utilisation with a mild floor; a lightly
-        # loaded core sits near min frequency, a saturated core turbos.
-        span = self.max_ghz - self.min_ghz
-        self._freqs = np.clip(
-            self.min_ghz + span * np.minimum(self._utils * 1.3, 1.0),
-            self.min_ghz,
-            self.max_ghz,
-        )
-        latency_term = 0.88 + 0.12 * clamp(uncore_ratio, 0.0, 1.0)
-        stall_term = clamp(mem_stall_factor, 0.05, 1.0)
-        self._ipc = np.where(
-            self._utils > 1e-3,
-            self.peak_ipc * stall_term * latency_term,
-            0.0,
-        )
+        """Advance one tick: :func:`step_cores` on a stack of one socket."""
+        step_cores((self,), socket_util, mem_stall_factor, uncore_ratio, self._jitter)
 
     # ------------------------------------------------------------------
     # Observables
@@ -146,18 +125,110 @@ class CPUCoreModel:
         return self._ipc
 
     def mean_ipc(self) -> float:
-        """Socket-average IPC over *active* cores (0 if all idle)."""
-        active = self._utils > 1e-3
-        if not active.any():
-            return 0.0
-        return float(self._ipc[active].mean())
+        """Socket-average IPC over *active* cores (0 if all idle), as of the
+        latest step."""
+        return self._mean_ipc
 
     def power_w(self) -> float:
-        """Instantaneous core-domain power of the socket."""
-        p = self.power_params
-        f_ratio_sq = (self._freqs / self.max_ghz) ** 2
-        per_core = p.idle_core_w + p.peak_core_w * self._utils * (0.3 + 0.7 * f_ratio_sq)
-        return float(p.static_w + per_core.sum())
+        """Core-domain power of the socket, as of the latest step."""
+        return self._power_w
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CPUCoreModel(n_cores={self.n_cores}, util={self._utils.mean():.2f})"
+
+
+class CoreStep(NamedTuple):
+    """What :func:`step_cores` computed: per-core arrays with one row per
+    socket, and per-socket reductions in socket order."""
+
+    utils: np.ndarray
+    freqs_ghz: np.ndarray
+    ipc: np.ndarray
+    mean_ipc: List[float]
+    power_w: List[float]
+    mean_freq_ghz: List[float]
+
+
+def _socket_power_w(cpu: CPUCoreModel, utils: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Core-domain power per socket (over the last axis) of ``cpu``'s part."""
+    p = cpu.power_params
+    f_ratio_sq = (freqs / cpu.max_ghz) ** 2
+    per_core = p.idle_core_w + p.peak_core_w * utils * (0.3 + 0.7 * f_ratio_sq)
+    return p.static_w + np.add.reduce(per_core, axis=-1)
+
+
+def step_cores(
+    cpus: Sequence[CPUCoreModel],
+    socket_util: float,
+    mem_stall_factor: float,
+    uncore_ratio: float,
+    jitter: np.ndarray,
+) -> CoreStep:
+    """Advance a stack of identical sockets by one tick.
+
+    Each socket draws its jitter from its own stream, in socket order, into
+    its row of ``jitter`` (an ``(len(cpus), n_cores)`` scratch buffer the
+    caller owns). Everything after the draws runs once over the whole
+    stack. Every socket's model is left holding its row of the new arrays
+    and its reductions, so its observables read as if it had stepped
+    alone. The arrays are fresh each call; earlier ones are never mutated.
+
+    Parameters
+    ----------
+    cpus:
+        The sockets, all of one part (core count, DVFS range, peak IPC and
+        power coefficients); the first one's parameters serve the stack.
+    socket_util:
+        Average utilisation demanded of each socket, in [0, 1].
+    mem_stall_factor:
+        1.0 when memory demand is fully served, < 1 proportional to the
+        served fraction otherwise — stalls depress IPC.
+    uncore_ratio:
+        Effective uncore frequency over max; low uncore adds LLC/mesh
+        latency that mildly depresses IPC even when bandwidth suffices.
+    jitter:
+        Scratch buffer for the draws, overwritten.
+    """
+    if not (0.0 <= socket_util <= 1.0):
+        raise PowerModelError(f"socket_util must be in [0, 1], got {socket_util!r}")
+    part = cpus[0]
+    n = part.n_cores
+    for s, cpu in enumerate(cpus):
+        jitter[s] = cpu._rng.normal(1.0, 0.06, n)
+    utils = np.clip(socket_util * part._weights * jitter, 0.0, 1.0)
+    # DVFS: frequency tracks utilisation with a mild floor; a lightly
+    # loaded core sits near min frequency, a saturated core turbos.
+    span = part.max_ghz - part.min_ghz
+    freqs = np.clip(
+        part.min_ghz + span * np.minimum(utils * 1.3, 1.0),
+        part.min_ghz,
+        part.max_ghz,
+    )
+    latency_term = 0.88 + 0.12 * clamp(uncore_ratio, 0.0, 1.0)
+    stall_term = clamp(mem_stall_factor, 0.05, 1.0)
+    # Active cores retire instructions and count toward the mean IPC.
+    active = utils > 1e-3
+    ipc = np.where(active, part.peak_ipc * stall_term * latency_term, 0.0)
+
+    power_w = _socket_power_w(part, utils, freqs).tolist()
+    ipc_sums = np.add.reduce(ipc, axis=1).tolist()
+    mean_freq_ghz = [total / n for total in np.add.reduce(freqs, axis=1).tolist()]
+    n_active = np.add.reduce(active, axis=1, dtype=np.intp).tolist()
+    mean_ipc: List[float] = []
+    for s, cpu in enumerate(cpus):
+        k = n_active[s]
+        if k == n:
+            socket_ipc = ipc_sums[s] / n
+        elif k:
+            # Zeros in the row would regroup the pairwise sum: reduce over
+            # the active cores alone, as a socket stepped alone does.
+            socket_ipc = float(ipc[s][active[s]].mean())
+        else:
+            socket_ipc = 0.0
+        mean_ipc.append(socket_ipc)
+        cpu._utils = utils[s]
+        cpu._freqs = freqs[s]
+        cpu._ipc = ipc[s]
+        cpu._mean_ipc = socket_ipc
+        cpu._power_w = power_w[s]
+    return CoreStep(utils, freqs, ipc, mean_ipc, power_w, mean_freq_ghz)

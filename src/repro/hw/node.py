@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import HardwareError
-from repro.hw.cpu import CPUCoreModel
+from repro.hw.cpu import CPUCoreModel, step_cores
 from repro.hw.gpu import GPUGroup
 from repro.hw.memory import MemorySubsystem
 from repro.hw.power import PowerBreakdown
@@ -49,8 +49,9 @@ class HeterogeneousNode:
     Parameters
     ----------
     sockets:
-        ``(cpu, uncore)`` pairs, one per socket. All sockets are assumed
-        identical parts (as in every system the paper evaluates).
+        ``(cpu, uncore)`` pairs, one per socket. All core complexes must be
+        the same part (as in every system the paper evaluates): they step
+        together as the rows of one array.
     memory:
         The node-level memory subsystem.
     gpus:
@@ -84,6 +85,13 @@ class HeterogeneousNode:
             raise HardwareError(f"cpu_mem_coupling must be in [0, 1], got {cpu_mem_coupling!r}")
         self.cpu_mem_coupling = float(cpu_mem_coupling)
         self.sockets: List[Tuple[CPUCoreModel, UncoreModel]] = list(sockets)
+        self._cpus = tuple(cpu for cpu, _ in self.sockets)
+        _check_identical_parts(self._cpus)
+        # Per-core state in global core order; each step replaces these.
+        self._core_utils = np.concatenate([cpu.core_utils for cpu in self._cpus])
+        self._core_freqs_ghz = np.concatenate([cpu.core_freqs_ghz for cpu in self._cpus])
+        self._core_ipc = np.concatenate([cpu.core_ipc for cpu in self._cpus])
+        self._jitter = np.empty((len(self._cpus), self._cpus[0].n_cores))
         self.memory = memory
         self.gpus = gpus
         self.tdp_w_per_socket = float(tdp_w_per_socket)
@@ -139,11 +147,11 @@ class HeterogeneousNode:
 
     def uncore_effective_ghz(self) -> float:
         """Mean effective uncore frequency across sockets."""
-        return float(np.mean([unc.effective_ghz for _, unc in self.sockets]))
+        return _socket_mean([unc.effective_ghz for _, unc in self.sockets])
 
     def uncore_target_ghz(self) -> float:
         """Mean target uncore frequency across sockets."""
-        return float(np.mean([unc.target_ghz for _, unc in self.sockets]))
+        return _socket_mean([unc.target_ghz for _, unc in self.sockets])
 
     @property
     def uncore_min_ghz(self) -> float:
@@ -154,6 +162,28 @@ class HeterogeneousNode:
     def uncore_max_ghz(self) -> float:
         """Upper bound of the uncore range."""
         return self.sockets[0][1].max_ghz
+
+    # ------------------------------------------------------------------
+    # Per-core state, node-wide (cores numbered across sockets in order)
+    # ------------------------------------------------------------------
+    @property
+    def core_utils(self) -> np.ndarray:
+        """Every core's utilisation after the latest step, ``(n_cores,)``.
+
+        Each step replaces the array: a reference taken before a step keeps
+        that tick's values.
+        """
+        return self._core_utils
+
+    @property
+    def core_freqs_ghz(self) -> np.ndarray:
+        """Every core's frequency after the latest step, ``(n_cores,)``."""
+        return self._core_freqs_ghz
+
+    @property
+    def core_ipc(self) -> np.ndarray:
+        """Every core's IPC after the latest step, ``(n_cores,)``."""
+        return self._core_ipc
 
     # ------------------------------------------------------------------
     # Simulation step
@@ -189,16 +219,15 @@ class HeterogeneousNode:
         # workloads while throughput-guided MAGUS does not (§2 challenge 2).
         stall_factor = 1.0 - self.cpu_mem_coupling * mem_intensity * (1.0 - svc.served_fraction)
 
+        cores = step_cores(self._cpus, cpu_util, stall_factor, unc_ratio, self._jitter)
+        self._core_utils = cores.utils.reshape(-1)
+        self._core_freqs_ghz = cores.freqs_ghz.reshape(-1)
+        self._core_ipc = cores.ipc.reshape(-1)
         core_w = 0.0
         uncore_w = 0.0
-        ipc_values = []
-        freq_values = []
-        for cpu, unc in self.sockets:
-            cpu.step(cpu_util, stall_factor, unc_ratio)
-            core_w += cpu.power_w()
+        for socket_w, (_, unc) in zip(cores.power_w, self.sockets):
+            core_w += socket_w
             uncore_w += unc.power_w(svc.traffic_util)
-            ipc_values.append(cpu.mean_ipc())
-            freq_values.append(float(cpu.core_freqs_ghz.mean()))
 
         self.gpus.step(gpu_util)
 
@@ -217,8 +246,8 @@ class HeterogeneousNode:
             power=power,
             uncore_target_ghz=self.uncore_target_ghz(),
             uncore_effective_ghz=eff_unc,
-            mean_ipc=float(np.mean(ipc_values)),
-            mean_core_freq_ghz=float(np.mean(freq_values)),
+            mean_ipc=_socket_mean(cores.mean_ipc),
+            mean_core_freq_ghz=_socket_mean(cores.mean_freq_ghz),
             gpu_sm_clock_ghz=self.gpus.mean_sm_clock_ghz(),
             served_fraction=svc.served_fraction,
         )
@@ -235,3 +264,35 @@ class HeterogeneousNode:
             f"HeterogeneousNode({self.name!r}, sockets={len(self.sockets)}, "
             f"cores={self.n_cores}, gpus={len(self.gpus)})"
         )
+
+
+def _check_identical_parts(cpus: Sequence[CPUCoreModel]) -> None:
+    """Raise unless every core complex is the same part as the first."""
+    part = cpus[0]
+    for s, cpu in enumerate(cpus[1:], start=1):
+        for field, mine, theirs in (
+            ("core count", cpu.n_cores, part.n_cores),
+            ("core DVFS range", (cpu.min_ghz, cpu.max_ghz), (part.min_ghz, part.max_ghz)),
+            ("peak_ipc", cpu.peak_ipc, part.peak_ipc),
+            ("CPUPowerParams", cpu.power_params, part.power_params),
+        ):
+            if mine != theirs:
+                raise HardwareError(
+                    f"socket {s} differs from socket 0 in {field}: {mine!r} vs {theirs!r}"
+                )
+
+
+def _socket_mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` for a few per-socket floats, without NumPy.
+
+    Below eight terms NumPy's pairwise sum adds in order from 0.0, so an
+    in-order float loop gives the same double. (The builtin ``sum`` does
+    not: from Python 3.12 it compensates float sums.)
+    """
+    n = len(values)
+    if n >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total / n

@@ -202,21 +202,16 @@ class CoreFrequencyObserver(BaseTickObserver):
     core per socket) instead of the old hardcoded ``core0..core3`` capture
     of socket 0 — dual-socket presets now record both sockets, and nodes
     with fewer than four cores no longer duplicate the last core's value
-    into phantom channels. Capture is vectorised: one numpy slice
-    assignment per socket per tick.
+    into phantom channels. Capture is one slice assignment per tick from
+    the node's per-core frequencies, which are in channel order.
     """
 
     def __init__(self, node: "HeterogeneousNode") -> None:
         self.node = node
         self._names = tuple(core_freq_channels(node))
-        offsets: List[int] = []
-        k = 0
-        for cpu, _ in node.sockets:
-            offsets.append(k)
-            k += cpu.n_cores
-        self._offsets = offsets
         self._row: np.ndarray = np.empty(0)
         self._start = 0
+        self._stop = 0
 
     @property
     def channels(self) -> Sequence[str]:
@@ -225,6 +220,7 @@ class CoreFrequencyObserver(BaseTickObserver):
 
     def declare_channels(self, registry: ChannelRegistry) -> None:
         self._start = registry.declare("cores", self._names).start
+        self._stop = self._start + len(self._names)
 
     def on_start(self, engine: "SimulationEngine") -> None:
         if self.node is not engine.node:
@@ -232,11 +228,7 @@ class CoreFrequencyObserver(BaseTickObserver):
         self._row = engine.trace_row
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
-        row = self._row
-        start = self._start
-        for (cpu, _), offset in zip(self.node.sockets, self._offsets):
-            freqs = cpu.core_freqs_ghz
-            row[start + offset : start + offset + len(freqs)] = freqs
+        self._row[self._start : self._stop] = self.node.core_freqs_ghz
 
 
 class DegradedSource(Protocol):

@@ -53,6 +53,7 @@ IA32_FIXED_CTR1 = 0x30A
 #: Fixed counters are 48 bits wide on the parts modelled here.
 COUNTER_WIDTH_BITS = 48
 _COUNTER_MOD = 1 << COUNTER_WIDTH_BITS
+_COUNTER_MASK = np.uint64(_COUNTER_MOD - 1)
 
 _MAX_RATIO_MASK = 0x7F
 _MIN_RATIO_SHIFT = 8
@@ -153,20 +154,21 @@ class MSRDevice:
     # Engine-facing
     # ------------------------------------------------------------------
     def on_tick(self, dt_s: float) -> None:
-        """Advance the per-core fixed counters by one tick."""
-        offset = 0
-        for s in range(self.node.n_sockets):
-            cpu = self.node.cpu(s)
-            n = cpu.n_cores
-            freq_hz = cpu.core_freqs_ghz * 1e9
-            # Unhalted cycles: idle cores are mostly in C-states.
-            active = np.maximum(cpu.core_utils, 0.02)
-            cyc = (freq_hz * active * dt_s).astype(np.uint64)
-            ins = (cpu.core_ipc * freq_hz * active * dt_s).astype(np.uint64)
-            sl = slice(offset, offset + n)
-            self._cycles[sl] = (self._cycles[sl] + cyc) % _COUNTER_MOD
-            self._instructions[sl] = (self._instructions[sl] + ins) % _COUNTER_MOD
-            offset += n
+        """Advance every core's fixed counters by one tick, in place.
+
+        uint64 addition wraps modulo 2^64, a multiple of 2^48, so masking
+        the sum to 48 bits is the counter's own modulo-2^48 wrap.
+        """
+        node = self.node
+        freq_hz = node.core_freqs_ghz * 1e9
+        # Unhalted cycles: idle cores are mostly in C-states.
+        active = np.maximum(node.core_utils, 0.02)
+        cyc = (freq_hz * active * dt_s).astype(np.uint64)
+        ins = (node.core_ipc * freq_hz * active * dt_s).astype(np.uint64)
+        np.add(self._cycles, cyc, out=self._cycles)
+        np.bitwise_and(self._cycles, _COUNTER_MASK, out=self._cycles)
+        np.add(self._instructions, ins, out=self._instructions)
+        np.bitwise_and(self._instructions, _COUNTER_MASK, out=self._instructions)
 
     # ------------------------------------------------------------------
     # Register access

@@ -155,11 +155,14 @@ class WorkloadExecution:
         self._index = 0
         self._consumed_in_segment = 0.0
         self._nominal_done = 0.0
+        # The workload is immutable: size it once, not on every tick.
+        self._n_segments = len(workload.segments)
+        self._nominal_total_s = workload.nominal_duration_s
 
     @property
     def done(self) -> bool:
         """True once every segment has been fully executed."""
-        return self._index >= len(self.workload.segments)
+        return self._index >= self._n_segments
 
     @property
     def progress(self) -> float:
@@ -170,8 +173,7 @@ class WorkloadExecution:
         """
         if self.done:
             return 1.0
-        total = self.workload.nominal_duration_s
-        return min(1.0, self._nominal_done / total)
+        return min(1.0, self._nominal_done / self._nominal_total_s)
 
     @property
     def segment_index(self) -> int:
