@@ -9,7 +9,8 @@ change, so every manifest comes from committed code; the hash of that
 ``src`` tree is recorded in the file. It writes ``golden_manifest.json`` next to itself: one SHA-256 per
 trace channel (over ``times.tobytes()`` then ``values.tobytes()``) plus one
 over the governor decisions, for every (preset, governor, mode) run of the
-matrix below, and the grant log of one small coordinated fleet.
+matrix below, and the grant log, alert events and scraped time-series state
+of one small coordinated fleet.
 ``tests/test_golden_manifest.py`` recomputes every digest and lists each
 mismatching (config, channel) pair.
 
@@ -32,8 +33,14 @@ import numpy as np
 from repro.cluster.job import ClusterJob
 from repro.cluster.simulator import ClusterSimulator
 from repro.coordinator.config import safe_floor_w
-from repro.coordinator.fleet import ample_budget_w, run_coordinated_fleet
+from repro.coordinator.fleet import (
+    CoordinatedFleetResult,
+    ample_budget_w,
+    run_coordinated_fleet,
+)
 from repro.faults.plan import coordinated_campaign, standard_campaign
+from repro.obs.scrape import default_fleet_rules
+from repro.obs.tsdb import canonical_state_bytes
 from repro.runtime.session import RunResult, make_governor, run_application
 from repro.workloads.registry import SUITE_INTEL_A100, get_workload
 
@@ -143,14 +150,14 @@ def fleet_jobs() -> List[ClusterJob]:
     ]
 
 
-def fleet_digests() -> Dict[str, str]:
-    """Digests of the coordinated fleet's per-node caps and granted sum."""
+def run_fleet() -> CoordinatedFleetResult:
+    """The small coordinated fleet, scraped in both passes and alerted on."""
     sim = ClusterSimulator(FLEET_PRESET, fleet_jobs())
-    demand = sim.run_fleet(FLEET_GOVERNOR, dt_s=DT_S, n_workers=1)
+    demand = sim.run_fleet(FLEET_GOVERNOR, dt_s=DT_S, n_workers=1, tsdb=True)
     floor = safe_floor_w(demand.idle_node_power_w)
     ample = ample_budget_w(demand, FLEET_NODES, floor)
     budget = max(FLEET_BUDGET_FRAC * ample, FLEET_NODES * floor * 1.05)
-    result = run_coordinated_fleet(
+    return run_coordinated_fleet(
         sim,
         FLEET_GOVERNOR,
         budget_w=budget,
@@ -158,17 +165,30 @@ def fleet_digests() -> Dict[str, str]:
         demand_fleet=demand,
         dt_s=DT_S,
         n_workers=1,
+        tsdb=True,
+        alert_rules=default_fleet_rules(budget),
     )
+
+
+def fleet_digests(result: CoordinatedFleetResult) -> Dict[str, str]:
+    """Digests of the fleet's caps, granted sum, alert events and TSDB state."""
+    assert result.alerts is not None and result.tsdb is not None
+    events = [
+        [e.time_s, e.rule, e.severity, e.state, e.labels, e.value]
+        for e in result.alerts.events
+    ]
     return {
         "node_cap_w": sha256_arrays(result.tick_times_s, result.node_cap_w),
         "granted_sum_w": sha256_arrays(result.tick_times_s, result.granted_sum_w),
+        "alert_events": sha256_json(events),
+        "tsdb_state": hashlib.sha256(canonical_state_bytes(result.tsdb)).hexdigest(),
     }
 
 
 def compute() -> Dict[str, Dict[str, Dict[str, str]]]:
     """Every digest of the matrix and the fleet, keyed like the manifest."""
     runs = {key: run_digests(result) for key, _mode, result in matrix_runs()}
-    return {"runs": runs, "fleet": {"coordinated": fleet_digests()}}
+    return {"runs": runs, "fleet": {"coordinated": fleet_digests(run_fleet())}}
 
 
 def _git(*args: str) -> str:
