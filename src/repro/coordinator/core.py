@@ -96,6 +96,8 @@ class BudgetCoordinator:
             node: NodeView(node) for node in range(n_nodes)
         }
         self._outstanding: Dict[int, List[Lease]] = {node: [] for node in range(n_nodes)}
+        #: ``pessimistic_cap_w`` per node, refreshed by :meth:`_set_leases`.
+        self._caps: List[float] = [config.safe_floor_w] * n_nodes
         self._next_seq: Dict[int, int] = {node: 0 for node in range(n_nodes)}
         self._epoch = 0
         self._down_until_s: Optional[float] = None
@@ -146,21 +148,35 @@ class BudgetCoordinator:
         expired = 0
         for node, leases in self._outstanding.items():
             keep = [lease for lease in leases if lease.expires_s > now_s]
-            expired += len(leases) - len(keep)
-            self._outstanding[node] = keep
+            if len(keep) < len(leases):
+                expired += len(leases) - len(keep)
+                self._set_leases(node, keep)
         self.counters["expiries"] += expired
         return expired
 
+    def _set_leases(self, node_id: int, leases: List[Lease]) -> None:
+        """Replace ``node_id``'s outstanding leases and refresh its cap.
+
+        The only writer of ``_outstanding``, so ``_caps`` always holds
+        every node's pessimistic cap without a rescan of its leases.
+        """
+        self._outstanding[node_id] = leases
+        floor = self.config.safe_floor_w
+        self._caps[node_id] = (
+            max(floor, max(lease.cap_w for lease in leases)) if leases else floor
+        )
+
     def pessimistic_cap_w(self, node_id: int) -> float:
         """What ``node_id`` might believe it holds right now."""
-        leases = self._outstanding[node_id]
-        if not leases:
-            return self.config.safe_floor_w
-        return max(self.config.safe_floor_w, max(lease.cap_w for lease in leases))
+        return self._caps[node_id]
 
     def granted_sum_w(self) -> float:
-        """Sum of pessimistic caps — the quantity the invariant bounds."""
-        return sum(self.pessimistic_cap_w(node) for node in range(self.n_nodes))
+        """Sum of pessimistic caps — the quantity the invariant bounds.
+
+        Summed afresh in node order on every call: a running total would
+        add the same floats in another order and round differently.
+        """
+        return sum(self._caps)
 
     def headroom_w(self) -> float:
         return self.config.budget_w - self.granted_sum_w()
@@ -170,7 +186,8 @@ class BudgetCoordinator:
         """Lose all in-memory state; the journal is the only survivor."""
         cfg = self.config
         self._views = {node: NodeView(node) for node in range(self.n_nodes)}
-        self._outstanding = {node: [] for node in range(self.n_nodes)}
+        for node in range(self.n_nodes):
+            self._set_leases(node, [])
         self._next_seq = {node: 0 for node in range(self.n_nodes)}
         self._down_until_s = now_s + max(down_for_s, cfg.restart_delay_s)
         self.counters["crashes"] += 1
@@ -186,7 +203,7 @@ class BudgetCoordinator:
         # nodes do not reject post-restart grants as stale replays.
         outstanding = self.journal.outstanding_at(now_s)
         for node in range(self.n_nodes):
-            self._outstanding[node] = outstanding.get(node, [])
+            self._set_leases(node, outstanding.get(node, []))
         next_seq = self.journal.next_seq()
         for node in range(self.n_nodes):
             self._next_seq[node] = next_seq.get(node, 0)
@@ -269,9 +286,9 @@ class BudgetCoordinator:
             # Journal before transmit: a crash between the two loses the
             # message but never the obligation.
             self.journal.record_grant(lease)
-            renewing = bool(self._outstanding[node])
-            self._outstanding[node].append(lease)
-            self.counters["renewals" if renewing else "grants"] += 1
+            leases = self._outstanding[node]
+            self._set_leases(node, [*leases, lease])
+            self.counters["renewals" if leases else "grants"] += 1
             if self.granted_sum_w() > cfg.budget_w + _EPS:
                 raise CoordinatorError(
                     f"invariant violation constructed at t={now_s:.2f}s: "

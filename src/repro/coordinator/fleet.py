@@ -382,7 +382,17 @@ def run_coordinated_fleet(
     the result's ``alerts``/``incidents`` (via ``incident_log`` when
     given). Both are passive: the granted caps, delivered power and every
     scored quantity are bit-identical with and without scraping.
+
+    A control fault in ``plan`` that targets a node ``sim`` does not have
+    raises :class:`~repro.errors.CoordinatorError` before the demand pass.
     """
+    for spec in plan or ():
+        # Only control-plane specs carry a target (FaultSpec enforces it).
+        if spec.target is not None and spec.target >= sim.n_nodes:
+            raise CoordinatorError(
+                f"fault {spec.describe()} targets node {spec.target}, but the "
+                f"fleet has {sim.n_nodes} nodes (ids 0..{sim.n_nodes - 1})"
+            )
     tsdb = tsdb or alert_rules is not None
     fleet = demand_fleet
     if fleet is None:

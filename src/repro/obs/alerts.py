@@ -192,16 +192,13 @@ class BurnRateRule(AlertRule):
         self.threshold = threshold
         self.threshold_series = threshold_series
 
-    def _threshold_at(
-        self, tsdb: TimeSeriesDB, target: Series, t_s: float
-    ) -> Optional[float]:
-        if self.threshold is not None:
-            return self.threshold
+    def _threshold_ref(self, tsdb: TimeSeriesDB, target: Series) -> Optional[Series]:
+        """The threshold staircase for ``target``: same labels, else label-less."""
         assert self.threshold_series is not None
         ref = tsdb.get(self.threshold_series, dict(target.labels))
         if ref is None:
             ref = tsdb.get(self.threshold_series, None)
-        return ref.value_at(t_s) if ref is not None else None
+        return ref
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
@@ -212,6 +209,8 @@ class BurnRateRule(AlertRule):
         # boundary, which is exact when both series share the scrape
         # cadence and conservative otherwise).
         boundaries = [t0] + [t for t, _ in target.samples_between(t0, now_s)] + [now_s]
+        # Resolved once: a missing threshold series leaves ``limit`` None.
+        ref = self._threshold_ref(tsdb, target) if self.threshold is None else None
         op = _OPS[self.op]
         violating_s = 0.0
         covered_s = 0.0
@@ -219,7 +218,7 @@ class BurnRateRule(AlertRule):
             if right <= left:
                 continue
             value = target.value_at(left)
-            limit = self._threshold_at(tsdb, target, left)
+            limit = ref.value_at(left) if ref is not None else self.threshold
             if value is None or limit is None:
                 continue
             covered_s += right - left

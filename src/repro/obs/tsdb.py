@@ -42,6 +42,7 @@ which is what makes compaction order-independent.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import floor
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
@@ -351,14 +352,7 @@ class Series:
 
     def value_at(self, t_s: float) -> Optional[float]:
         """Staircase read: last value at or before ``t_s`` (None if before data)."""
-        times = self._times
-        lo, hi = 0, len(times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] <= t_s:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_right(self._times, t_s)
         if lo:
             return self._values[lo - 1]
         # Before the raw window: answer from the newest bucket ending <= t.
@@ -371,15 +365,14 @@ class Series:
 
     def samples_between(self, t0_s: float, t1_s: float) -> List[Tuple[float, float]]:
         """Raw samples with ``t0_s <= t <= t1_s`` (oldest first)."""
-        return [
-            (t, v)
-            for t, v in zip(self._times, self._values)
-            if t0_s <= t <= t1_s
-        ]
+        lo = bisect_left(self._times, t0_s)
+        hi = bisect_right(self._times, t1_s)
+        return list(zip(self._times[lo:hi], self._values[lo:hi]))
 
     def samples_after(self, t_s: float) -> List[Tuple[float, float]]:
         """Raw samples strictly newer than ``t_s`` (oldest first)."""
-        return [(t, v) for t, v in zip(self._times, self._values) if t > t_s]
+        lo = bisect_right(self._times, t_s)
+        return list(zip(self._times[lo:], self._values[lo:]))
 
     def buckets(self, level: int) -> List[Bucket]:
         """Level ``level`` buckets, oldest first."""
@@ -537,6 +530,7 @@ class TimeSeriesDB:
         "levels",
         "level_capacity",
         "_series",
+        "_label_keys",
     )
 
     def __init__(
@@ -554,6 +548,28 @@ class TimeSeriesDB:
         self.levels = levels
         self.level_capacity = level_capacity
         self._series: Dict[Tuple[str, LabelsTuple], Series] = {}
+        #: Caller label items -> canonical labels. A memo, not state: it
+        #: is never pickled and ``__setstate__`` starts it empty.
+        self._label_keys: Dict[Tuple[Tuple[str, str], ...], LabelsTuple] = {}
+
+    def _labels(self, labels: Optional[Mapping[str, str]]) -> LabelsTuple:
+        """:func:`_labels_key`, memoised on the mapping's items.
+
+        Only all-``str`` items are cached, so ``{"node": 1}`` and
+        ``{"node": 1.0}`` (equal as dict keys) cannot share an entry; an
+        invalid label raises before anything is cached.
+        """
+        if not labels:
+            return ()
+        items = tuple(labels.items())
+        try:
+            return self._label_keys[items]
+        except (KeyError, TypeError):  # a new mapping, or an unhashable value
+            pass
+        key = _labels_key(labels)
+        if all(type(k) is str and type(v) is str for k, v in items):
+            self._label_keys[items] = key
+        return key
 
     def series(
         self,
@@ -563,7 +579,7 @@ class TimeSeriesDB:
         help: str = "",
     ) -> Series:
         """Get or create the series ``name`` with exactly these ``labels``."""
-        key = (name, _labels_key(labels))
+        key = (name, self._labels(labels))
         s = self._series.get(key)
         if s is None:
             s = Series(
@@ -595,14 +611,13 @@ class TimeSeriesDB:
     def get(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> Optional[Series]:
-        return self._series.get((name, _labels_key(labels)))
+        return self._series.get((name, self._labels(labels)))
 
     def query(self, name: str) -> List[Series]:
         """Every label-set of ``name``, sorted by labels."""
         return [
             self._series[key]
-            for key in sorted(self._series)
-            if key[0] == name
+            for key in sorted(key for key in self._series if key[0] == name)
         ]
 
     def names(self) -> List[str]:
@@ -686,6 +701,7 @@ class TimeSeriesDB:
         (self.capacity, self.resolution_s, self.factor,
          self.levels, self.level_capacity) = geometry  # type: ignore[misc]
         self._series = {}
+        self._label_keys = {}
         for s_state in series_states:  # type: ignore[union-attr]
             s = Series("x.x", capacity=2)
             s.__setstate__(s_state)

@@ -334,6 +334,52 @@ class TestArbitration:
             now += cfg.epoch_s
 
 
+def scratch_caps(coord):
+    """Every node's pessimistic cap, recomputed from its outstanding leases."""
+    floor = coord.config.safe_floor_w
+    caps = []
+    for node in range(coord.n_nodes):
+        leases = coord._outstanding[node]
+        caps.append(max(floor, max(lease.cap_w for lease in leases)) if leases else floor)
+    return caps
+
+
+class TestCachedCaps:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cached_caps_equal_a_rescan_after_every_step(self, seed):
+        cfg = config(budget_w=900.0, safe_floor_w=100.0, restart_delay_s=0.5)
+        n_nodes = 5
+        coord = BudgetCoordinator(cfg, n_nodes)
+        rng = np.random.default_rng(seed)
+        steps = ["receive", "arbitrate", "expire", "crash", "restart"]
+        now = 0.0
+        for _ in range(300):
+            now += float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+            step = rng.choice(steps, p=[0.35, 0.3, 0.2, 0.05, 0.1])
+            if step == "receive":
+                beats = [
+                    heartbeat(node, now - rng.uniform(0.0, 2.0), rng.uniform(50.0, 600.0))
+                    for node in range(n_nodes)
+                    if rng.uniform() < 0.7
+                ]
+                coord.receive(beats, now)
+            elif step == "arbitrate":
+                coord.arbitrate(now)
+            elif step == "expire":
+                coord.expire(now)
+            elif step == "crash" and not coord.is_down(now):
+                coord.crash(now, down_for_s=rng.uniform(0.0, 2.0))
+            elif step == "restart":
+                coord.maybe_restart(now)
+            caps = scratch_caps(coord)
+            assert [coord.pessimistic_cap_w(node) for node in range(n_nodes)] == caps
+            assert coord.granted_sum_w() == sum(caps)
+        # The sequence reached every kind of lease write.
+        counters = coord.counters
+        assert counters["grants"] and counters["renewals"]
+        assert counters["expiries"] and counters["crashes"] and counters["restarts"]
+
+
 class TestCrashRecovery:
     def test_crash_wipes_and_restart_replays_journal(self):
         cfg = config(budget_w=800.0, safe_floor_w=100.0, restart_delay_s=1.0)

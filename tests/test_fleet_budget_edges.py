@@ -5,7 +5,8 @@ lean on this one accounting primitive, so its boundary semantics are
 pinned here: the budget itself is *not* over (strict ``>``), degenerate
 single-sample traces still count whole grid steps, and fleets whose
 nodes finish at different times only accrue over-budget time while the
-aggregate actually exceeds the cap.
+aggregate actually exceeds the cap. A coordinated run also rejects a
+control fault aimed at a node the fleet does not have, up front.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 
 from repro.cluster import ClusterJob, ClusterSimulator
 from repro.cluster.simulator import GRID_S, FleetResult, JobOutcome, Placement
-from repro.errors import ExperimentError
+from repro.coordinator import run_coordinated_fleet
+from repro.errors import CoordinatorError, ExperimentError
+from repro.faults.plan import FaultPlan, FaultSpec
 
 
 def make_result(aggregate_w, with_job=False):
@@ -128,3 +131,43 @@ class TestSummaryDict:
         assert d["budget_w"] == 150.0
         assert d["time_over_budget_s"] == pytest.approx(GRID_S)
         assert d["peak_power_w"] == 200.0
+
+
+class _DemandPassStarted(Exception):
+    pass
+
+
+class TestControlFaultTargets:
+    @pytest.fixture
+    def two_nodes(self, monkeypatch):
+        sim = ClusterSimulator(
+            "intel_a100",
+            [
+                ClusterJob("j0", "sort", 0.0, seed=1, max_time_s=2.0),
+                ClusterJob("j1", "bfs", 0.0, seed=2, max_time_s=2.0),
+            ],
+        )
+
+        def demand_pass(*args, **kwargs):
+            raise _DemandPassStarted
+
+        monkeypatch.setattr(sim, "run_fleet", demand_pass)
+        return sim
+
+    @staticmethod
+    def downlink(target):
+        return FaultPlan(
+            [FaultSpec("control", "partition_downlink", 1.0, 2.0, count=None, target=target)]
+        )
+
+    def test_target_outside_the_fleet_raises_before_any_work(self, two_nodes):
+        with pytest.raises(CoordinatorError, match=r"control/partition_downlink node5 .* 2 nodes"):
+            run_coordinated_fleet(two_nodes, "default", plan=self.downlink(5))
+
+    def test_first_node_past_the_end_is_rejected(self, two_nodes):
+        with pytest.raises(CoordinatorError, match="targets node 2"):
+            run_coordinated_fleet(two_nodes, "default", plan=self.downlink(2))
+
+    def test_last_node_is_a_valid_target(self, two_nodes):
+        with pytest.raises(_DemandPassStarted):
+            run_coordinated_fleet(two_nodes, "default", plan=self.downlink(1))
