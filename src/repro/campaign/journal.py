@@ -7,23 +7,24 @@ at most the in-flight step; ``repro campaign run --resume`` replays the
 journal, re-validates each entry against its content-derived cache key and
 the artefacts' checksums, and re-executes only what is missing or stale.
 
-A line interrupted mid-write (the classic crash artefact) is tolerated
-when — and only when — it is the *last* line of the file; a corrupt line
-followed by further entries means the journal was edited or truncated by
-something other than a crash, and raises :class:`~repro.errors.
-CampaignError` rather than silently serving stale artefacts.
+The line format and the crash rule live in :class:`~repro.journal.
+JsonlLog`: a line torn by a crash mid-append is ignored and cut off
+before the next append; a complete line that does not hold a valid entry
+means the journal was edited or damaged by something other than a crash,
+and raises :class:`~repro.errors.CampaignError` rather than silently
+serving stale artefacts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.errors import CampaignError
+from repro.journal import JsonlLog
 
 __all__ = ["JournalEntry", "Journal", "step_key", "file_sha256"]
 
@@ -69,15 +70,8 @@ class JournalEntry:
     #: Wall-clock cost of the step (informational; not part of the key).
     duration_s: float
 
-    def to_json(self) -> str:
-        record = asdict(self)
-        record["artefacts"] = list(self.artefacts)
-        record["checksums"] = list(self.checksums)
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
     @classmethod
-    def from_json(cls, line: str) -> "JournalEntry":
-        record = json.loads(line)
+    def from_dict(cls, record: Dict[str, Any]) -> "JournalEntry":
         try:
             return cls(
                 step=record["step"],
@@ -87,7 +81,7 @@ class JournalEntry:
                 duration_s=float(record["duration_s"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise CampaignError(f"malformed journal entry: {line!r}") from exc
+            raise CampaignError(f"malformed journal entry: {record!r}") from exc
 
 
 class Journal:
@@ -95,14 +89,11 @@ class Journal:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-
-    def exists(self) -> bool:
-        return self.path.exists()
+        self._log = JsonlLog(self.path, CampaignError, "journal")
 
     def clear(self) -> None:
         """Start a fresh campaign (drops any previous journal)."""
-        if self.path.exists():
-            self.path.unlink()
+        self._log.clear()
 
     def append(self, entry: JournalEntry) -> None:
         """Durably append one completed step.
@@ -110,33 +101,11 @@ class Journal:
         The line is flushed and fsynced before returning, so a crash
         immediately after a step completes cannot lose its journal record.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(entry.to_json() + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append(asdict(entry))
 
     def entries(self) -> List[JournalEntry]:
-        """Parse the journal, tolerating a crash-truncated final line."""
-        if not self.path.exists():
-            return []
-        lines = self.path.read_text().splitlines()
-        entries: List[JournalEntry] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entries.append(JournalEntry.from_json(line))
-            except (json.JSONDecodeError, CampaignError):
-                if i == len(lines) - 1:
-                    # Interrupted mid-write; the step it described never
-                    # journalled as complete, so dropping it is safe.
-                    break
-                raise CampaignError(
-                    f"corrupt journal line {i + 1} in {self.path} (not the final "
-                    f"line, so not a crash artefact); delete the journal to start over"
-                ) from None
-        return entries
+        """Every committed entry, oldest first (a torn final line is not one)."""
+        return [JournalEntry.from_dict(record) for record in self._log.records()]
 
     def latest_by_step(self) -> Dict[str, JournalEntry]:
         """Most recent entry per step name (later lines win)."""

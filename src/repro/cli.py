@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coord_p.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="write the fsynced grant journal to this file",
+        help="write the fsynced grant journal to this file (an existing one is replaced)",
     )
     coord_p.add_argument(
         "--json", action="store_true",

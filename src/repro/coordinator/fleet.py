@@ -383,9 +383,17 @@ def run_coordinated_fleet(
     given). Both are passive: the granted caps, delivered power and every
     scored quantity are bit-identical with and without scraping.
 
-    A control fault in ``plan`` that targets a node ``sim`` does not have
-    raises :class:`~repro.errors.CoordinatorError` before the demand pass.
+    A control fault in ``plan`` that targets a node ``sim`` does not have,
+    or a ``journal`` that already holds grants (recovery would replay
+    another run's leases), raises :class:`~repro.errors.CoordinatorError`
+    before the demand pass.
     """
+    held = journal.grant_count() if journal is not None else 0
+    if held:
+        raise CoordinatorError(
+            f"the grant journal already holds {held} grant(s) from another run; "
+            f"a coordinated run needs an empty one"
+        )
     for spec in plan or ():
         # Only control-plane specs carry a target (FaultSpec enforces it).
         if spec.target is not None and spec.target >= sim.n_nodes:

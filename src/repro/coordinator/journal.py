@@ -1,11 +1,12 @@
 """Durable grant journal: the coordinator's crash-recovery ground truth.
 
 Every grant is journaled *before* it is handed to the control plane for
-delivery, using the same fsynced-JSONL discipline as the campaign journal
-(:mod:`repro.campaign.journal`): one JSON object per line, flushed and
-``os.fsync``-ed per append so a crash can lose at most a partially written
-final line — which replay tolerates and discards.  Everything else must
-parse, or the journal is corrupt and recovery refuses to guess.
+delivery. The records live in a :class:`~repro.journal.JsonlLog`, the
+fsynced-JSONL log the campaign journal also uses: one JSON object per
+line, flushed and fsynced per append, so a crash can lose at most a
+partially written final line, which replay ignores and the next append
+cuts off. Every complete line must hold a known record, or the journal is
+corrupt and recovery refuses to guess.
 
 A recovering coordinator replays the journal to rebuild two things:
 
@@ -23,14 +24,12 @@ the same :meth:`GrantJournal.replay`.
 
 from __future__ import annotations
 
-import io
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.coordinator.lease import Lease
 from repro.errors import CoordinatorError
+from repro.journal import JsonlLog
 
 __all__ = ["GrantJournal"]
 
@@ -42,33 +41,16 @@ class GrantJournal:
     """Append-only, fsynced JSONL log of every grant the coordinator issues."""
 
     def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
-        self.path: Optional[Path] = Path(path) if path is not None else None
-        self._lines: List[str] = []
-        self._handle: Optional[io.TextIOWrapper] = None
-        if self.path is not None and self.path.exists():
-            self._lines = self.path.read_text(encoding="utf-8").splitlines()
-
-    # ---------------------------------------------------------------- append
-    def _append_line(self, record: Dict[str, object]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._lines.append(line)
-        if self.path is None:
-            return
-        if self._handle is None:
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log = JsonlLog(path, CoordinatorError, "grant journal")
+        self.path: Optional[Path] = self._log.path
 
     def record_grant(self, lease: Lease) -> None:
         """Journal ``lease``; must complete before the grant is transmitted."""
-        record: Dict[str, object] = {"kind": _GRANT}
-        record.update(lease.to_dict())
-        self._append_line(record)
+        self._log.append({"kind": _GRANT, **lease.to_dict()})
 
     def record_restart(self, time_s: float, quarantine_until_s: float) -> None:
-        """Journal a recovery event (bookkeeping only; replay ignores none)."""
-        self._append_line(
+        """Journal a recovery event (bookkeeping only; replay skips it)."""
+        self._log.append(
             {
                 "kind": _RESTART,
                 "time_s": time_s,
@@ -76,57 +58,24 @@ class GrantJournal:
             }
         )
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    # ---------------------------------------------------------------- replay
-    def _raw_lines(self) -> List[str]:
-        """Journal lines as recovery would see them.
-
-        File-backed journals re-read from disk — recovery must trust only
-        what was durably written, not this process's memory of it.
-        """
-        if self.path is not None:
-            if not self.path.exists():
-                return []
-            return self.path.read_text(encoding="utf-8").splitlines()
-        return list(self._lines)
+    def clear(self) -> None:
+        """Drop every record (and the file): the next run starts empty."""
+        self._log.clear()
 
     def replay(self) -> List[Lease]:
         """Parse the journaled grants, oldest first.
 
-        Tolerates exactly one unparsable *final* line (a crash-truncated
-        append); a malformed line anywhere else means the journal was
-        tampered with or corrupted, and recovery raises rather than
-        rebuilding from a lie.
+        Recovery trusts only what was committed: a file-backed journal is
+        re-read from disk, not from this process's memory of it.
         """
-        lines = self._raw_lines()
         leases: List[Lease] = []
-        for idx, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if idx == len(lines) - 1:
-                    break  # crash-truncated final append; the grant was never sent
+        for record in self._log.records():
+            kind = record.get("kind")
+            if kind == _GRANT:
+                leases.append(Lease.from_dict(record))
+            elif kind != _RESTART:
                 raise CoordinatorError(
-                    f"corrupt grant journal: unparsable line {idx + 1} "
-                    f"of {len(lines)}"
-                ) from exc
-            if not isinstance(record, dict) or "kind" not in record:
-                raise CoordinatorError(
-                    f"corrupt grant journal: line {idx + 1} is not a record"
-                )
-            if record["kind"] == _GRANT:
-                payload = {k: v for k, v in record.items() if k != "kind"}
-                leases.append(Lease.from_dict(payload))
-            elif record["kind"] != _RESTART:
-                raise CoordinatorError(
-                    f"corrupt grant journal: unknown record kind "
-                    f"{record['kind']!r} on line {idx + 1}"
+                    f"corrupt grant journal: unknown record kind {kind!r} in {record!r}"
                 )
         return leases
 
@@ -148,4 +97,4 @@ class GrantJournal:
         return next_seq
 
     def grant_count(self) -> int:
-        return sum(1 for _ in self.replay())
+        return len(self.replay())

@@ -303,6 +303,10 @@ def run_coordination(
     may be a callable ``budget_w -> rules`` — pass
     :func:`~repro.obs.scrape.default_fleet_rules` itself for the standard
     SLO pack against the resolved budget.
+
+    ``journal_path`` keeps the grant journal on disk. The run starts it
+    empty, replacing any file already there, so restart recovery and the
+    score see only this run's grants.
     """
     if not (0.0 < budget_frac <= 1.0):
         raise ExperimentError(
@@ -329,6 +333,7 @@ def run_coordination(
     if callable(alert_rules):
         alert_rules = alert_rules(budget)
     journal = GrantJournal(journal_path)
+    journal.clear()
     result = run_coordinated_fleet(
         sim,
         governor,
@@ -341,5 +346,4 @@ def run_coordination(
         tsdb=tsdb,
         alert_rules=alert_rules,
     )
-    journal.close()
     return result, score_coordination(result, journal)

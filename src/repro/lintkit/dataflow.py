@@ -31,7 +31,7 @@ flat: two different facts join to ``None``-with-conflict, surfaced via
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lintkit.project import FunctionInfo, ModuleInfo, Project, iter_own_nodes
 
@@ -279,11 +279,3 @@ class DataflowAnalysis:
                 facts.append(self.expr_fact(mod, fn, env, node.value))
         joined: Fact = facts[0] if facts and len(set(facts)) == 1 else None
         return self.domain.return_fact(fn, joined)
-
-    # ------------------------------------------------------------------
-
-    def iter_returns(self, fn: FunctionInfo) -> Iterator[ast.Return]:
-        """Every ``return`` in ``fn``'s own body (not nested defs)."""
-        for node in iter_own_nodes(fn.node.body):
-            if isinstance(node, ast.Return):
-                yield node

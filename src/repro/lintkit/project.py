@@ -83,8 +83,6 @@ class FunctionInfo:
     parent: Optional[str] = None
     #: Every parameter name, in order, ``self``/``cls`` included.
     params: Tuple[str, ...] = ()
-    #: Dotted decorator names, best effort (``classmethod``, ``functools.wraps``).
-    decorators: Tuple[str, ...] = ()
     #: Names bound in enclosing function scopes (closure candidates).
     enclosing_locals: FrozenSet[str] = frozenset()
     #: Names bound inside this function (params, assignments, defs).
@@ -93,14 +91,6 @@ class FunctionInfo:
     @property
     def name(self) -> str:
         return self.node.name
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
-    @property
-    def is_nested(self) -> bool:
-        return self.parent is not None
 
 
 @dataclass
@@ -430,10 +420,6 @@ class Project:
             class_name=class_name,
             parent=parent,
             params=params,
-            decorators=tuple(
-                d for d in (dotted_name(dec.func if isinstance(dec, ast.Call) else dec) for dec in node.decorator_list)
-                if d is not None
-            ),
             enclosing_locals=enclosing,
             local_names=locals_,
         )
@@ -735,12 +721,6 @@ class Project:
                 if callee not in seen:
                     queue.append(callee)
         return seen
-
-    def functions_in(self, top_dirs: FrozenSet[str]) -> Iterator[FunctionInfo]:
-        """Every function whose module lives under one of ``top_dirs``."""
-        for fn in self.functions.values():
-            if self.modules[fn.module].top_dir in top_dirs:
-                yield fn
 
     def stats(self) -> ProjectStats:
         return ProjectStats(

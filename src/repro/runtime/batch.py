@@ -18,20 +18,15 @@ become observable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.governors.base import UncoreGovernor
 from repro.hw.presets import SystemPreset, get_preset
-from repro.runtime.daemon import MonitorDaemon
-from repro.sim.clock import SimClock
-from repro.sim.engine import SimulationEngine
-from repro.sim.observers import standard_observers
-from repro.sim.rng import RngStreams
+from repro.runtime.session import run_application
 from repro.sim.trace import TimeSeries
-from repro.telemetry.hub import TelemetryHub
 from repro.workloads.base import Segment, Workload
 from repro.workloads.registry import get_workload
 from repro.workloads.synthesis import concat
@@ -146,20 +141,15 @@ def run_batch(
         tags=("batch",),
     )
 
-    rng = RngStreams(seed)
-    node = preset.build_node(rng)
-    node.force_uncore_all(preset.uncore_min_ghz)
-    hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor)
-    daemon = MonitorDaemon(governor, hub, node)
-    observers = standard_observers(node, hub, [daemon], extra=daemon.observers)
-    engine = SimulationEngine(node, observers=observers, clock=SimClock(dt_s))
-    result = engine.run(composite, max_time_s=max_time_s)
-    if not result.completed:
+    run = run_application(
+        preset, composite, governor, seed=seed, dt_s=dt_s, max_time_s=max_time_s
+    )
+    if not run.completed:
         raise ExperimentError(
-            f"batch did not complete within {result.horizon_s:.0f}s of simulated time"
+            f"batch did not complete within {run.runtime_s:.0f}s of simulated time"
         )
 
-    traces = result.recorder.as_dict()
+    traces = run.traces
     progress: TimeSeries = traces["progress"]
     total_power: TimeSeries = traces["total_w"]
     cpu_power: TimeSeries = traces["cpu_w"]
@@ -195,8 +185,8 @@ def run_batch(
         system_name=preset.name,
         governor_name=governor.name,
         windows=windows,
-        total_runtime_s=result.runtime_s,
+        total_runtime_s=run.runtime_s,
         total_energy_j=total_power.integral(),
         traces=traces,
-        decisions=list(daemon.decisions),
+        decisions=run.decisions,
     )

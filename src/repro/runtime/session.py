@@ -14,12 +14,10 @@ construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.backends.latency import LatencyModel, resolve_latency
-from repro.backends.sim import SimBackend
 from repro.errors import ConfigError, GovernorError
 from repro.core.config import MagusConfig
 from repro.core.magus import MagusGovernor
@@ -269,10 +267,6 @@ def run_application(
         (``"msr_fast"``, ``"hsmp_mailbox"``, ``"gpu_dvfs"`` — seeded with
         the run's master seed) or ``None`` for instantaneous transitions
         (the pre-backend behaviour, bit-identical to the pinned traces).
-        The ``REPRO_BACKEND`` environment variable (``"sim"`` or
-        ``"hub"``/unset) additionally forces the run through an explicitly
-        constructed :class:`~repro.backends.sim.SimBackend` — the CI
-        conformance job uses it to diff the two construction paths.
     guard:
         Install a :class:`~repro.guard.core.TelemetryGuard` between the
         hub's devices and the governor: every sample is validated against
@@ -307,20 +301,7 @@ def run_application(
     # a management policy takes over.
     node.force_uncore_all(preset.uncore_min_ghz)
     latency_model = resolve_latency(actuation_latency, seed=seed)
-    backend_env = os.environ.get("REPRO_BACKEND", "")
-    if backend_env not in ("", "hub", "sim"):
-        raise ConfigError(
-            f"unknown REPRO_BACKEND {backend_env!r}; expected 'sim' or 'hub'"
-        )
-    if backend_env == "sim":
-        # Conformance path: an explicitly constructed SimBackend must be
-        # indistinguishable from the hub's default construction.
-        hub = TelemetryHub(
-            node, preset.telemetry, vendor=preset.vendor,
-            backend=SimBackend(latency_model),
-        )
-    else:
-        hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor, latency=latency_model)
+    hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor, latency=latency_model)
 
     obs_ctx = Observability.coerce(obs)
     if obs_ctx.enabled and obs_ctx.registry is not None:

@@ -31,7 +31,7 @@ from repro.backends import (
     SimBackend,
     resolve_latency,
 )
-from repro.errors import BackendError, ConfigError, MSRAccessError, TelemetryError
+from repro.errors import BackendError, MSRAccessError, TelemetryError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.hw.presets import amd_mi210, intel_a100
 from repro.parallel.pool import map_parallel
@@ -389,28 +389,3 @@ class TestLatencyDeterminism:
         assert modeled.actuation_settling_ticks > 0
         assert modeled.total_energy_j != ideal.total_energy_j
         assert ideal.actuation_latency_s == 0.0
-
-
-# ----------------------------------------------------------------------
-# REPRO_BACKEND environment routing (the CI conformance hook)
-# ----------------------------------------------------------------------
-class TestBackendEnvRouting:
-    def test_forced_sim_backend_matches_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        default = run_application(
-            "intel_a100", "srad", make_governor("magus"), seed=1, max_time_s=5.0
-        )
-        monkeypatch.setenv("REPRO_BACKEND", "sim")
-        forced = run_application(
-            "intel_a100", "srad", make_governor("magus"), seed=1, max_time_s=5.0
-        )
-        assert forced.total_energy_j == default.total_energy_j
-        assert forced.runtime_s == default.runtime_s
-        assert forced.decisions == default.decisions
-
-    def test_unknown_backend_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fpga")
-        with pytest.raises(ConfigError):
-            run_application(
-                "intel_a100", "srad", make_governor("magus"), seed=1, max_time_s=1.0
-            )

@@ -1,4 +1,9 @@
-"""Journaled campaigns: cache keys, journal durability, crash-resume."""
+"""Journaled campaigns: cache keys, journal durability, crash-resume.
+
+``TestCrashRule`` runs the shared crash rule of :mod:`repro.journal`
+through both journals built on it: the campaign journal and the
+coordinator's grant journal.
+"""
 
 import json
 import os
@@ -7,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -22,7 +28,8 @@ from repro.campaign import (
     step_key,
 )
 from repro.cli import main
-from repro.errors import CampaignError
+from repro.coordinator import GrantJournal, Lease
+from repro.errors import CampaignError, CoordinatorError
 
 
 class TestStepKey:
@@ -47,11 +54,11 @@ class TestJournal:
 
     def test_round_trip(self):
         entry = self.entry()
-        assert JournalEntry.from_json(entry.to_json()) == entry
+        assert JournalEntry.from_dict(json.loads(json.dumps(asdict(entry)))) == entry
 
     def test_malformed_entry_raises(self):
         with pytest.raises(CampaignError):
-            JournalEntry.from_json('{"step": "fig1"}')
+            JournalEntry.from_dict({"step": "fig1"})
 
     def test_append_and_replay(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
@@ -87,8 +94,117 @@ class TestJournal:
         journal = Journal(tmp_path / "j.jsonl")
         journal.append(self.entry())
         journal.clear()
-        assert not journal.exists()
+        assert not journal.path.exists()
         assert journal.entries() == []
+
+    #: Two entries as the journal wrote them before it moved onto
+    #: :class:`~repro.journal.JsonlLog`; the format must not change.
+    EARLIER_FORMAT = (
+        '{"artefacts":["fig1.csv","fig1.png"],"checksums":["c1","c2"],'
+        '"duration_s":0.5,"key":"k1","step":"fig1"}\n'
+        '{"artefacts":["fig2.csv"],"checksums":["c3"],'
+        '"duration_s":1.25,"key":"k2","step":"fig2"}\n'
+    )
+    EARLIER_ENTRIES = [
+        JournalEntry("fig1", "k1", ("fig1.csv", "fig1.png"), ("c1", "c2"), 0.5),
+        JournalEntry("fig2", "k2", ("fig2.csv",), ("c3",), 1.25),
+    ]
+
+    def test_earlier_journal_reads_back(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text(self.EARLIER_FORMAT)
+        assert Journal(path).entries() == self.EARLIER_ENTRIES
+
+    def test_format_is_unchanged_byte_for_byte(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path)
+        for entry in self.EARLIER_ENTRIES:
+            journal.append(entry)
+        assert path.read_bytes() == self.EARLIER_FORMAT.encode("ascii")
+
+
+class _CampaignLog:
+    """The campaign journal behind the small surface ``TestCrashRule`` uses."""
+
+    error = CampaignError
+
+    def __init__(self, path):
+        self.journal = Journal(path)
+
+    def append(self, i):
+        self.journal.append(
+            JournalEntry(f"step{i}", f"k{i}", (f"a{i}.csv",), (f"c{i}",), float(i))
+        )
+
+    def read(self):
+        return [int(entry.key[1:]) for entry in self.journal.entries()]
+
+    #: A complete JSON object the journal cannot turn into an entry.
+    malformed = '{"step": "step9"}'
+
+
+class _GrantLog:
+    """The grant journal behind the small surface ``TestCrashRule`` uses."""
+
+    error = CoordinatorError
+
+    def __init__(self, path):
+        self.journal = GrantJournal(path)
+
+    def append(self, i):
+        self.journal.record_grant(
+            Lease(node_id=0, cap_w=100.0 + i, granted_s=float(i), expires_s=i + 3.0,
+                  seq=i, epoch=0)
+        )
+
+    def read(self):
+        return [lease.seq for lease in self.journal.replay()]
+
+    malformed = '{"kind": "grant", "node_id": 0}'
+
+
+@pytest.fixture(params=[_CampaignLog, _GrantLog], ids=["campaign", "grant"])
+def log_type(request):
+    return request.param
+
+
+class TestCrashRule:
+    """A record is committed once its newline is on disk; nothing else is
+    a crash artefact."""
+
+    def test_resume_after_a_torn_append_keeps_every_record(self, tmp_path, log_type):
+        path = tmp_path / "j.jsonl"
+        log_type(path).append(0)
+        with path.open("a") as fh:
+            fh.write('{"step": "fig2", "ke')  # killed mid-append
+        resumed = log_type(path)  # a resumed process opens a fresh journal
+        resumed.append(1)
+        resumed.append(2)
+        assert resumed.read() == [0, 1, 2]
+        assert log_type(path).read() == [0, 1, 2]
+        assert path.read_bytes().count(b"\n") == 3
+
+    def test_reading_ignores_a_torn_tail_and_never_writes(self, tmp_path, log_type):
+        path = tmp_path / "j.jsonl"
+        log_type(path).append(0)
+        with path.open("a") as fh:
+            fh.write('{"kind": "gr')
+        before = path.read_bytes()
+        assert log_type(path).read() == [0]
+        assert path.read_bytes() == before  # reading never writes
+
+    @pytest.mark.parametrize(
+        "line",
+        [None, "[1, 2]", '{"step": "fig2", "ke', "", "not json"],
+        ids=["malformed-record", "not-an-object", "unparsable", "blank", "garbage"],
+    )
+    def test_complete_bad_final_line_raises(self, tmp_path, log_type, line):
+        path = tmp_path / "j.jsonl"
+        log_type(path).append(0)
+        with path.open("a") as fh:
+            fh.write((log_type.malformed if line is None else line) + "\n")
+        with pytest.raises(log_type.error):
+            log_type(path).read()
 
 
 class TestStepResolution:

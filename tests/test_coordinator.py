@@ -193,7 +193,6 @@ class TestGrantJournal:
         journal.record_grant(self.lease(0))
         journal.record_restart(5.0, 7.0)
         journal.record_grant(self.lease(1, node=1))
-        journal.close()
         reopened = GrantJournal(path)
         assert [lease.node_id for lease in reopened.replay()] == [0, 1]
         assert reopened.next_seq() == {0: 1, 1: 2}
@@ -203,7 +202,6 @@ class TestGrantJournal:
         journal = GrantJournal(path)
         journal.record_grant(self.lease(0))
         journal.record_grant(self.lease(1))
-        journal.close()
         text = path.read_text()
         path.write_text(text[: len(text) - 20])  # crash mid-append
         assert [lease.seq for lease in GrantJournal(path).replay()] == [0]
@@ -213,7 +211,6 @@ class TestGrantJournal:
         journal = GrantJournal(path)
         journal.record_grant(self.lease(0))
         journal.record_grant(self.lease(1))
-        journal.close()
         lines = path.read_text().splitlines()
         lines[0] = lines[0][:10]
         path.write_text("\n".join(lines) + "\n")
@@ -232,6 +229,54 @@ class TestGrantJournal:
         journal.record_grant(self.lease(1, granted=2.0, expires=6.0))
         outstanding = journal.outstanding_at(4.0)
         assert [lease.seq for lease in outstanding[0]] == [1]
+
+    def test_in_memory_and_file_backed_replay_alike(self, tmp_path):
+        memory, on_disk = GrantJournal(), GrantJournal(tmp_path / "grants.jsonl")
+        for journal in (memory, on_disk):
+            journal.record_grant(self.lease(0, expires=3.0))
+            journal.record_grant(self.lease(0, node=1, granted=1.0, expires=4.0))
+            journal.record_restart(5.0, 7.0)
+            journal.record_grant(self.lease(1, node=1, granted=7.0, expires=10.0))
+        assert memory.replay() == on_disk.replay()
+        assert len(memory.replay()) == 3
+        assert memory.outstanding_at(3.5) == on_disk.outstanding_at(3.5)
+        assert memory.next_seq() == on_disk.next_seq() == {0: 1, 1: 2}
+
+    def test_clear_empties_both_modes(self, tmp_path):
+        for journal in (GrantJournal(), GrantJournal(tmp_path / "grants.jsonl")):
+            journal.record_grant(self.lease(0))
+            journal.clear()
+            assert journal.replay() == []
+        assert not (tmp_path / "grants.jsonl").exists()
+
+    #: Three records as the journal wrote them before it moved onto
+    #: :class:`~repro.journal.JsonlLog`; the format must not change.
+    EARLIER_FORMAT = (
+        '{"cap_w":200.0,"epoch":0,"expires_s":3.0,"granted_s":0.0,'
+        '"kind":"grant","node_id":0,"seq":0}\n'
+        '{"kind":"restart","quarantine_until_s":7.5,"time_s":5.0}\n'
+        '{"cap_w":312.25,"epoch":2,"expires_s":8.5,"granted_s":5.5,'
+        '"kind":"grant","node_id":1,"seq":4}\n'
+    )
+    EARLIER_LEASES = [
+        Lease(node_id=0, cap_w=200.0, granted_s=0.0, expires_s=3.0, seq=0, epoch=0),
+        Lease(node_id=1, cap_w=312.25, granted_s=5.5, expires_s=8.5, seq=4, epoch=2),
+    ]
+
+    def test_earlier_journal_replays(self, tmp_path):
+        path = tmp_path / "grants.jsonl"
+        path.write_text(self.EARLIER_FORMAT)
+        journal = GrantJournal(path)
+        assert journal.replay() == self.EARLIER_LEASES
+        assert journal.next_seq() == {0: 1, 1: 5}
+
+    def test_format_is_unchanged_byte_for_byte(self, tmp_path):
+        path = tmp_path / "grants.jsonl"
+        journal = GrantJournal(path)
+        journal.record_grant(self.EARLIER_LEASES[0])
+        journal.record_restart(5.0, 7.5)
+        journal.record_grant(self.EARLIER_LEASES[1])
+        assert path.read_bytes() == self.EARLIER_FORMAT.encode("ascii")
 
 
 def heartbeat(node, sent, desired, demand=None):

@@ -5,8 +5,9 @@ lean on this one accounting primitive, so its boundary semantics are
 pinned here: the budget itself is *not* over (strict ``>``), degenerate
 single-sample traces still count whole grid steps, and fleets whose
 nodes finish at different times only accrue over-budget time while the
-aggregate actually exceeds the cap. A coordinated run also rejects a
-control fault aimed at a node the fleet does not have, up front.
+aggregate actually exceeds the cap. A coordinated run also rejects, up
+front, a control fault aimed at a node the fleet does not have and a
+grant journal that already holds another run's grants.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.cluster import ClusterJob, ClusterSimulator
 from repro.cluster.simulator import GRID_S, FleetResult, JobOutcome, Placement
-from repro.coordinator import run_coordinated_fleet
+from repro.coordinator import GrantJournal, Lease, run_coordinated_fleet
 from repro.errors import CoordinatorError, ExperimentError
 from repro.faults.plan import FaultPlan, FaultSpec
 
@@ -137,23 +138,25 @@ class _DemandPassStarted(Exception):
     pass
 
 
+@pytest.fixture
+def two_nodes(monkeypatch):
+    """A 2-node fleet whose demand pass raises, to prove no work ran."""
+    sim = ClusterSimulator(
+        "intel_a100",
+        [
+            ClusterJob("j0", "sort", 0.0, seed=1, max_time_s=2.0),
+            ClusterJob("j1", "bfs", 0.0, seed=2, max_time_s=2.0),
+        ],
+    )
+
+    def demand_pass(*args, **kwargs):
+        raise _DemandPassStarted
+
+    monkeypatch.setattr(sim, "run_fleet", demand_pass)
+    return sim
+
+
 class TestControlFaultTargets:
-    @pytest.fixture
-    def two_nodes(self, monkeypatch):
-        sim = ClusterSimulator(
-            "intel_a100",
-            [
-                ClusterJob("j0", "sort", 0.0, seed=1, max_time_s=2.0),
-                ClusterJob("j1", "bfs", 0.0, seed=2, max_time_s=2.0),
-            ],
-        )
-
-        def demand_pass(*args, **kwargs):
-            raise _DemandPassStarted
-
-        monkeypatch.setattr(sim, "run_fleet", demand_pass)
-        return sim
-
     @staticmethod
     def downlink(target):
         return FaultPlan(
@@ -171,3 +174,17 @@ class TestControlFaultTargets:
     def test_last_node_is_a_valid_target(self, two_nodes):
         with pytest.raises(_DemandPassStarted):
             run_coordinated_fleet(two_nodes, "default", plan=self.downlink(1))
+
+
+class TestUsedJournal:
+    def test_journal_with_grants_raises_before_any_work(self, two_nodes, tmp_path):
+        for journal in (GrantJournal(), GrantJournal(tmp_path / "grants.jsonl")):
+            journal.record_grant(
+                Lease(node_id=0, cap_w=200.0, granted_s=0.0, expires_s=3.0, seq=0, epoch=0)
+            )
+            with pytest.raises(CoordinatorError, match="already holds 1 grant"):
+                run_coordinated_fleet(two_nodes, "default", journal=journal)
+
+    def test_empty_journal_is_accepted(self, two_nodes):
+        with pytest.raises(_DemandPassStarted):
+            run_coordinated_fleet(two_nodes, "default", journal=GrantJournal())

@@ -147,6 +147,25 @@ class TestCoordinateCli:
         assert journal.exists() and journal.stat().st_size > 0
         assert json.loads(out_file.read_text())["never_exceeded"] is True
 
+    def test_journal_path_starts_empty(self, capsys, tmp_path):
+        """A second run on the same ``--journal`` scores only its own grants."""
+
+        def run(journal, frac):
+            rc = main(
+                [
+                    "coordinate", "--job", "sort@0", "--job", "bfs@1",
+                    "--max-time", "8", "--no-chaos", "--json", "--gate",
+                    "--budget-frac", frac, "--journal", str(journal),
+                ]
+            )
+            return rc, capsys.readouterr().out, journal.read_bytes()
+
+        reused = tmp_path / "reused.jsonl"
+        assert run(reused, "1.0")[0] == 0
+        second = run(reused, "0.6")
+        assert second[0] == 0
+        assert second == run(tmp_path / "fresh.jsonl", "0.6")
+
     def test_no_chaos_text_report(self, capsys):
         rc = main(
             [
