@@ -10,7 +10,11 @@ change, so every manifest comes from committed code; the hash of that
 trace channel (over ``times.tobytes()`` then ``values.tobytes()``) plus one
 over the governor decisions, for every (preset, governor, mode) run of the
 matrix below, and the grant log, alert events and scraped time-series state
-of one small coordinated fleet.
+of one small coordinated fleet. Under ``"obs"`` it pins, for the same matrix
+rerun with every observability output on, the Prometheus export of each
+run's metrics registry, the canonical state of its time-series store and
+its span list, plus the metric and time-series rollups of the same fleet
+run uncoordinated.
 ``tests/test_golden_manifest.py`` recomputes every digest and lists each
 mismatching (config, channel) pair.
 
@@ -26,12 +30,12 @@ import os
 import platform
 import subprocess
 import sys
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.job import ClusterJob
-from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.simulator import ClusterSimulator, FleetResult
 from repro.coordinator.config import safe_floor_w
 from repro.coordinator.fleet import (
     CoordinatedFleetResult,
@@ -39,6 +43,8 @@ from repro.coordinator.fleet import (
     run_coordinated_fleet,
 )
 from repro.faults.plan import coordinated_campaign, standard_campaign
+from repro.obs.config import ObsConfig
+from repro.obs.exporters import render_prometheus
 from repro.obs.scrape import default_fleet_rules
 from repro.obs.tsdb import canonical_state_bytes
 from repro.runtime.session import RunResult, make_governor, run_application
@@ -68,6 +74,11 @@ FLEET_JOB_HORIZON_S = 2.5
 FLEET_STAGGER_S = 15.0
 FLEET_BUDGET_FRAC = 0.7
 
+#: Every observability output on: the config the ``"obs"`` rows pin.
+OBS_ALL = ObsConfig(enabled=True, metrics=True, spans=True, tsdb=True)
+#: Key of the uncoordinated fleet's rollup digests among the ``"obs"`` rows.
+OBS_FLEET_KEY = "fleet/plain"
+
 
 def config_key(preset: str, governor: str, mode: str) -> str:
     """Manifest key of one matrix run."""
@@ -82,7 +93,13 @@ def matrix() -> Iterator[Tuple[str, str, Dict[str, float], str]]:
                 yield preset, governor, options, mode
 
 
-def run_config(preset: str, governor: str, options: Dict[str, float], mode: str) -> RunResult:
+def run_config(
+    preset: str,
+    governor: str,
+    options: Dict[str, float],
+    mode: str,
+    obs: Optional[ObsConfig] = None,
+) -> RunResult:
     """One matrix run: ``srad`` under ``governor`` for ``HORIZON_S``."""
     kwargs: Dict[str, object] = {}
     if mode == "faulted":
@@ -98,14 +115,16 @@ def run_config(preset: str, governor: str, options: Dict[str, float], mode: str)
         seed=SEED,
         dt_s=DT_S,
         max_time_s=HORIZON_S,
+        obs=obs,
         **kwargs,
     )
 
 
-def matrix_runs() -> Iterator[Tuple[str, str, RunResult]]:
+def matrix_runs(obs: Optional[ObsConfig] = None) -> Iterator[Tuple[str, str, RunResult]]:
     """Yield ``(config key, mode, result)`` for every matrix run, in order."""
     for preset, governor, options, mode in matrix():
-        yield config_key(preset, governor, mode), mode, run_config(preset, governor, options, mode)
+        result = run_config(preset, governor, options, mode, obs)
+        yield config_key(preset, governor, mode), mode, result
 
 
 def sha256_arrays(*arrays: np.ndarray) -> str:
@@ -121,6 +140,11 @@ def sha256_json(obj: object) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def sha256_bytes(data: bytes) -> str:
+    """SHA-256 of ``data``."""
+    return hashlib.sha256(data).hexdigest()
+
+
 def run_digests(result: RunResult) -> Dict[str, str]:
     """Channel name -> digest, plus ``"decisions"``, for one run."""
     out = {
@@ -129,6 +153,19 @@ def run_digests(result: RunResult) -> Dict[str, str]:
     }
     out["decisions"] = sha256_json([[d.time_s, d.target_ghz, d.reason] for d in result.decisions])
     return out
+
+
+def obs_digests(result: RunResult) -> Dict[str, str]:
+    """Digests of an ``OBS_ALL`` run's metrics export, TSDB state and spans."""
+    assert result.metrics is not None and result.tsdb is not None
+    spans = [
+        [s.name, s.start_s, s.end_s, s.ok, sorted(s.attrs.items())] for s in result.spans
+    ]
+    return {
+        "prometheus": sha256_bytes(render_prometheus(result.metrics).encode()),
+        "tsdb_state": sha256_bytes(canonical_state_bytes(result.tsdb)),
+        "spans": sha256_json(spans),
+    }
 
 
 def injector_incidents_within_horizon(result: RunResult) -> int:
@@ -148,6 +185,20 @@ def fleet_jobs() -> List[ClusterJob]:
         )
         for i in range(FLEET_NODES)
     ]
+
+
+def run_obs_fleet() -> FleetResult:
+    """The same fleet uncoordinated, collecting each job's metrics and series."""
+    sim = ClusterSimulator(FLEET_PRESET, fleet_jobs())
+    return sim.run_fleet(FLEET_GOVERNOR, dt_s=DT_S, n_workers=1, obs=True, tsdb=True)
+
+
+def obs_fleet_digests(fleet: FleetResult) -> Dict[str, str]:
+    """Digests of a fleet's merged metrics export and merged TSDB state."""
+    return {
+        "metrics_rollup": sha256_bytes(render_prometheus(fleet.metrics_rollup()).encode()),
+        "tsdb_rollup": sha256_bytes(canonical_state_bytes(fleet.tsdb_rollup())),
+    }
 
 
 def run_fleet() -> CoordinatedFleetResult:
@@ -188,7 +239,9 @@ def fleet_digests(result: CoordinatedFleetResult) -> Dict[str, str]:
 def compute() -> Dict[str, Dict[str, Dict[str, str]]]:
     """Every digest of the matrix and the fleet, keyed like the manifest."""
     runs = {key: run_digests(result) for key, _mode, result in matrix_runs()}
-    return {"runs": runs, "fleet": {"coordinated": fleet_digests(run_fleet())}}
+    obs = {key: obs_digests(result) for key, _mode, result in matrix_runs(OBS_ALL)}
+    obs[OBS_FLEET_KEY] = obs_fleet_digests(run_obs_fleet())
+    return {"runs": runs, "obs": obs, "fleet": {"coordinated": fleet_digests(run_fleet())}}
 
 
 def _git(*args: str) -> str:
