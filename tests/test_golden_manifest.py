@@ -3,9 +3,11 @@
 ``tests/data/golden_manifest.json`` pins one SHA-256 per trace channel and
 one over the decisions for each (preset, governor, mode) run of
 ``tests/data/gen_golden_manifest.py``, plus the grant log, alert events
-and scraped time-series state of a small coordinated fleet. Every digest
-is recomputed here and compared as bytes, so a ``-0.0``/``+0.0`` flip
-that ``np.array_equal`` forgives still fails.
+and scraped time-series state of a small coordinated fleet. Its ``"obs"``
+rows pin each run's metrics export, time-series state and spans with every
+observability output on, plus the same fleet's uncoordinated rollups.
+Every digest is recomputed here and compared as bytes, so a
+``-0.0``/``+0.0`` flip that ``np.array_equal`` forgives still fails.
 A failure lists every mismatching (config, channel) pair, with the NumPy
 and Python versions the manifest was generated under next to the current
 ones: a cross-version mismatch shows as a broad, uniform diff.
@@ -33,17 +35,25 @@ def manifest():
 
 @pytest.fixture(scope="module")
 def fresh():
-    """Recomputed digests, injector incidents inside H per faulted run, and
-    the coordinated fleet's alert transitions."""
+    """Recomputed digests (obs off and all on), injector incidents inside H
+    per faulted run, and the coordinated fleet's alert transitions."""
     runs = {}
     fired = {}
     for key, mode, result in gen.matrix_runs():
         runs[key] = gen.run_digests(result)
         if mode == "faulted":
             fired[key] = gen.injector_incidents_within_horizon(result)
+    obs = {}
+    observed_runs = {}
+    for key, _mode, result in gen.matrix_runs(gen.OBS_ALL):
+        obs[key] = gen.obs_digests(result)
+        observed_runs[key] = gen.run_digests(result)
+    obs[gen.OBS_FLEET_KEY] = gen.obs_fleet_digests(gen.run_obs_fleet())
     fleet = gen.run_fleet()
     return {
         "runs": runs,
+        "obs": obs,
+        "observed_runs": observed_runs,
         "fleet": {"coordinated": gen.fleet_digests(fleet)},
         "fired": fired,
         "alert_events": fleet.alerts.events,
@@ -75,6 +85,7 @@ class TestGoldenManifest:
     def test_matrix_covers_every_config(self, manifest):
         keys = {gen.config_key(p, g, m) for p, g, _o, m in gen.matrix()}
         assert set(manifest["runs"]) == keys
+        assert set(manifest["obs"]) == keys | {gen.OBS_FLEET_KEY}
         assert len(keys) == len(gen.PRESETS) * len(gen.GOVERNORS) * len(gen.MODES) == 48
 
     def test_params_match_generator(self, manifest):
@@ -88,6 +99,15 @@ class TestGoldenManifest:
 
     def test_every_run_digest_matches(self, manifest, fresh):
         bad = _mismatches(manifest["runs"], fresh["runs"])
+        assert not bad, _report(manifest, bad)
+
+    def test_every_obs_digest_matches(self, manifest, fresh):
+        bad = _mismatches(manifest["obs"], fresh["obs"])
+        assert not bad, _report(manifest, bad)
+
+    def test_obs_is_passive_on_every_run(self, manifest, fresh):
+        # With every output on, channels and decisions equal the obs-off rows.
+        bad = _mismatches(manifest["runs"], fresh["observed_runs"])
         assert not bad, _report(manifest, bad)
 
     def test_fleet_grant_log_matches(self, manifest, fresh):
