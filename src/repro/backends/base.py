@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.errors import BackendError
 from repro.telemetry.sampling import AccessMeter
 
 if TYPE_CHECKING:  # typing-only: the hub constructs (and binds) backends,
     # so a runtime import here would be circular.
-    from repro.obs.registry import MetricsRegistry
     from repro.telemetry.hub import TelemetryHub
 
 __all__ = ["PropertySpec", "PROPERTIES", "ControlBackend"]
@@ -109,11 +108,12 @@ class ControlBackend(abc.ABC):
 
     def __init__(self) -> None:
         self._hub: Optional["TelemetryHub"] = None
-        self._metrics: Optional["MetricsRegistry"] = None
         #: Actuations routed through :meth:`set_uncore_max_ghz`.
         self.switch_count = 0
         #: Total modeled switch latency charged to cycle meters, seconds.
         self.latency_charged_s = 0.0
+        #: Each non-zero switch latency charged, in order, seconds.
+        self.switch_delays_s: List[float] = []
         #: Ticks observed with some frequency transition still settling.
         self.settling_ticks = 0
 
@@ -132,10 +132,6 @@ class ControlBackend(abc.ABC):
         if self._hub is None:
             raise BackendError(f"backend {self.name!r} is not bound to a hub")
         return self._hub
-
-    def attach_metrics(self, registry: "MetricsRegistry") -> None:
-        """Route actuation metrics into ``registry`` (purely observational)."""
-        self._metrics = registry
 
     # ------------------------------------------------------------------
     # Property surface

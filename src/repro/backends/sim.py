@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backends.base import ControlBackend
-from repro.backends.latency import ACTUATION_SECONDS_BUCKETS, LatencyModel
+from repro.backends.latency import LatencyModel
 from repro.errors import BackendError
 from repro.telemetry.hsmp import _MAILBOX_ENERGY_J, _MAILBOX_TIME_S
 from repro.telemetry.msr import MSR_UNCORE_RATIO_LIMIT, decode_uncore_ratio_limit
@@ -145,8 +145,6 @@ class SimBackend(ControlBackend):
         """
         if any(unc.in_transition for _, unc in self.hub.node.sockets):
             self.settling_ticks += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro.actuation.settling_ticks").inc()
 
     # ------------------------------------------------------------------
     # Internals
@@ -158,10 +156,7 @@ class SimBackend(ControlBackend):
         if meter is not None:
             meter.charge("actuation_latency", delay_s, 0.0)
         self.latency_charged_s += delay_s
-        if self._metrics is not None:
-            self._metrics.histogram(
-                "repro.actuation.latency_s", ACTUATION_SECONDS_BUCKETS
-            ).observe(delay_s)
+        self.switch_delays_s.append(delay_s)
 
     def _charge_status_read(self, meter: Optional[AccessMeter]) -> None:
         # Status reads cost one access of the vendor's status mechanism:

@@ -111,7 +111,7 @@ class MagusGovernor(UncoreGovernor):
     def sample_and_decide(self, now_s: float, meter: AccessMeter) -> Decision:
         """One MDFS cycle (Algorithm 3)."""
         ctx = self.context
-        tracer = ctx.obs.tracer if ctx.obs.enabled else None
+        tracer = ctx.tracer
 
         if tracer is not None:
             sample_start = now_s + meter.time_s

@@ -10,14 +10,14 @@ a governor cannot cheat its own overhead.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import GovernorError
 from repro.guard.core import TelemetryGuard
 from repro.guard.view import RawTelemetryView
 from repro.hw.node import HeterogeneousNode
-from repro.obs.config import Observability
+from repro.obs.spans import SpanTracer
 from repro.sim.observers import TickObserver
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.sampling import AccessMeter
@@ -51,9 +51,9 @@ class GovernorContext:
 
     hub: TelemetryHub
     node: HeterogeneousNode
-    #: The run's observability context (disabled singleton by default).
-    #: Purely observational — a policy must never branch on it.
-    obs: Observability = field(default_factory=Observability.disabled)
+    #: The run's span tracer, or ``None``. Purely observational — a policy
+    #: may add spans to it but must never branch on it.
+    tracer: Optional[SpanTracer] = None
 
     @property
     def uncore_min_ghz(self) -> float:

@@ -172,7 +172,7 @@ class UPSGovernor(UncoreGovernor):
         """One UPS decision cycle."""
         ctx = self.context
         unc = ctx.node.uncore(0)
-        tracer = ctx.obs.tracer if ctx.obs.enabled else None
+        tracer = ctx.tracer
         if tracer is not None:
             sample_start = now_s + meter.time_s
         ipc, dram_power = self._measure(now_s, meter)

@@ -33,7 +33,7 @@ a zero-fault plan is golden-trace bit-identical to guard-off.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from repro.guard.bounds import GuardBounds
 from repro.guard.breaker import CircuitBreaker
 from repro.guard.config import GuardConfig
 from repro.hw.presets import SystemPreset
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tsdb import TimeSeriesDB
 from repro.telemetry.msr import (
     COUNTER_WIDTH_BITS,
     MSR_UNCORE_RATIO_LIMIT,
@@ -62,18 +60,6 @@ __all__ = ["GUARD_DEVICES", "TelemetryGuard"]
 
 #: Device families the guard runs a circuit breaker for.
 GUARD_DEVICES = ("msr", "pcm", "rapl", "actuation")
-
-#: Breaker-state gauges, one static name per device (closed=0, open=1,
-#: half-open=2) — the RL006-sanctioned table for per-device names.
-BREAKER_GAUGE_NAMES: Dict[str, str] = {
-    "msr": "repro.guard.breaker_state.msr",
-    "pcm": "repro.guard.breaker_state.pcm",
-    "rapl": "repro.guard.breaker_state.rapl",
-    "actuation": "repro.guard.breaker_state.actuation",
-}
-
-#: Histogram bounds for the age of the last good sample at quarantine time.
-HOLDOVER_AGE_BOUNDS = (0.1, 0.3, 0.5, 1.0, 2.0, 5.0)
 
 _COUNTER_MOD = 1 << COUNTER_WIDTH_BITS
 
@@ -166,9 +152,15 @@ class TelemetryGuard:
         self.reads_by_device: Dict[str, int] = {d: 0 for d in GUARD_DEVICES}
         self.refusal_count = 0
         self.verify_failure_count = 0
+        #: ``(time, device, holdover age or None)`` per quarantine; the age
+        #: is the time since the device's last good sample.
+        self.quarantine_events: List[Tuple[float, str, Optional[float]]] = []
+        #: ``(time, device, breaker gauge)`` per breaker step, starting with
+        #: every device's state at construction.
+        self.breaker_steps: List[Tuple[float, str, float]] = [
+            (self.now_s, device, breaker.gauge_value) for device, breaker in self.breakers.items()
+        ]
         self._hub: Optional["TelemetryHub"] = None
-        self._metrics: Optional[MetricsRegistry] = None
-        self._tsdb: Optional[TimeSeriesDB] = None
         self._pcm = _PCMChannel()
         self._msr = _MSRChannel()
         self._rapl_energy: Dict[str, _EnergyChannel] = {}
@@ -189,36 +181,10 @@ class TelemetryGuard:
         """Advance the guard's clock (mirrors the hub's sim clock)."""
         self.now_s += dt_s
 
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Export ``repro.guard.*`` counters and breaker-state gauges."""
-        if self._metrics is not None:
-            raise TelemetryError("guard already has a metrics registry attached")
-        self._metrics = registry
-        for device, breaker in self.breakers.items():
-            registry.gauge(BREAKER_GAUGE_NAMES[device]).set(breaker.gauge_value)
-
-    def attach_tsdb(self, tsdb: TimeSeriesDB) -> None:
-        """Scrape breaker-state / quarantine series into a TSDB."""
-        if self._tsdb is not None:
-            raise TelemetryError("guard already has a TSDB attached")
-        self._tsdb = tsdb
-        for device in GUARD_DEVICES:
-            self._scrape_breaker(device)
-
     @property
     def breaker_trip_count(self) -> int:
         """Total breaker openings across all devices."""
         return sum(b.trip_count for b in self.breakers.values())
-
-    def summary(self) -> Dict[str, int]:
-        """Headline counts for run results and reports."""
-        return {
-            "quarantines": self.quarantine_count,
-            "breaker_trips": self.breaker_trip_count,
-            "refusals": self.refusal_count,
-            "verify_failures": self.verify_failure_count,
-            "probes": sum(b.probe_count for b in self.breakers.values()),
-        }
 
     # ------------------------------------------------------------------
     # Guarded reads
@@ -474,8 +440,6 @@ class TelemetryGuard:
                 self._record_clean("actuation")
                 return
             self.verify_failure_count += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro.guard.verify_failures").inc()
             if attempt >= cfg.verify_retries:
                 self._log(
                     "actuation",
@@ -543,8 +507,6 @@ class TelemetryGuard:
         state_before = breaker.state
         if not breaker.allow(self.now_s):
             self.refusal_count += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro.guard.refusals").inc()
             probe_at = breaker.probe_at_s
             until = f" until t={probe_at:.2f}s" if probe_at is not None else ""
             raise GuardError(f"{device} circuit breaker open{until} [guard]")
@@ -557,10 +519,7 @@ class TelemetryGuard:
                 outcome="half_open",
                 detail=f"probe #{breaker.probe_count}",
             )
-            if self._metrics is not None:
-                self._metrics.counter("repro.guard.probes").inc()
-                self._metrics.gauge(BREAKER_GAUGE_NAMES[device]).set(breaker.gauge_value)
-            self._scrape_breaker(device)
+            self._step_breaker(device)
 
     def _record_clean(self, device: str) -> None:
         self.reads_by_device[device] += 1
@@ -573,9 +532,7 @@ class TelemetryGuard:
                 outcome="closed",
                 detail="half-open probe validated clean",
             )
-            self._scrape_breaker(device)
-        if self._metrics is not None:
-            self._metrics.gauge(BREAKER_GAUGE_NAMES[device]).set(breaker.gauge_value)
+            self._step_breaker(device)
 
     def _quarantine(
         self, device: str, fault: str, detail: str, last_good_time_s: Optional[float]
@@ -584,45 +541,22 @@ class TelemetryGuard:
         self.quarantine_count += 1
         self.quarantines_by_device[device] += 1
         self._log(device, fault=fault, action="quarantine", outcome="holdover", detail=detail)
-        if self._metrics is not None:
-            self._metrics.counter("repro.guard.quarantines").inc()
-            if last_good_time_s is not None:
-                self._metrics.histogram(
-                    "repro.guard.holdover_age_seconds", HOLDOVER_AGE_BOUNDS
-                ).observe(self.now_s - last_good_time_s)
-        if self._tsdb is not None:
-            self._tsdb.record(
-                "repro.ts.guard.quarantines",
-                self.now_s,
-                float(self.quarantines_by_device[device]),
-                {"device": device},
-            )
+        age_s = None if last_good_time_s is None else self.now_s - last_good_time_s
+        self.quarantine_events.append((self.now_s, device, age_s))
         breaker = self.breakers[device]
         if breaker.record_failure(self.now_s):
             self._log_trip(device, breaker)
         else:
-            if self._metrics is not None:
-                self._metrics.gauge(BREAKER_GAUGE_NAMES[device]).set(breaker.gauge_value)
-            self._scrape_breaker(device)
+            self._step_breaker(device)
 
     def _log_trip(self, device: str, breaker: CircuitBreaker) -> None:
         probe_at = breaker.probe_at_s
         detail = f"probe scheduled at t={probe_at:.2f}s" if probe_at is not None else ""
         self._log(device, fault="breaker", action="trip", outcome="open", detail=detail)
-        if self._metrics is not None:
-            self._metrics.counter("repro.guard.breaker_trips").inc()
-            self._metrics.gauge(BREAKER_GAUGE_NAMES[device]).set(breaker.gauge_value)
-        self._scrape_breaker(device)
+        self._step_breaker(device)
 
-    def _scrape_breaker(self, device: str) -> None:
-        """Record one breaker-state step on the attached TSDB (if any)."""
-        if self._tsdb is not None:
-            self._tsdb.record(
-                "repro.ts.guard.breaker_state",
-                self.now_s,
-                self.breakers[device].gauge_value,
-                {"device": device},
-            )
+    def _step_breaker(self, device: str) -> None:
+        self.breaker_steps.append((self.now_s, device, self.breakers[device].gauge_value))
 
     def _cross_check(self, domain: str, implied_w: float) -> Optional[Tuple[str, str]]:
         cfg = self.config

@@ -16,11 +16,11 @@ clock (RL001-clean — no wall-clock reads anywhere on the hot path):
   trace-event JSON (``chrome://tracing`` / Perfetto) and JSONL event
   logs.
 
-Everything hangs off an :class:`Observability` context created from an
-:class:`ObsConfig`; the disabled context is a shared singleton whose
-checks compile down to one attribute read, so instrumented code paths are
-bit-identical and almost free when observability is off (guarded by the
-golden-trace suite).
+An :class:`ObsConfig` chooses a run's outputs. The tracer is the only live
+sink: a single run's registry and time series are derived from its layers'
+records when it ends (:mod:`repro.runtime.derived`), so observed runs are
+bit-identical to unobserved ones and a disabled run pays one ``None``
+check per span site (guarded by the golden-trace suite).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.obs.alerts import (
     BurnRateRule,
     ThresholdRule,
 )
-from repro.obs.config import Observability, ObsConfig
+from repro.obs.config import ObsConfig
 from repro.obs.dashboard import render_dashboard_html
 from repro.obs.exporters import (
     registry_to_dict,
@@ -54,7 +54,6 @@ from repro.obs.tsdb import Bucket, Series, TimeSeriesDB, merge_tsdbs
 
 __all__ = [
     "ObsConfig",
-    "Observability",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -1,23 +1,19 @@
-"""ObsConfig + Observability: the zero-cost-when-disabled switchboard.
+"""ObsConfig: which observability outputs a run produces.
 
-Instrumented call sites throughout the stack hold an :class:`Observability`
-and guard on ``obs.enabled`` (one attribute read) before touching the
-registry or tracer. The disabled context is a module-level singleton with
-``registry = tracer = None``, so disabled runs allocate nothing and execute
-no observability code beyond the guard — the golden-trace suite proves the
-resulting traces are bit-identical to pre-observability runs.
+A run traces spans live, on a :class:`~repro.obs.spans.SpanTracer` handed
+to its daemon and governor. Its metrics registry and time-series store are
+not recorded while it runs: :mod:`repro.runtime.derived` builds them from
+the records each layer keeps anyway, once the run ends. A disabled run
+therefore executes no observability code beyond one ``tracer is None``
+check per span site, and every output is passive — the golden-trace suite
+proves the traces are bit-identical with observability on or off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
-from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
-from repro.obs.tsdb import TimeSeriesDB
-
-__all__ = ["ObsConfig", "Observability"]
+__all__ = ["ObsConfig"]
 
 
 @dataclass(frozen=True)
@@ -27,80 +23,18 @@ class ObsConfig:
     Attributes
     ----------
     enabled:
-        Master switch; False means no registry, no tracer, no cost.
+        Master switch; False means no registry, no spans, no series.
     metrics:
-        Collect counters/gauges/histograms (requires ``enabled``).
+        Derive the run's counters/gauges/histograms (requires ``enabled``).
     spans:
         Record decision-cycle spans (requires ``enabled``).
     tsdb:
-        Scrape time series into a :class:`~repro.obs.tsdb.TimeSeriesDB`
-        (requires ``enabled``; off by default so existing runs stay
-        bit-identical).
+        Derive the run's time series into a
+        :class:`~repro.obs.tsdb.TimeSeriesDB` (requires ``enabled``; off
+        by default).
     """
 
     enabled: bool = False
     metrics: bool = True
     spans: bool = True
     tsdb: bool = False
-
-
-class Observability:
-    """One run's observability context: config + registry + tracer.
-
-    Use :meth:`Observability.disabled` for the shared off singleton,
-    :meth:`Observability.from_config` to build a live context, and
-    :meth:`Observability.coerce` at API boundaries that accept an
-    ``ObsConfig``, an ``Observability`` or ``None``.
-    """
-
-    __slots__ = ("config", "registry", "tracer", "tsdb", "enabled")
-
-    def __init__(
-        self,
-        config: ObsConfig,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
-        tsdb: Optional[TimeSeriesDB] = None,
-    ) -> None:
-        self.config = config
-        self.registry = registry
-        self.tracer = tracer
-        self.tsdb = tsdb
-        #: Hot-path guard: True only when something is actually collecting.
-        self.enabled = bool(
-            config.enabled
-            and (registry is not None or tracer is not None or tsdb is not None)
-        )
-
-    @staticmethod
-    def disabled() -> "Observability":
-        """The shared no-op context."""
-        return _DISABLED
-
-    @classmethod
-    def from_config(cls, config: ObsConfig) -> "Observability":
-        """Build a live (or disabled) context for ``config``."""
-        if not config.enabled:
-            return _DISABLED
-        return cls(
-            config,
-            registry=MetricsRegistry() if config.metrics else None,
-            tracer=SpanTracer() if config.spans else None,
-            tsdb=TimeSeriesDB() if config.tsdb else None,
-        )
-
-    @classmethod
-    def coerce(cls, obs: Union["Observability", ObsConfig, None]) -> "Observability":
-        """Normalise an API argument into an :class:`Observability`."""
-        if obs is None:
-            return _DISABLED
-        if isinstance(obs, ObsConfig):
-            return cls.from_config(obs)
-        return obs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"Observability({state})"
-
-
-_DISABLED = Observability(ObsConfig(enabled=False))

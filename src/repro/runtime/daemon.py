@@ -21,17 +21,32 @@ The daemon owns everything a policy should not be trusted with:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import GovernorError
 from repro.governors.base import Decision, GovernorContext, UncoreGovernor
 from repro.hw.node import HeterogeneousNode
-from repro.obs.config import Observability
-from repro.obs.registry import DEFAULT_JOULES_BUCKETS
+from repro.obs.spans import SpanTracer
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.sampling import AccessMeter
 
-__all__ = ["MonitorDaemon"]
+__all__ = ["Cycle", "MonitorDaemon"]
+
+
+class Cycle(NamedTuple):
+    """The record of one completed decision cycle."""
+
+    #: Simulated time the cycle completed (start plus the meter's time).
+    time_s: float
+    decision: Decision
+    #: Invocation time charged to the cycle; ``None`` for firmware policies.
+    invocation_s: Optional[float]
+    #: Telemetry energy of the attempt that completed the cycle, joules.
+    energy_j: float
+    #: Cumulative modelled switch latency charged so far, seconds.
+    latency_s: float
+    #: Monitoring power the node carries until the next decision, watts.
+    monitor_power_w: float
 
 
 class MonitorDaemon:
@@ -50,11 +65,10 @@ class MonitorDaemon:
         uncore frequency at launch); False for the idle overhead runs of
         Table 2, where no application ever arrives and the node stays in
         its idle state while monitoring continues.
-    obs:
-        The run's observability context. When enabled, every cycle emits
-        a ``daemon.cycle`` span (with the governor's decision-attribution
-        attributes) and the cycle counters; the disabled default adds one
-        attribute read per cycle and nothing else.
+    tracer:
+        Span tracer of the run, or ``None``. With a tracer, every cycle
+        emits a ``daemon.cycle`` span carrying the governor's
+        decision-attribution attributes.
     """
 
     def __init__(
@@ -64,10 +78,10 @@ class MonitorDaemon:
         node: HeterogeneousNode,
         *,
         app_present: bool = True,
-        obs: Optional[Observability] = None,
+        tracer: Optional[SpanTracer] = None,
     ):
-        self.obs = obs if obs is not None else Observability.disabled()
-        governor.attach(GovernorContext(hub=hub, node=node, obs=self.obs))
+        self.tracer = tracer
+        governor.attach(GovernorContext(hub=hub, node=node, tracer=tracer))
         self.governor = governor
         self.hub = hub
         self.node = node
@@ -78,14 +92,25 @@ class MonitorDaemon:
         # resumes at the actuation step instead of re-running the policy
         # (which would double-count its observations).
         self._pending_decision: Optional[Decision] = None
-        #: Cumulative decisions per cause, backing the decision-cause series.
-        self._cause_counts: Dict[str, int] = {}
-        #: Per-cycle invocation times (meter time totals), for Table 2.
-        self.invocation_times_s: List[float] = []
+        #: One record per completed cycle, in order.
+        self.cycles: List[Cycle] = []
+        #: Meter accesses per kind, summed over the attempts that completed
+        #: a cycle (a retried cycle's failed attempts are not counted).
+        self.access_counts: Dict[str, int] = {}
+        #: Attempts that raised instead of completing their cycle.
+        self.failed_cycles = 0
         #: Total monitoring energy charged, joules.
         self.monitor_energy_j = 0.0
-        #: Every decision the governor made, in order.
-        self.decisions: List[Decision] = []
+
+    @property
+    def decisions(self) -> List[Decision]:
+        """Every decision the governor made, in order."""
+        return [c.decision for c in self.cycles]
+
+    @property
+    def invocation_times_s(self) -> List[float]:
+        """Per-cycle invocation times (meter time totals), for Table 2."""
+        return [c.invocation_s for c in self.cycles if c.invocation_s is not None]
 
     # ------------------------------------------------------------------
     # Engine composition
@@ -154,18 +179,15 @@ class MonitorDaemon:
         """
         gov = self.governor
         meter = meter if meter is not None else AccessMeter()
-        obs = self.obs
-        tracer = obs.tracer if obs.enabled else None
-        registry = obs.registry if obs.enabled else None
+        tracer = self.tracer
         # Meter baselines: a supervisor-shared meter accumulates across
         # attempts, so this cycle's own cost is a delta, not a total.
-        meter_time_base = meter.time_s
         meter_energy_base = meter.energy_j
-        counts_base: Optional[Dict[str, int]] = dict(meter.counts) if registry is not None else None
+        counts_base = dict(meter.counts)
         cycle_id: Optional[int] = None
         if tracer is not None:
             cycle_id = tracer.begin(
-                "daemon.cycle", now_s + meter_time_base, category="cycle", governor=gov.name
+                "daemon.cycle", now_s + meter.time_s, category="cycle", governor=gov.name
             )
 
         try:
@@ -195,7 +217,6 @@ class MonitorDaemon:
                         latency_s=self.hub.backend.latency_charged_s - latency_base_s,
                     )
             self._pending_decision = None
-            self.decisions.append(decision)
         except BaseException:
             if not gov.hardware:
                 # Never leave the prior cycle's monitoring power on the
@@ -203,8 +224,7 @@ class MonitorDaemon:
                 self.node.monitor_power_w = 0.0
             if tracer is not None and cycle_id is not None:
                 tracer.abort(cycle_id, now_s + meter.time_s)
-            if registry is not None:
-                registry.counter("repro.daemon.failed_cycles").inc()
+            self.failed_cycles += 1
             raise
 
         if gov.hardware:
@@ -219,7 +239,6 @@ class MonitorDaemon:
                 raise GovernorError(
                     f"governor {gov.name!r} produced a non-positive cycle ({cycle_s!r}s)"
                 )
-            self.invocation_times_s.append(invocation_s)
             self.monitor_energy_j += meter.energy_j
             # The cycle's measurement energy, spread over the cycle, is the
             # monitoring power the node carries until the next decision.
@@ -231,45 +250,20 @@ class MonitorDaemon:
             self._next_fire_s = now_s + cycle_s
 
         cycle_energy_j = meter.energy_j - meter_energy_base
-        if registry is not None:
-            registry.counter("repro.daemon.cycles").inc()
-            if decision.target_ghz is not None:
-                registry.counter("repro.daemon.actuations").inc()
-            else:
-                registry.counter("repro.daemon.holds").inc()
-            if not gov.hardware:
-                registry.histogram("repro.daemon.invocation_seconds").observe(invocation_s)
-                registry.histogram(
-                    "repro.daemon.cycle_energy_joules", DEFAULT_JOULES_BUCKETS
-                ).observe(cycle_energy_j)
-            if counts_base is not None:
-                self.hub.count_accesses(
-                    {k: v - counts_base.get(k, 0) for k, v in meter.counts.items()}
-                )
-        tsdb = obs.tsdb if obs.enabled else None
-        if tsdb is not None:
-            t_s = now_s + meter.time_s
-            if decision.target_ghz is not None:
-                tsdb.record("repro.ts.daemon.target_uncore_ghz", t_s, decision.target_ghz)
-            if not gov.hardware:
-                tsdb.record("repro.ts.daemon.invocation_s", t_s, invocation_s)
-                tsdb.record(
-                    "repro.ts.daemon.monitor_power_w", t_s, self.node.monitor_power_w
-                )
-            tsdb.record("repro.ts.daemon.cycle_energy_j", t_s, cycle_energy_j)
-            cause_n = self._cause_counts.get(decision.reason, 0) + 1
-            self._cause_counts[decision.reason] = cause_n
-            tsdb.record(
-                "repro.ts.daemon.decision_cause",
-                t_s,
-                float(cause_n),
-                {"cause": decision.reason},
-            )
-            tsdb.record(
-                "repro.ts.daemon.actuation_latency_s",
-                t_s,
+        for kind, n in meter.counts.items():
+            delta = n - counts_base.get(kind, 0)
+            if delta > 0:
+                self.access_counts[kind] = self.access_counts.get(kind, 0) + delta
+        self.cycles.append(
+            Cycle(
+                now_s + meter.time_s,
+                decision,
+                None if gov.hardware else invocation_s,
+                cycle_energy_j,
                 self.hub.backend.latency_charged_s,
+                self.node.monitor_power_w,
             )
+        )
         if tracer is not None and cycle_id is not None:
             attrs: Dict[str, object] = {
                 "reason": decision.reason,
@@ -302,9 +296,10 @@ class MonitorDaemon:
     @property
     def mean_invocation_s(self) -> Optional[float]:
         """Mean invocation time across cycles (None before any cycle)."""
-        if not self.invocation_times_s:
+        times = self.invocation_times_s
+        if not times:
             return None
-        return sum(self.invocation_times_s) / len(self.invocation_times_s)
+        return sum(times) / len(times)
 
     @property
     def decision_period_s(self) -> Optional[float]:
@@ -315,4 +310,4 @@ class MonitorDaemon:
         return mean_inv + self.governor.interval_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MonitorDaemon({self.governor.name!r}, cycles={len(self.decisions)})"
+        return f"MonitorDaemon({self.governor.name!r}, cycles={len(self.cycles)})"

@@ -33,11 +33,12 @@ from repro.governors.ups import UPSConfig, UPSGovernor
 from repro.guard.config import GuardConfig
 from repro.guard.core import TelemetryGuard
 from repro.hw.presets import SystemPreset, get_preset
-from repro.obs.config import Observability, ObsConfig
+from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Span
+from repro.obs.spans import Span, SpanTracer
 from repro.obs.tsdb import TimeSeriesDB
 from repro.runtime.daemon import MonitorDaemon
+from repro.runtime.derived import derive_metrics, derive_tsdb, record_run_totals
 from repro.runtime.supervisor import SupervisedDaemon, SupervisorConfig
 from repro.sim.clock import SimClock
 from repro.sim.engine import SimulationEngine
@@ -208,7 +209,7 @@ def run_application(
     supervise: Optional[bool] = None,
     supervisor_config: Optional[SupervisorConfig] = None,
     incident_log: Optional[IncidentLog] = None,
-    obs: Union[Observability, ObsConfig, None] = None,
+    obs: Optional[ObsConfig] = None,
     actuation_latency: Union[LatencyModel, str, None] = None,
     guard: Optional[bool] = None,
     guard_config: Optional[GuardConfig] = None,
@@ -255,12 +256,13 @@ def run_application(
         created when omitted. The final contents are returned on
         ``RunResult.incidents``.
     obs:
-        An :class:`~repro.obs.config.ObsConfig` (or pre-built
-        :class:`~repro.obs.config.Observability`) enabling the metrics/
-        span layer. Observation is free when disabled (the default) and
-        purely passive when enabled: traces stay bit-identical either way
-        (guarded by the golden-trace suite). The final registry and span
-        list land on ``RunResult.metrics``/``RunResult.spans``.
+        An :class:`~repro.obs.config.ObsConfig` choosing the run's
+        observability outputs. Spans are traced live; the metrics registry
+        and time-series store are derived from the layers' records when
+        the run ends (:mod:`repro.runtime.derived`). Observation is purely
+        passive: traces stay bit-identical either way (guarded by the
+        golden-trace suite). The outputs land on ``RunResult.metrics``,
+        ``RunResult.tsdb`` and ``RunResult.spans``.
     actuation_latency:
         Switch-latency model for the control backend: a
         :class:`~repro.backends.latency.LatencyModel`, a preset name
@@ -303,9 +305,8 @@ def run_application(
     latency_model = resolve_latency(actuation_latency, seed=seed)
     hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor, latency=latency_model)
 
-    obs_ctx = Observability.coerce(obs)
-    if obs_ctx.enabled and obs_ctx.registry is not None:
-        hub.attach_metrics(obs_ctx.registry)
+    obs = obs if obs is not None else ObsConfig()
+    tracer = SpanTracer() if obs.enabled and obs.spans else None
 
     if supervise is None:
         supervise = fault_plan is not None
@@ -318,8 +319,6 @@ def run_application(
     if guard:
         telemetry_guard = TelemetryGuard(preset, guard_config, log=log, seed=seed)
         hub.install_guard(telemetry_guard)
-        if obs_ctx.enabled and obs_ctx.tsdb is not None:
-            telemetry_guard.attach_tsdb(obs_ctx.tsdb)
 
     runtimes = []
     daemon: Optional[MonitorDaemon] = None
@@ -327,7 +326,7 @@ def run_application(
     policy_observers = []
     if governor is not None:
         daemon = MonitorDaemon(
-            governor, hub, node, app_present=workload is not None, obs=obs_ctx
+            governor, hub, node, app_present=workload is not None, tracer=tracer
         )
         if supervise:
             supervisor = SupervisedDaemon(
@@ -360,24 +359,10 @@ def run_application(
         traces["supervisor_degraded"].integral() if "supervisor_degraded" in traces else 0.0
     )
 
-    if obs_ctx.enabled:
-        if obs_ctx.tracer is not None:
-            obs_ctx.tracer.finish(result.runtime_s)
-        if obs_ctx.registry is not None:
-            reg = obs_ctx.registry
-            if result.recorder is not None:
-                reg.counter("repro.engine.ticks").inc(len(result.recorder))
-            reg.gauge("repro.run.runtime_seconds").set(result.runtime_s)
-            reg.gauge("repro.run.completed").set(1.0 if result.completed else 0.0)
-            reg.gauge("repro.run.pkg_energy_joules").set(pkg_energy)
-            reg.gauge("repro.run.dram_energy_joules").set(dram_energy)
-            reg.gauge("repro.run.gpu_energy_joules").set(gpu_energy)
-            reg.gauge("repro.run.monitor_energy_joules").set(
-                daemon.monitor_energy_j if daemon is not None else 0.0
-            )
-            reg.gauge("repro.run.actuation_latency_seconds").set(hub.backend.latency_charged_s)
+    if tracer is not None:
+        tracer.finish(result.runtime_s)
 
-    return RunResult(
+    run = RunResult(
         workload_name=workload.name if workload is not None else "<idle>",
         governor_name=governor.name if governor is not None else "<none>",
         system_name=preset.name,
@@ -394,16 +379,14 @@ def run_application(
         mean_invocation_s=daemon.mean_invocation_s if daemon is not None else None,
         decision_period_s=daemon.decision_period_s if daemon is not None else None,
         traces=traces,
-        decisions=list(daemon.decisions) if daemon is not None else [],
+        decisions=daemon.decisions if daemon is not None else [],
         incidents=list(log),
         supervised=supervisor is not None,
         degraded_time_s=degraded_time_s,
         failsafe_count=supervisor.failsafe_count if supervisor is not None else 0,
         rearm_count=supervisor.rearm_count if supervisor is not None else 0,
         missed_deadlines=supervisor.missed_deadlines if supervisor is not None else 0,
-        metrics=obs_ctx.registry if obs_ctx.enabled else None,
-        tsdb=obs_ctx.tsdb if obs_ctx.enabled else None,
-        spans=list(obs_ctx.tracer.spans) if obs_ctx.enabled and obs_ctx.tracer is not None else [],
+        spans=list(tracer.spans) if tracer is not None else [],
         actuation_switches=hub.backend.switch_count,
         actuation_latency_s=hub.backend.latency_charged_s,
         actuation_settling_ticks=hub.backend.settling_ticks,
@@ -423,3 +406,9 @@ def run_application(
             dict(telemetry_guard.reads_by_device) if telemetry_guard is not None else {}
         ),
     )
+    if obs.enabled and obs.metrics:
+        run.metrics = derive_metrics(hub, daemon, supervisor)
+        record_run_totals(run.metrics, run, len(result.recorder))
+    if obs.enabled and obs.tsdb:
+        run.tsdb = derive_tsdb(hub, daemon, supervisor)
+    return run

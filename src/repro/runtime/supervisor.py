@@ -131,6 +131,10 @@ class SupervisedDaemon:
         self.missed_deadlines = 0
         self.failsafe_count = 0
         self.rearm_count = 0
+        #: Transient-error retries across all cycles.
+        self.retry_count = 0
+        #: ``(time, 1.0)`` at each fail-safe, ``(time, 0.0)`` at each re-arm.
+        self.degraded_edges: List[Tuple[float, float]] = []
         self._rearm_at_s = float("inf")
 
     # ------------------------------------------------------------------
@@ -196,7 +200,7 @@ class SupervisedDaemon:
                     )
                     meter.charge("retry_backoff", backoff_s, 0.0)
                     backoff_s *= cfg.backoff_factor
-                    self._count("repro.supervisor.retries")
+                    self.retry_count += 1
                     continue
                 self._log(
                     now_s,
@@ -237,23 +241,20 @@ class SupervisedDaemon:
                 return
 
     def _watchdog(self, now_s: float) -> None:
-        gov = self.daemon.governor
-        if gov.hardware or gov.interval_s == float("inf"):
-            return
-        times = self.daemon.invocation_times_s
-        if not times:
-            return
-        deadline_s = self.config.deadline_factor * gov.interval_s
-        if times[-1] > deadline_s:
+        interval_s = self.daemon.governor.interval_s
+        invocation_s = self.daemon.cycles[-1].invocation_s
+        if invocation_s is None or interval_s == float("inf"):
+            return  # firmware, or a policy that never re-fires
+        deadline_s = self.config.deadline_factor * interval_s
+        if invocation_s > deadline_s:
             self.missed_deadlines += 1
-            self._count("repro.supervisor.missed_deadlines")
             self._log(
                 now_s,
                 device="daemon",
                 fault="deadline",
                 action="deadline",
                 outcome="missed",
-                detail=f"invocation {times[-1]:.3f}s > deadline {deadline_s:.3f}s",
+                detail=f"invocation {invocation_s:.3f}s > deadline {deadline_s:.3f}s",
             )
 
     def _fail_safe(self, now_s: float, meter: AccessMeter) -> None:
@@ -268,8 +269,7 @@ class SupervisedDaemon:
         node.degraded = True
         self.degraded = True
         self.failsafe_count += 1
-        self._count("repro.supervisor.failsafes")
-        self._scrape_degraded(now_s, 1.0)
+        self.degraded_edges.append((now_s, 1.0))
         cfg = self.config
         exhausted = cfg.max_rearms is not None and self.rearm_count >= cfg.max_rearms
         if cfg.rearm_cooldown_s is None or exhausted:
@@ -290,14 +290,13 @@ class SupervisedDaemon:
 
     def _attempt_rearm(self, now_s: float) -> None:
         self.rearm_count += 1
-        self._count("repro.supervisor.rearms")
         self.degraded = False
         self.daemon.node.degraded = False
         self._rearm_at_s = float("inf")
         self.daemon.governor.on_rearm()
         self._supervised_cycle(now_s)
         if not self.degraded:
-            self._scrape_degraded(now_s, 0.0)
+            self.degraded_edges.append((now_s, 0.0))
             self._log(
                 now_s,
                 device="daemon",
@@ -310,18 +309,6 @@ class SupervisedDaemon:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _count(self, name: str) -> None:
-        """Bump a supervision counter on the daemon's registry (if any)."""
-        obs = self.daemon.obs
-        if obs.enabled and obs.registry is not None:
-            obs.registry.counter(name).inc()
-
-    def _scrape_degraded(self, now_s: float, value: float) -> None:
-        """Record a fail-safe/re-arm edge on the daemon's TSDB (if any)."""
-        obs = self.daemon.obs
-        if obs.enabled and obs.tsdb is not None:
-            obs.tsdb.record("repro.ts.supervisor.degraded", now_s, value)
-
     def _log(self, time_s: float, *, device: str, fault: str, action: str, outcome: str,
              fault_id: Optional[int] = None, detail: str = "") -> None:
         self.log.append(

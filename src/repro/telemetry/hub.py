@@ -16,7 +16,7 @@ pre-backend dispatch).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.backends.base import ControlBackend
 from repro.backends.latency import LatencyModel
@@ -24,7 +24,6 @@ from repro.backends.sim import SimBackend
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import TelemetryCosts
-from repro.obs.registry import MetricsRegistry
 from repro.telemetry.hsmp import HSMPDevice
 from repro.telemetry.msr import MSRDevice
 from repro.telemetry.nvml import NVMLDevice
@@ -38,21 +37,7 @@ if TYPE_CHECKING:  # typing-only: faults builds its proxies *around* the
     from repro.faults.injector import FaultInjector
     from repro.guard.core import TelemetryGuard
 
-__all__ = ["TelemetryHub", "ACCESS_COUNTER_NAMES"]
-
-#: Meter access kind → per-device read/write counter (static, RL006-clean:
-#: every name is a lowercase dotted literal known at import time).
-ACCESS_COUNTER_NAMES: Mapping[str, str] = {
-    "msr_read": "repro.telemetry.reads.msr",
-    "msr_write": "repro.telemetry.writes.msr",
-    "pcm_read": "repro.telemetry.reads.pcm",
-    "rapl_read": "repro.telemetry.reads.rapl",
-    "nvml_query": "repro.telemetry.reads.nvml",
-    "hsmp_mailbox": "repro.telemetry.writes.hsmp",
-    "retry_backoff": "repro.supervisor.backoff_charges",
-    "actuation_latency": "repro.actuation.latency_charges",
-    "guard_check": "repro.guard.check_charges",
-}
+__all__ = ["TelemetryHub"]
 
 
 class TelemetryHub:
@@ -109,8 +94,8 @@ class TelemetryHub:
         self.fault_injector: Optional["FaultInjector"] = None
         #: Installed telemetry guard, if any (see :meth:`install_guard`).
         self.guard: Optional["TelemetryGuard"] = None
-        #: Attached metrics registry, if any (see :meth:`attach_metrics`).
-        self._metrics: Optional[MetricsRegistry] = None
+        #: Calls to :meth:`set_uncore_max_ghz` that returned.
+        self.actuation_count = 0
 
     def install_fault_injector(self, injector: "FaultInjector") -> None:
         """Wrap every device behind ``injector``'s fault proxies.
@@ -139,44 +124,6 @@ class TelemetryHub:
             raise TelemetryError("hub already has a guard installed")
         guard.bind(self)
         self.guard = guard
-        if self._metrics is not None:
-            guard.attach_metrics(self._metrics)
-
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Route per-device access counts into ``registry``.
-
-        Purely observational: the counters mirror what the cycle meters
-        already charged (see :meth:`count_accesses`), so attaching a
-        registry changes no simulated state. At most one registry per hub.
-        """
-        if self._metrics is not None:
-            raise TelemetryError("hub already has a metrics registry attached")
-        self._metrics = registry
-        self.backend.attach_metrics(registry)
-        if self.guard is not None:
-            self.guard.attach_metrics(registry)
-
-    def count_accesses(self, counts: Mapping[str, int]) -> None:
-        """Fold one cycle's meter access counts into per-device counters.
-
-        Called by the daemon after a successful cycle with the *delta*
-        counts of that cycle (a supervisor-shared meter accumulates across
-        attempts; the caller subtracts the baseline). Unknown kinds land
-        only in the total, so custom meter kinds cannot crash a run.
-        """
-        registry = self._metrics
-        if registry is None:
-            return
-        total = 0
-        for kind, count in counts.items():
-            if count <= 0:
-                continue
-            total += count
-            name = ACCESS_COUNTER_NAMES.get(kind)
-            if name is not None:
-                registry.counter(name).inc(count)
-        if total:
-            registry.counter("repro.telemetry.accesses.total").inc(total)
 
     def on_tick(self, dt_s: float) -> None:
         """Advance every device's accumulators by one tick."""
@@ -212,8 +159,7 @@ class TelemetryHub:
             self.guard.actuate_uncore_max_ghz(freq_ghz, meter)
         else:
             self.backend.set_uncore_max_ghz(freq_ghz, meter)
-        if self._metrics is not None:
-            self._metrics.counter("repro.telemetry.actuations").inc()
+        self.actuation_count += 1
 
     @property
     def actuation_pending(self) -> bool:

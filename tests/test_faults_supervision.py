@@ -29,7 +29,9 @@ from repro.faults import (
     IncidentLog,
     standard_campaign,
 )
+from repro.obs.spans import SpanTracer
 from repro.runtime.daemon import MonitorDaemon
+from repro.runtime.derived import derive_metrics
 from repro.runtime.session import make_governor, run_application
 from repro.runtime.supervisor import SupervisedDaemon, SupervisorConfig
 from repro.telemetry.sampling import AccessMeter
@@ -239,7 +241,7 @@ class TestInjectedFaults:
 # ----------------------------------------------------------------------
 # Supervisor layer (driven directly, no engine)
 # ----------------------------------------------------------------------
-def _supervised(a100_preset, *specs, config=None, governor="magus", obs=None):
+def _supervised(a100_preset, *specs, config=None, governor="magus", tracer=None):
     from repro.sim.rng import RngStreams
     from repro.telemetry.hub import TelemetryHub
 
@@ -249,7 +251,7 @@ def _supervised(a100_preset, *specs, config=None, governor="magus", obs=None):
     log = IncidentLog()
     if specs:
         hub.install_fault_injector(FaultInjector(FaultPlan(specs), log=log))
-    daemon = MonitorDaemon(make_governor(governor), hub, node, obs=obs)
+    daemon = MonitorDaemon(make_governor(governor), hub, node, tracer=tracer)
     sup = SupervisedDaemon(daemon, config or SupervisorConfig(), log=log)
     return node, hub, daemon, sup
 
@@ -395,48 +397,43 @@ class TestSupervisedCycle:
 
 
 class TestSupervisorObservability:
-    def _observed(self):
-        from repro.obs import Observability, ObsConfig
-
-        return Observability.from_config(ObsConfig(enabled=True))
-
     def test_retry_counter_and_aborted_cycle_span(self, a100_preset):
-        obs = self._observed()
+        tracer = SpanTracer()
         node, hub, daemon, sup = _supervised(
             a100_preset, FaultSpec("msr", "read_error", 0.0, 100.0, count=1),
-            governor="ups", obs=obs,
+            governor="ups", tracer=tracer,
         )
         _tick(node, hub, 5)
         sup.start(0.05)
         sup.invoke(0.05)
-        assert obs.registry.counter("repro.supervisor.retries").value == 1.0
-        cycles = obs.tracer.named("daemon.cycle")
+        registry = derive_metrics(hub, daemon, sup)
+        assert registry.counter("repro.supervisor.retries").value == 1.0
+        cycles = tracer.named("daemon.cycle")
         # The failed attempt left an aborted span; the retry closed clean.
         assert [c.ok for c in cycles] == [False, True]
 
     def test_failsafe_and_missed_deadline_counters(self, a100_preset):
-        obs = self._observed()
         node, hub, daemon, sup = _supervised(
             a100_preset,
             FaultSpec("msr", "read_error", 0.0, 100.0, count=None),
             config=SupervisorConfig(max_retries=1, rearm_cooldown_s=1.0),
-            governor="ups", obs=obs,
+            governor="ups",
         )
         _tick(node, hub, 5)
         sup.start(0.05)
         sup.invoke(0.05)
-        assert obs.registry.counter("repro.supervisor.failsafes").value == 1.0
-        assert obs.registry.counter("repro.daemon.failed_cycles").value >= 1.0
+        registry = derive_metrics(hub, daemon, sup)
+        assert registry.counter("repro.supervisor.failsafes").value == 1.0
+        assert registry.counter("repro.daemon.failed_cycles").value >= 1.0
 
-        obs2 = self._observed()
-        node2, hub2, _d2, sup2 = _supervised(
-            a100_preset, config=SupervisorConfig(deadline_factor=1e-4),
-            governor="ups", obs=obs2,
+        node2, hub2, daemon2, sup2 = _supervised(
+            a100_preset, config=SupervisorConfig(deadline_factor=1e-4), governor="ups",
         )
         _tick(node2, hub2, 5)
         sup2.start(0.05)
         sup2.invoke(0.05)
-        assert obs2.registry.counter("repro.supervisor.missed_deadlines").value == 1.0
+        registry2 = derive_metrics(hub2, daemon2, sup2)
+        assert registry2.counter("repro.supervisor.missed_deadlines").value == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ class TestGoldenEquivalence:
 def _instrumented_golden_run(governor_name: str, *, supervised: bool, obs: bool = False):
     """``golden_run``, returning the daemon (and supervisor) handles too."""
     from repro.hw.presets import intel_a100
-    from repro.obs import Observability, ObsConfig
+    from repro.obs import SpanTracer
     from repro.runtime.daemon import MonitorDaemon
     from repro.runtime.session import make_governor
     from repro.runtime.supervisor import SupervisedDaemon
@@ -76,10 +76,8 @@ def _instrumented_golden_run(governor_name: str, *, supervised: bool, obs: bool 
     node = preset.build_node(RngStreams(gen_golden_trace.SEED))
     node.force_uncore_all(preset.uncore_min_ghz)
     hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor)
-    obs_ctx = Observability.from_config(ObsConfig(enabled=True)) if obs else None
-    if obs_ctx is not None and obs_ctx.registry is not None:
-        hub.attach_metrics(obs_ctx.registry)
-    daemon = MonitorDaemon(make_governor(governor_name), hub, node, obs=obs_ctx)
+    tracer = SpanTracer() if obs else None
+    daemon = MonitorDaemon(make_governor(governor_name), hub, node, tracer=tracer)
     supervisor = SupervisedDaemon(daemon) if supervised else None
     runtime = supervisor if supervised else daemon
     observers = standard_observers(node, hub, [runtime], extra=tuple(runtime.observers))
@@ -124,20 +122,20 @@ class TestObservabilityIsPassThrough:
         assert daemon.decisions == plain_daemon.decisions
 
     def test_spans_and_metrics_were_actually_recorded(self, observed_pair):
+        from repro.runtime.derived import derive_metrics
+
         _golden, (_r, daemon, _sup), _plain = observed_pair
-        tracer = daemon.obs.tracer
-        cycles = tracer.named("daemon.cycle")
+        cycles = daemon.tracer.named("daemon.cycle")
         assert len(cycles) == len(daemon.decisions)
         # Every closed cycle carries the decision attribution attrs.
         assert all("reason" in s.attrs and "energy_j" in s.attrs for s in cycles)
-        registry = daemon.obs.registry
+        registry = derive_metrics(daemon.hub, daemon, None)
         assert registry.counter("repro.daemon.cycles").value == float(len(cycles))
 
     def test_disabled_context_records_nothing(self, observed_pair):
         _golden, _observed, (_rp, plain_daemon, _) = observed_pair
-        assert not plain_daemon.obs.enabled
-        assert plain_daemon.obs.tracer is None
-        assert plain_daemon.obs.registry is None
+        assert plain_daemon.tracer is None
+        assert plain_daemon.governor.context.tracer is None
 
 
 class TestSupervisionIsPassThrough:

@@ -37,8 +37,7 @@ from repro.guard import (
     RawTelemetryView,
     TelemetryGuard,
 )
-from repro.guard.core import BREAKER_GAUGE_NAMES
-from repro.obs.registry import MetricsRegistry
+from repro.runtime.derived import BREAKER_GAUGE_NAMES, derive_metrics
 from repro.parallel.pool import map_parallel
 from repro.runtime.session import make_governor, run_application
 from repro.telemetry.rapl import RAPL_DRAM, RAPL_PKG
@@ -666,10 +665,9 @@ class TestBreakerLifecycle:
 # ----------------------------------------------------------------------
 class TestGuardMetrics:
     def test_counters_and_gauges(self, a100_preset, a100_node, a100_hub):
-        registry = MetricsRegistry()
         _armed(a100_hub, FaultSpec("pcm", "spike", 0.15, 5.0, count=None))
         guard = _guarded(a100_hub, a100_preset)
-        guard.attach_metrics(registry)
+        registry = derive_metrics(a100_hub, None, None)
         for device in GUARD_DEVICES:
             assert registry.gauge(BREAKER_GAUGE_NAMES[device]).value == 0.0
         _tick(a100_node, a100_hub, 10)
@@ -677,16 +675,11 @@ class TestGuardMetrics:
         for _ in range(3):
             _tick(a100_node, a100_hub, 10)
             guard.read_throughput_mbps()
+        registry = derive_metrics(a100_hub, None, None)
         assert registry.counter("repro.guard.quarantines").value == 3
         assert registry.counter("repro.guard.breaker_trips").value == 1
         assert registry.gauge(BREAKER_GAUGE_NAMES["pcm"]).value == 1.0
         assert registry.gauge(BREAKER_GAUGE_NAMES["msr"]).value == 0.0
-
-    def test_single_registry_only(self, a100_preset, a100_hub):
-        guard = _guarded(a100_hub, a100_preset)
-        guard.attach_metrics(MetricsRegistry())
-        with pytest.raises(TelemetryError):
-            guard.attach_metrics(MetricsRegistry())
 
 
 # ----------------------------------------------------------------------

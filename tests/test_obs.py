@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ObsError
 from repro.obs import (
     MetricsRegistry,
-    Observability,
     ObsConfig,
     SpanTracer,
     attribute_decisions,
@@ -338,21 +337,34 @@ class TestAttribution:
         assert slowest_cycles(tracer.spans, 5) == []
 
 
-class TestObservabilityContext:
-    def test_disabled_is_shared_singleton(self):
-        assert Observability.disabled() is Observability.disabled()
-        assert Observability.coerce(None) is Observability.disabled()
-        assert not Observability.disabled().enabled
+class TestObsConfigOutputs:
+    """Which outputs ``run_application`` returns for each ``ObsConfig``."""
 
-    def test_coerce_config(self):
-        obs = Observability.coerce(ObsConfig(enabled=True))
-        assert obs.enabled and obs.registry is not None and obs.tracer is not None
-        metrics_only = Observability.coerce(ObsConfig(enabled=True, spans=False))
-        assert metrics_only.enabled and metrics_only.tracer is None
+    #: id -> (config, (metrics returned, spans returned, tsdb returned))
+    CASES = {
+        "none": (None, (False, False, False)),
+        "disabled": (ObsConfig(), (False, False, False)),
+        "disabled_tsdb": (ObsConfig(enabled=False, tsdb=True), (False, False, False)),
+        "enabled": (ObsConfig(enabled=True), (True, True, False)),
+        "metrics_only": (ObsConfig(enabled=True, spans=False), (True, False, False)),
+        "spans_only": (ObsConfig(enabled=True, metrics=False), (False, True, False)),
+        "nothing": (ObsConfig(enabled=True, metrics=False, spans=False), (False, False, False)),
+        "tsdb_only": (
+            ObsConfig(enabled=True, metrics=False, spans=False, tsdb=True),
+            (False, False, True),
+        ),
+        "all": (ObsConfig(enabled=True, tsdb=True), (True, True, True)),
+    }
 
-    def test_disabled_config_yields_singleton(self):
-        assert Observability.coerce(ObsConfig(enabled=False)) is Observability.disabled()
+    @pytest.mark.parametrize("config, want", list(CASES.values()), ids=list(CASES))
+    def test_outputs_follow_config(self, config, want):
+        from repro.runtime.session import make_governor, run_application
 
-    def test_enabled_but_collecting_nothing_is_disabled(self):
-        obs = Observability.coerce(ObsConfig(enabled=True, metrics=False, spans=False))
-        assert not obs.enabled
+        r = run_application(
+            "intel_a100", "srad", make_governor("magus"), seed=1, max_time_s=2.0, obs=config
+        )
+        assert (r.metrics is not None, bool(r.spans), r.tsdb is not None) == want
+        if r.metrics is not None:
+            assert r.metrics.counter("repro.daemon.cycles").value > 0
+        if r.tsdb is not None:
+            assert "repro.ts.daemon.decision_cause" in r.tsdb
