@@ -746,6 +746,12 @@ def _cmd_watch(args) -> int:
             )
         )
         return 0
+    unknown = sorted(set(args.series or ()) - set(SERIES_CATALOGUE))
+    if unknown:
+        raise ReproError(
+            f"unknown series {', '.join(unknown)}; `repro watch --list-series` "
+            "prints the catalogue"
+        )
     result, _ = _run_scraped(args, with_alerts=False)
     names = args.series or DEFAULT_WATCH_SERIES
     print(

@@ -126,3 +126,21 @@ class TestObservabilityCommands:
         assert payload["repro.daemon.cycles"]["value"] > 0
         assert payload["repro.daemon.invocation_seconds"]["kind"] == "histogram"
         assert "energy by decision cause" in capsys.readouterr().out
+
+    def test_watch_rejects_uncatalogued_series_before_running(self, capsys, monkeypatch):
+        import repro.cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before validating --series")
+
+        monkeypatch.setattr(repro.cli, "_run_scraped", no_run)
+        argv = ["watch", "--job", "sort@0", "--series", "repro.ts.bogus", "--max-time", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "repro.ts.bogus" in err and "--list-series" in err
+
+    def test_watch_catalogued_series_without_samples(self, capsys):
+        # A coordinated fleet runs no guard, so this catalogued series is empty.
+        series = "repro.ts.guard.quarantines"
+        assert main(["watch", "--job", "sort@0", "--series", series, "--max-time", "2"]) == 0
+        assert f"{series} (no samples)" in capsys.readouterr().out
