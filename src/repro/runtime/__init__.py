@@ -9,7 +9,9 @@
   runs isolating each runtime's power and invocation overhead;
 * :mod:`~repro.runtime.supervisor` — ``SupervisedDaemon``: retry,
   exception containment, fail-safe actuation and degraded-mode accounting
-  around a daemon (the crash-proof deployment shell).
+  around a daemon (the crash-proof deployment shell);
+* :mod:`~repro.runtime.derived` — a run's metrics registry and time
+  series, built from its layers' records when it ends.
 """
 
 from repro.runtime.daemon import MonitorDaemon

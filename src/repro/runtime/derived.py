@@ -4,12 +4,11 @@ Each layer of a run keeps only its own plain record of what happened: the
 daemon one :class:`~repro.runtime.daemon.Cycle` per completed cycle, the
 supervisor its retry count and degraded edges, the guard its quarantine
 and breaker-step lists, the control backend its switch delays, the hub its
-actuation count.  :func:`derive_metrics` and :func:`derive_tsdb` turn
-those records into the run's :class:`~repro.obs.registry.MetricsRegistry`
-and :class:`~repro.obs.tsdb.TimeSeriesDB` after the engine stops, and
-:func:`record_run_totals` adds the run's own totals, so this module names
-every single-run instrument and series.  Spans are not
-derived: they carry nesting and aborts, so the tracer stays live.
+actuation count.  After the engine stops, :func:`derive_metrics` and
+:func:`derive_tsdb` turn those records into the run's registry and series
+and :func:`record_run_totals` adds the run's totals, so this module names
+every single-run instrument and series.  Spans are not derived: they carry
+nesting and aborts, so the tracer stays live.
 
 The result is bit-identical to recording live (DESIGN.md §6m):
 
@@ -28,12 +27,12 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional
 from repro.backends.latency import ACTUATION_SECONDS_BUCKETS
 from repro.obs.registry import DEFAULT_JOULES_BUCKETS, MetricsRegistry
 from repro.obs.tsdb import TimeSeriesDB
+from repro.runtime.daemon import MonitorDaemon
+from repro.runtime.supervisor import SupervisedDaemon
 from repro.telemetry.hub import TelemetryHub
 
 if TYPE_CHECKING:  # typing-only: the session imports this module.
-    from repro.runtime.daemon import MonitorDaemon
     from repro.runtime.session import RunResult
-    from repro.runtime.supervisor import SupervisedDaemon
 
 __all__ = [
     "ACCESS_COUNTER_NAMES",
@@ -79,8 +78,8 @@ def _count(registry: MetricsRegistry, name: str, n: int) -> None:
 
 def derive_metrics(
     hub: TelemetryHub,
-    daemon: Optional["MonitorDaemon"],
-    supervisor: Optional["SupervisedDaemon"],
+    daemon: Optional[MonitorDaemon],
+    supervisor: Optional[SupervisedDaemon],
 ) -> MetricsRegistry:
     """The instruments of a run's layers, built from their records."""
     registry = MetricsRegistry()
@@ -149,8 +148,8 @@ def record_run_totals(registry: MetricsRegistry, result: "RunResult", ticks: int
 
 def derive_tsdb(
     hub: TelemetryHub,
-    daemon: Optional["MonitorDaemon"],
-    supervisor: Optional["SupervisedDaemon"],
+    daemon: Optional[MonitorDaemon],
+    supervisor: Optional[SupervisedDaemon],
 ) -> TimeSeriesDB:
     """The run's time-series store, built from its layers' records."""
     tsdb = TimeSeriesDB()

@@ -45,15 +45,20 @@ def fresh():
             fired[key] = gen.injector_incidents_within_horizon(result)
     obs = {}
     observed_runs = {}
+    instruments = set()
     for key, _mode, result in gen.matrix_runs(gen.OBS_ALL):
         obs[key] = gen.obs_digests(result)
         observed_runs[key] = gen.run_digests(result)
-    obs[gen.OBS_FLEET_KEY] = gen.obs_fleet_digests(gen.run_obs_fleet())
+        instruments.update(result.metrics.names())
+    obs_fleet = gen.run_obs_fleet()
+    obs[gen.OBS_FLEET_KEY] = gen.obs_fleet_digests(obs_fleet)
+    instruments.update(obs_fleet.metrics_rollup().names())
     fleet = gen.run_fleet()
     return {
         "runs": runs,
         "obs": obs,
         "observed_runs": observed_runs,
+        "instruments": instruments,
         "fleet": {"coordinated": gen.fleet_digests(fleet)},
         "fired": fired,
         "alert_events": fleet.alerts.events,
@@ -109,6 +114,13 @@ class TestGoldenManifest:
         # With every output on, channels and decisions equal the obs-off rows.
         bad = _mismatches(manifest["runs"], fresh["observed_runs"])
         assert not bad, _report(manifest, bad)
+
+    def test_every_instrument_is_in_the_metric_catalogue(self, fresh):
+        path = os.path.join(os.path.dirname(__file__), "..", "docs", "OBSERVABILITY.md")
+        with open(path) as fh:
+            catalogue = fh.read()
+        missing = sorted(n for n in fresh["instruments"] if f"`{n}`" not in catalogue)
+        assert missing == [], f"instruments missing from docs/OBSERVABILITY.md: {missing}"
 
     def test_fleet_grant_log_matches(self, manifest, fresh):
         bad = _mismatches(manifest["fleet"], fresh["fleet"])
