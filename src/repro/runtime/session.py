@@ -121,7 +121,7 @@ class RunResult:
     missed_deadlines: int = 0
     #: Final metrics registry of an observability-enabled run (else None).
     metrics: Optional[MetricsRegistry] = field(repr=False, default=None)
-    #: Scraped time-series store of a tsdb-enabled run (else None).
+    #: Time-series store of a tsdb-enabled run (else None).
     tsdb: Optional[TimeSeriesDB] = field(repr=False, default=None)
     #: Decision-cycle spans of an observability-enabled run (else empty).
     spans: List[Span] = field(repr=False, default_factory=list)
@@ -407,8 +407,9 @@ def run_application(
         ),
     )
     if obs.enabled and obs.metrics:
-        run.metrics = derive_metrics(hub, daemon, supervisor)
-        record_run_totals(run.metrics, run, len(result.recorder))
+        registry = derive_metrics(hub, daemon, supervisor)
+        record_run_totals(registry, run, len(result.recorder))
+        run.metrics = registry
     if obs.enabled and obs.tsdb:
         run.tsdb = derive_tsdb(hub, daemon, supervisor)
     return run
