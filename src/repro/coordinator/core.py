@@ -49,6 +49,7 @@ from repro.coordinator.config import CoordinatorConfig
 from repro.coordinator.journal import GrantJournal
 from repro.coordinator.lease import Lease
 from repro.errors import CoordinatorError
+from repro.units import ordered_sum
 
 __all__ = ["BudgetCoordinator", "NodeView"]
 
@@ -176,7 +177,7 @@ class BudgetCoordinator:
         Summed afresh in node order on every call: a running total would
         add the same floats in another order and round differently.
         """
-        return sum(self._caps)
+        return ordered_sum(self._caps)
 
     def headroom_w(self) -> float:
         return self.config.budget_w - self.granted_sum_w()
@@ -252,7 +253,7 @@ class BudgetCoordinator:
         # shared in proportion to discounted demand above the floor.
         surplus = cfg.budget_w - self.n_nodes * floor
         weights = {node: max(0.0, est - floor) for node, est in estimates.items()}
-        total_weight = sum(weights.values())
+        total_weight = ordered_sum(weights.values())
         grants: List[Lease] = []
         for node in sorted(estimates):
             est = estimates[node]

@@ -51,6 +51,7 @@ from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tsdb import TimeSeriesDB
 from repro.sim.clock import SimClock
+from repro.units import ordered_sum
 
 __all__ = [
     "node_demand_matrix",
@@ -112,7 +113,7 @@ def ample_budget_w(fleet: FleetResult, n_nodes: int, floor_w: float) -> float:
     clip a single tick by ~1e-13 W and break bit-identity.
     """
     _, demand = node_demand_matrix(fleet, n_nodes)
-    total = float(sum(max(float(row.max()), floor_w) for row in demand))
+    total = float(ordered_sum(max(float(row.max()), floor_w) for row in demand))
     return total * (1.0 + 1e-9)
 
 

@@ -18,15 +18,16 @@ reproduction:
   unmet and, mildly, with uncore frequency itself (higher LLC latency).
 
 :func:`step_cores` advances a stack of identical sockets at once: socket
-``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node pays each
-NumPy call once per tick rather than once per socket.
-:meth:`CPUCoreModel.step` is the same function on a stack of one.
+``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node (or a
+:class:`~repro.hw.node.NodeBatch` of nodes) pays each NumPy call once per
+tick rather than once per socket. :meth:`CPUCoreModel.step` is the same
+function on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -104,7 +105,7 @@ class CPUCoreModel:
     # ------------------------------------------------------------------
     def step(self, socket_util: float, mem_stall_factor: float, uncore_ratio: float) -> None:
         """Advance one tick: :func:`step_cores` on a stack of one socket."""
-        step_cores((self,), socket_util, mem_stall_factor, uncore_ratio, self._jitter)
+        step_cores((self,), (socket_util,), (mem_stall_factor,), (uncore_ratio,), self._jitter)
 
     # ------------------------------------------------------------------
     # Observables
@@ -159,19 +160,23 @@ def _socket_power_w(cpu: CPUCoreModel, utils: np.ndarray, freqs: np.ndarray) -> 
 
 def step_cores(
     cpus: Sequence[CPUCoreModel],
-    socket_util: float,
-    mem_stall_factor: float,
-    uncore_ratio: float,
+    socket_util: Sequence[float],
+    mem_stall_factor: Sequence[float],
+    uncore_ratio: Sequence[float],
     jitter: np.ndarray,
 ) -> CoreStep:
     """Advance a stack of identical sockets by one tick.
 
-    Each socket draws its jitter from its own stream, in socket order, into
-    its row of ``jitter`` (an ``(len(cpus), n_cores)`` scratch buffer the
-    caller owns). Everything after the draws runs once over the whole
-    stack. Every socket's model is left holding its row of the new arrays
-    and its reductions, so its observables read as if it had stepped
-    alone. The arrays are fresh each call; earlier ones are never mutated.
+    The stack holds the sockets of one or more nodes, node after node, each
+    node with the same number of sockets; the three operating-point
+    arguments carry one value per node. Each socket draws its jitter from
+    its own stream, in stack order, into its row of ``jitter`` (an
+    ``(len(cpus), n_cores)`` scratch buffer the caller owns). Everything
+    after the draws runs once over the whole stack, and every reduction
+    runs along one socket's row. Every socket's model is left holding its
+    row of the new arrays and its reductions, so its observables read as
+    if it had stepped alone. The arrays are fresh each call; earlier ones
+    are never mutated.
 
     Parameters
     ----------
@@ -179,36 +184,48 @@ def step_cores(
         The sockets, all of one part (core count, DVFS range, peak IPC and
         power coefficients); the first one's parameters serve the stack.
     socket_util:
-        Average utilisation demanded of each socket, in [0, 1].
+        Per node: average utilisation demanded of each of its sockets, in
+        [0, 1].
     mem_stall_factor:
-        1.0 when memory demand is fully served, < 1 proportional to the
-        served fraction otherwise — stalls depress IPC.
+        Per node: 1.0 when memory demand is fully served, < 1 proportional
+        to the served fraction otherwise — stalls depress IPC.
     uncore_ratio:
-        Effective uncore frequency over max; low uncore adds LLC/mesh
-        latency that mildly depresses IPC even when bandwidth suffices.
+        Per node: effective uncore frequency over max; low uncore adds
+        LLC/mesh latency that mildly depresses IPC even when bandwidth
+        suffices.
     jitter:
         Scratch buffer for the draws, overwritten.
     """
-    if not (0.0 <= socket_util <= 1.0):
-        raise PowerModelError(f"socket_util must be in [0, 1], got {socket_util!r}")
+    for util in socket_util:
+        if not (0.0 <= util <= 1.0):
+            raise PowerModelError(f"socket_util must be in [0, 1], got {util!r}")
     part = cpus[0]
     n = part.n_cores
     for s, cpu in enumerate(cpus):
         jitter[s] = cpu._rng.normal(1.0, 0.06, n)
-    utils = np.clip(socket_util * part._weights * jitter, 0.0, 1.0)
+    # Each node's IPC level for its active cores, in Python floats.
+    levels = [
+        part.peak_ipc * clamp(stall, 0.05, 1.0) * (0.88 + 0.12 * clamp(ratio, 0.0, 1.0))
+        for stall, ratio in zip(mem_stall_factor, uncore_ratio)
+    ]
+    if len(levels) == 1:
+        # One node: its values broadcast over every row as Python floats.
+        util_rows: Union[float, np.ndarray] = socket_util[0]
+        level_rows: Union[float, np.ndarray] = levels[0]
+    else:
+        # One column entry per socket, repeated across its node's sockets.
+        per_node = len(cpus) // len(levels)
+        util_rows = np.repeat(socket_util, per_node)[:, None]
+        level_rows = np.repeat(levels, per_node)[:, None]
+    # ``ndarray.clip`` is the ufunc ``np.clip`` dispatches to, called directly.
+    utils = (util_rows * part._weights * jitter).clip(0.0, 1.0)
     # DVFS: frequency tracks utilisation with a mild floor; a lightly
     # loaded core sits near min frequency, a saturated core turbos.
     span = part.max_ghz - part.min_ghz
-    freqs = np.clip(
-        part.min_ghz + span * np.minimum(utils * 1.3, 1.0),
-        part.min_ghz,
-        part.max_ghz,
-    )
-    latency_term = 0.88 + 0.12 * clamp(uncore_ratio, 0.0, 1.0)
-    stall_term = clamp(mem_stall_factor, 0.05, 1.0)
+    freqs = (part.min_ghz + span * np.minimum(utils * 1.3, 1.0)).clip(part.min_ghz, part.max_ghz)
     # Active cores retire instructions and count toward the mean IPC.
     active = utils > 1e-3
-    ipc = np.where(active, part.peak_ipc * stall_term * latency_term, 0.0)
+    ipc = np.where(active, level_rows, 0.0)
 
     power_w = _socket_power_w(part, utils, freqs).tolist()
     ipc_sums = np.add.reduce(ipc, axis=1).tolist()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.errors import PowerModelError
-from repro.units import clamp
+from repro.units import clamp, ordered_sum
 
 __all__ = ["GPUModel", "GPUGroup"]
 
@@ -118,15 +118,15 @@ class GPUGroup:
 
     def power_w(self) -> float:
         """Total board power of the group."""
-        return float(sum(g.power_w() for g in self.gpus))
+        return float(ordered_sum(g.power_w() for g in self.gpus))
 
     def idle_power_w(self) -> float:
         """Total idle-floor power of the group."""
-        return float(sum(g.idle_w for g in self.gpus))
+        return float(ordered_sum(g.idle_w for g in self.gpus))
 
     def mean_sm_clock_ghz(self) -> float:
         """Average SM clock across the group."""
-        return float(sum(g.sm_clock_ghz for g in self.gpus) / len(self.gpus))
+        return float(ordered_sum(g.sm_clock_ghz for g in self.gpus) / len(self.gpus))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GPUGroup(n={len(self.gpus)}, {self.gpus[0].name!r})"

@@ -21,16 +21,15 @@ Model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import PowerModelError
 
 __all__ = ["MemoryServiceResult", "MemorySubsystem"]
 
 
-@dataclass(frozen=True)
-class MemoryServiceResult:
-    """Outcome of serving one tick of memory demand.
+class MemoryServiceResult(NamedTuple):
+    """Outcome of serving one tick of memory demand (one per node per tick).
 
     Attributes
     ----------

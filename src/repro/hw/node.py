@@ -4,12 +4,15 @@
 simulation engine steps it, telemetry devices read it, and governors actuate
 it (through the MSR layer).  It owns no policy — the uncore target is
 whatever was last written, exactly like real hardware.
+
+:class:`NodeBatch` steps several nodes of one part together: their scalar
+physics one node at a time, their cores as one stack. A node stepped alone
+is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,16 +22,20 @@ from repro.hw.gpu import GPUGroup
 from repro.hw.memory import MemorySubsystem
 from repro.hw.power import PowerBreakdown
 from repro.hw.uncore import UncoreModel
+from repro.units import ordered_sum
 
 if TYPE_CHECKING:  # imported for typing only; avoids an hw <-> workloads cycle
     from repro.workloads.base import Segment
 
-__all__ = ["NodeTickState", "HeterogeneousNode"]
+__all__ = ["NodeTickState", "HeterogeneousNode", "NodeBatch"]
 
 
-@dataclass(frozen=True)
-class NodeTickState:
-    """Everything observable about the node after one tick."""
+class NodeTickState(NamedTuple):
+    """Everything observable about the node after one tick.
+
+    A named tuple rather than a frozen dataclass: a batch builds one per
+    node per tick, and a tuple is built several times faster.
+    """
 
     time_s: float
     demand_gbps: float
@@ -86,12 +93,13 @@ class HeterogeneousNode:
         self.cpu_mem_coupling = float(cpu_mem_coupling)
         self.sockets: List[Tuple[CPUCoreModel, UncoreModel]] = list(sockets)
         self._cpus = tuple(cpu for cpu, _ in self.sockets)
-        _check_identical_parts(self._cpus)
+        # The node steps as a batch of one, which rejects sockets that are
+        # not all one part.
+        self._alone = NodeBatch((self,))
         # Per-core state in global core order; each step replaces these.
         self._core_utils = np.concatenate([cpu.core_utils for cpu in self._cpus])
         self._core_freqs_ghz = np.concatenate([cpu.core_freqs_ghz for cpu in self._cpus])
         self._core_ipc = np.concatenate([cpu.core_ipc for cpu in self._cpus])
-        self._jitter = np.empty((len(self._cpus), self._cpus[0].n_cores))
         self.memory = memory
         self.gpus = gpus
         self.tdp_w_per_socket = float(tdp_w_per_socket)
@@ -192,67 +200,18 @@ class HeterogeneousNode:
         """Advance the node by ``dt_s`` under the given workload segment.
 
         Passing ``segment=None`` models an idle node (no application), used
-        by the Table 2 overhead experiments.
+        by the Table 2 overhead experiments. The node steps as a
+        :class:`NodeBatch` of one.
         """
-        if dt_s <= 0:
-            raise HardwareError(f"dt must be positive, got {dt_s!r}")
-        self._time_s += dt_s
+        return self._alone.step(dt_s, (segment,))[0]
 
-        for _, unc in self.sockets:
-            unc.step(dt_s)
-        eff_unc = self.uncore_effective_ghz()
-        unc_ratio = eff_unc / self.uncore_max_ghz
+    @staticmethod
+    def batch(nodes: Sequence["HeterogeneousNode"]) -> "NodeBatch":
+        """``nodes`` as one :class:`NodeBatch`.
 
-        if segment is None:
-            demand, mem_intensity, cpu_util, gpu_util = 0.0, 0.0, 0.0, 0.0
-        else:
-            demand = segment.mem_bw_gbps
-            mem_intensity = segment.mem_intensity
-            cpu_util = segment.cpu_util
-            gpu_util = segment.gpu_util
-
-        svc = self.memory.service(demand, mem_intensity, eff_unc)
-        # IPC stall factor. In GPU-dominant phases most of the memory-bound
-        # critical path is DMA/staging traffic, not CPU load-stalls, so CPU
-        # IPC reflects only a weakly coupled share of unmet demand. This
-        # asymmetry is why an IPC-guarded policy (UPS) misjudges GPU
-        # workloads while throughput-guided MAGUS does not (§2 challenge 2).
-        stall_factor = 1.0 - self.cpu_mem_coupling * mem_intensity * (1.0 - svc.served_fraction)
-
-        cores = step_cores(self._cpus, cpu_util, stall_factor, unc_ratio, self._jitter)
-        self._core_utils = cores.utils.reshape(-1)
-        self._core_freqs_ghz = cores.freqs_ghz.reshape(-1)
-        self._core_ipc = cores.ipc.reshape(-1)
-        core_w = 0.0
-        uncore_w = 0.0
-        for socket_w, (_, unc) in zip(cores.power_w, self.sockets):
-            core_w += socket_w
-            uncore_w += unc.power_w(svc.traffic_util)
-
-        self.gpus.step(gpu_util)
-
-        power = PowerBreakdown(
-            core_w=core_w,
-            uncore_w=uncore_w,
-            dram_w=self.memory.dram_power_w(svc.delivered_gbps),
-            gpu_w=self.gpus.power_w(),
-            monitor_w=self.monitor_power_w,
-        )
-        state = NodeTickState(
-            time_s=self._time_s,
-            demand_gbps=demand,
-            delivered_gbps=svc.delivered_gbps,
-            stretch=svc.stretch,
-            power=power,
-            uncore_target_ghz=self.uncore_target_ghz(),
-            uncore_effective_ghz=eff_unc,
-            mean_ipc=_socket_mean(cores.mean_ipc),
-            mean_core_freq_ghz=_socket_mean(cores.mean_freq_ghz),
-            gpu_sm_clock_ghz=self.gpus.mean_sm_clock_ghz(),
-            served_fraction=svc.served_fraction,
-        )
-        self._last_state = state
-        return state
+        For layers that import this module for typing only (the engine).
+        """
+        return NodeBatch(nodes)
 
     @property
     def last_state(self) -> Optional[NodeTickState]:
@@ -264,6 +223,130 @@ class HeterogeneousNode:
             f"HeterogeneousNode({self.name!r}, sockets={len(self.sockets)}, "
             f"cores={self.n_cores}, gpus={len(self.gpus)})"
         )
+
+
+class NodeBatch:
+    """Nodes of one part, stepped together one tick at a time.
+
+    Each tick runs every node's scalar physics in node order: uncore slew,
+    memory service, the IPC stall factor, then, after the cores, GPU power,
+    the power breakdown and the tick state. The cores of all nodes step in
+    one :func:`~repro.hw.cpu.step_cores` call over the ``(Σ sockets,
+    n_cores)`` stack, node after node, so the batch pays each NumPy call once
+    per tick rather than once per node. Each socket draws from its own
+    stream, and every reduction runs along one socket's row, so each node
+    ends every tick bit-identical to the same node stepped alone (DESIGN.md
+    §6n).
+
+    Parameters
+    ----------
+    nodes:
+        Distinct nodes whose sockets are all one part (see
+        :class:`HeterogeneousNode`) and that have the same socket count.
+    """
+
+    def __init__(self, nodes: Sequence[HeterogeneousNode]) -> None:
+        if not nodes:
+            raise HardwareError("a node batch needs at least one node")
+        if len({id(node) for node in nodes}) != len(nodes):
+            raise HardwareError("a node batch cannot hold the same node twice")
+        per_node = len(nodes[0].sockets)
+        for node in nodes:
+            if len(node.sockets) != per_node:
+                raise HardwareError(
+                    f"node {node.name!r} has {len(node.sockets)} sockets, "
+                    f"the batch's first node {per_node}"
+                )
+        self.nodes: Tuple[HeterogeneousNode, ...] = tuple(nodes)
+        self._per_node = per_node
+        self._cpus = tuple(cpu for node in self.nodes for cpu in node._cpus)
+        _check_identical_parts(self._cpus)
+        self._jitter = np.empty((len(self._cpus), self._cpus[0].n_cores))
+
+    def step(self, dt_s: float, segments: Sequence[Optional["Segment"]]) -> List[NodeTickState]:
+        """Advance every node by ``dt_s``; ``segments[i]`` drives node ``i``.
+
+        A ``None`` segment idles its node. Returns the nodes' tick states in
+        node order.
+        """
+        if dt_s <= 0:
+            raise HardwareError(f"dt must be positive, got {dt_s!r}")
+        if len(segments) != len(self.nodes):
+            raise HardwareError(
+                f"{len(segments)} segments for a batch of {len(self.nodes)} nodes"
+            )
+        utils: List[float] = []
+        stalls: List[float] = []
+        ratios: List[float] = []
+        ticks = []
+        for node, segment in zip(self.nodes, segments):
+            node._time_s += dt_s
+            # Each socket's slew returns its new effective frequency.
+            eff_unc = _socket_mean([unc.step(dt_s) for _, unc in node.sockets])
+            if segment is None:
+                demand, mem_intensity, cpu_util, gpu_util = 0.0, 0.0, 0.0, 0.0
+            else:
+                demand = segment.mem_bw_gbps
+                mem_intensity = segment.mem_intensity
+                cpu_util = segment.cpu_util
+                gpu_util = segment.gpu_util
+            svc = node.memory.service(demand, mem_intensity, eff_unc)
+            utils.append(cpu_util)
+            # IPC stall factor. In GPU-dominant phases most of the
+            # memory-bound critical path is DMA/staging traffic, not CPU
+            # load-stalls, so CPU IPC reflects only a weakly coupled share
+            # of unmet demand. This asymmetry is why an IPC-guarded policy
+            # (UPS) misjudges GPU workloads while throughput-guided MAGUS
+            # does not (§2 challenge 2).
+            stalls.append(
+                1.0 - node.cpu_mem_coupling * mem_intensity * (1.0 - svc.served_fraction)
+            )
+            ratios.append(eff_unc / node.uncore_max_ghz)
+            ticks.append((demand, gpu_util, eff_unc, svc))
+
+        cores = step_cores(self._cpus, utils, stalls, ratios, self._jitter)
+        n_nodes = len(self.nodes)
+        node_utils = cores.utils.reshape(n_nodes, -1)
+        node_freqs = cores.freqs_ghz.reshape(n_nodes, -1)
+        node_ipc = cores.ipc.reshape(n_nodes, -1)
+        per_node = self._per_node
+        states: List[NodeTickState] = []
+        for i, (node, (demand, gpu_util, eff_unc, svc)) in enumerate(zip(self.nodes, ticks)):
+            node._core_utils = node_utils[i]
+            node._core_freqs_ghz = node_freqs[i]
+            node._core_ipc = node_ipc[i]
+            first = i * per_node
+            core_w = 0.0
+            uncore_w = 0.0
+            for socket_w, (_, unc) in zip(cores.power_w[first : first + per_node], node.sockets):
+                core_w += socket_w
+                uncore_w += unc.power_w(svc.traffic_util)
+
+            node.gpus.step(gpu_util)
+
+            power = PowerBreakdown(
+                core_w=core_w,
+                uncore_w=uncore_w,
+                dram_w=node.memory.dram_power_w(svc.delivered_gbps),
+                gpu_w=node.gpus.power_w(),
+                monitor_w=node.monitor_power_w,
+            )
+            state = NodeTickState(
+                time_s=node._time_s,
+                demand_gbps=demand,
+                delivered_gbps=svc.delivered_gbps,
+                stretch=svc.stretch,
+                power=power,
+                uncore_target_ghz=node.uncore_target_ghz(),
+                uncore_effective_ghz=eff_unc,
+                mean_ipc=_socket_mean(cores.mean_ipc[first : first + per_node]),
+                mean_core_freq_ghz=_socket_mean(cores.mean_freq_ghz[first : first + per_node]),
+                gpu_sm_clock_ghz=node.gpus.mean_sm_clock_ghz(),
+                served_fraction=svc.served_fraction,
+            )
+            node._last_state = state
+            states.append(state)
+        return states
 
 
 def _check_identical_parts(cpus: Sequence[CPUCoreModel]) -> None:
@@ -285,14 +368,10 @@ def _check_identical_parts(cpus: Sequence[CPUCoreModel]) -> None:
 def _socket_mean(values: Sequence[float]) -> float:
     """``float(np.mean(values))`` for a few per-socket floats, without NumPy.
 
-    Below eight terms NumPy's pairwise sum adds in order from 0.0, so an
-    in-order float loop gives the same double. (The builtin ``sum`` does
-    not: from Python 3.12 it compensates float sums.)
+    Below eight terms NumPy's pairwise sum adds in order from 0.0, so
+    :func:`~repro.units.ordered_sum` gives the same double.
     """
     n = len(values)
     if n >= 8:
         return float(np.mean(values))
-    total = 0.0
-    for value in values:
-        total += value
-    return total / n
+    return ordered_sum(values) / n

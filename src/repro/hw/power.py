@@ -48,10 +48,18 @@ class PowerBreakdown:
     monitor_w: float = 0.0
 
     def __post_init__(self) -> None:
-        for field_name in ("core_w", "uncore_w", "dram_w", "gpu_w", "monitor_w"):
-            v = getattr(self, field_name)
-            if v < 0:
-                raise PowerModelError(f"{field_name} must be non-negative, got {v!r}")
+        # One chained test per tick; the loop only names the culprit.
+        if (
+            self.core_w < 0
+            or self.uncore_w < 0
+            or self.dram_w < 0
+            or self.gpu_w < 0
+            or self.monitor_w < 0
+        ):
+            for field_name in ("core_w", "uncore_w", "dram_w", "gpu_w", "monitor_w"):
+                v = getattr(self, field_name)
+                if v < 0:
+                    raise PowerModelError(f"{field_name} must be non-negative, got {v!r}")
 
     @property
     def package_w(self) -> float:

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro.obs.spans import Span
 from repro.sim.trace import TimeSeries
+from repro.units import ordered_sum
 
 __all__ = ["CauseAttribution", "attribute_decisions", "slowest_cycles", "CAUSE_LABELS"]
 
@@ -130,7 +131,7 @@ def attribute_decisions(
                 dwell_s=bucket["dwell_s"],
                 cpu_energy_j=bucket["cpu_energy_j"],
                 delta_j=bucket["cpu_energy_j"] - avg_w * bucket["dwell_s"],
-                mean_target_ghz=sum(ghz) / len(ghz) if ghz else None,
+                mean_target_ghz=ordered_sum(ghz) / len(ghz) if ghz else None,
             )
         )
     out.sort(key=lambda a: (-abs(a.delta_j), a.reason))

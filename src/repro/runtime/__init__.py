@@ -4,7 +4,8 @@
   :class:`~repro.sim.engine.ScheduledRuntime` protocol, owning all cost
   accounting (invocation time, monitoring power);
 * :mod:`~repro.runtime.session` — ``run_application``: one workload under
-  one governor on one system, returning a :class:`RunResult`;
+  one governor on one system, returning a :class:`RunResult` (``build_run``
+  and :meth:`BuiltRun.finish` are its two halves);
 * :mod:`~repro.runtime.overhead` — the paper's Table 2 procedure: idle
   runs isolating each runtime's power and invocation overhead;
 * :mod:`~repro.runtime.supervisor` — ``SupervisedDaemon``: retry,
@@ -15,7 +16,7 @@
 """
 
 from repro.runtime.daemon import MonitorDaemon
-from repro.runtime.session import RunResult, run_application, make_governor
+from repro.runtime.session import BuiltRun, RunResult, build_run, run_application, make_governor
 from repro.runtime.overhead import OverheadResult, measure_overhead
 from repro.runtime.batch import AppWindow, BatchResult, run_batch
 from repro.runtime.supervisor import SupervisedDaemon, SupervisorConfig
@@ -26,6 +27,8 @@ __all__ = [
     "SupervisorConfig",
     "RunResult",
     "run_application",
+    "BuiltRun",
+    "build_run",
     "make_governor",
     "OverheadResult",
     "measure_overhead",

@@ -29,6 +29,7 @@ from repro.hw.node import HeterogeneousNode
 from repro.obs.spans import SpanTracer
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.sampling import AccessMeter
+from repro.units import ordered_sum
 
 __all__ = ["Cycle", "MonitorDaemon"]
 
@@ -299,7 +300,7 @@ class MonitorDaemon:
         times = self.invocation_times_s
         if not times:
             return None
-        return sum(times) / len(times)
+        return ordered_sum(times) / len(times)
 
     @property
     def decision_period_s(self) -> Optional[float]:

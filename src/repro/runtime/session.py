@@ -41,7 +41,7 @@ from repro.runtime.daemon import MonitorDaemon
 from repro.runtime.derived import derive_metrics, derive_tsdb, record_run_totals
 from repro.runtime.supervisor import SupervisedDaemon, SupervisorConfig
 from repro.sim.clock import SimClock
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import EngineResult, SimulationEngine
 from repro.sim.observers import standard_observers
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TimeSeries
@@ -49,7 +49,7 @@ from repro.telemetry.hub import TelemetryHub
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
-__all__ = ["RunResult", "run_application", "make_governor"]
+__all__ = ["RunResult", "run_application", "make_governor", "BuiltRun", "build_run"]
 
 
 def make_governor(name: str, **options) -> UncoreGovernor:
@@ -292,6 +292,140 @@ def run_application(
     GovernorError
         If the governor instance was already used in a previous run.
     """
+    run = build_run(
+        preset,
+        workload,
+        governor,
+        seed=seed,
+        dt_s=dt_s,
+        max_time_s=max_time_s,
+        per_core_channels=per_core_channels,
+        extra_observers=extra_observers,
+        fault_plan=fault_plan,
+        supervise=supervise,
+        supervisor_config=supervisor_config,
+        incident_log=incident_log,
+        obs=obs,
+        actuation_latency=actuation_latency,
+        guard=guard,
+        guard_config=guard_config,
+    )
+    return run.finish(run.engine.run(run.workload, max_time_s=run.max_time_s))
+
+
+@dataclass
+class BuiltRun:
+    """One run as :func:`build_run` assembled it, not yet simulated.
+
+    Start ``engine`` on ``workload`` with ``max_time_s`` (or
+    :meth:`~repro.sim.engine.SimulationEngine.run` it), step it alone or in
+    a :func:`~repro.sim.engine.lockstep` with other runs, and hand its
+    result to :meth:`finish`.
+    """
+
+    engine: SimulationEngine
+    workload: Optional[Workload]
+    max_time_s: float
+    preset: SystemPreset
+    governor: Optional[UncoreGovernor]
+    seed: int
+    obs: ObsConfig
+    hub: TelemetryHub
+    log: IncidentLog
+    tracer: Optional[SpanTracer]
+    daemon: Optional[MonitorDaemon]
+    supervisor: Optional[SupervisedDaemon]
+    guard: Optional[TelemetryGuard]
+
+    def finish(self, result: EngineResult) -> RunResult:
+        """The second half of :func:`run_application`: condense the engine's
+        result and the layers' records into the :class:`RunResult`."""
+        traces = result.recorder.as_dict()
+        pkg_energy = traces["pkg_w"].integral()
+        dram_energy = traces["dram_w"].integral()
+        gpu_energy = traces["gpu_w"].integral()
+        duration = max(result.runtime_s, 1e-9)
+        degraded_time_s = (
+            traces["supervisor_degraded"].integral() if "supervisor_degraded" in traces else 0.0
+        )
+
+        tracer, daemon, supervisor, guard = self.tracer, self.daemon, self.supervisor, self.guard
+        if tracer is not None:
+            tracer.finish(result.runtime_s)
+
+        run = RunResult(
+            workload_name=self.workload.name if self.workload is not None else "<idle>",
+            governor_name=self.governor.name if self.governor is not None else "<none>",
+            system_name=self.preset.name,
+            seed=self.seed,
+            runtime_s=result.runtime_s,
+            completed=result.completed,
+            pkg_energy_j=pkg_energy,
+            dram_energy_j=dram_energy,
+            gpu_energy_j=gpu_energy,
+            avg_pkg_w=pkg_energy / duration,
+            avg_dram_w=dram_energy / duration,
+            avg_gpu_w=gpu_energy / duration,
+            monitor_energy_j=daemon.monitor_energy_j if daemon is not None else 0.0,
+            mean_invocation_s=daemon.mean_invocation_s if daemon is not None else None,
+            decision_period_s=daemon.decision_period_s if daemon is not None else None,
+            traces=traces,
+            decisions=daemon.decisions if daemon is not None else [],
+            incidents=list(self.log),
+            supervised=supervisor is not None,
+            degraded_time_s=degraded_time_s,
+            failsafe_count=supervisor.failsafe_count if supervisor is not None else 0,
+            rearm_count=supervisor.rearm_count if supervisor is not None else 0,
+            missed_deadlines=supervisor.missed_deadlines if supervisor is not None else 0,
+            spans=list(tracer.spans) if tracer is not None else [],
+            actuation_switches=self.hub.backend.switch_count,
+            actuation_latency_s=self.hub.backend.latency_charged_s,
+            actuation_settling_ticks=self.hub.backend.settling_ticks,
+            guarded=guard is not None,
+            guard_quarantines=guard.quarantine_count if guard is not None else 0,
+            guard_quarantines_by_device=(
+                dict(guard.quarantines_by_device) if guard is not None else {}
+            ),
+            guard_breaker_trips=guard.breaker_trip_count if guard is not None else 0,
+            guard_refusals=guard.refusal_count if guard is not None else 0,
+            guard_verify_failures=guard.verify_failure_count if guard is not None else 0,
+            guard_reads_by_device=dict(guard.reads_by_device) if guard is not None else {},
+        )
+        if self.obs.enabled and self.obs.metrics:
+            registry = derive_metrics(self.hub, daemon, supervisor)
+            record_run_totals(registry, run, len(result.recorder))
+            run.metrics = registry
+        if self.obs.enabled and self.obs.tsdb:
+            run.tsdb = derive_tsdb(self.hub, daemon, supervisor)
+        return run
+
+
+def build_run(
+    preset: Union[SystemPreset, str],
+    workload: Union[Workload, str, None],
+    governor: Optional[UncoreGovernor],
+    *,
+    seed: int = 0,
+    dt_s: float = 0.01,
+    max_time_s: float = 600.0,
+    per_core_channels: bool = True,
+    extra_observers=(),
+    fault_plan: Optional[FaultPlan] = None,
+    supervise: Optional[bool] = None,
+    supervisor_config: Optional[SupervisorConfig] = None,
+    incident_log: Optional[IncidentLog] = None,
+    obs: Optional[ObsConfig] = None,
+    actuation_latency: Union[LatencyModel, str, None] = None,
+    guard: Optional[bool] = None,
+    guard_config: Optional[GuardConfig] = None,
+) -> BuiltRun:
+    """The first half of :func:`run_application`, with the same arguments.
+
+    Builds the node, telemetry, daemon and engine of the run without
+    simulating it. :func:`run_application` is ``build_run``, then the
+    engine's run, then :meth:`BuiltRun.finish`; fleets build many runs and
+    step them in :func:`~repro.sim.engine.lockstep`.
+    """
     if isinstance(preset, str):
         preset = get_preset(preset)
     if isinstance(workload, str):
@@ -348,68 +482,18 @@ def run_application(
         extra=(*policy_observers, *extra_observers),
     )
     engine = SimulationEngine(node, observers=observers, clock=SimClock(dt_s))
-    result = engine.run(workload, max_time_s=max_time_s)
-
-    traces = result.recorder.as_dict()
-    pkg_energy = traces["pkg_w"].integral()
-    dram_energy = traces["dram_w"].integral()
-    gpu_energy = traces["gpu_w"].integral()
-    duration = max(result.runtime_s, 1e-9)
-    degraded_time_s = (
-        traces["supervisor_degraded"].integral() if "supervisor_degraded" in traces else 0.0
-    )
-
-    if tracer is not None:
-        tracer.finish(result.runtime_s)
-
-    run = RunResult(
-        workload_name=workload.name if workload is not None else "<idle>",
-        governor_name=governor.name if governor is not None else "<none>",
-        system_name=preset.name,
+    return BuiltRun(
+        engine=engine,
+        workload=workload,
+        max_time_s=max_time_s,
+        preset=preset,
+        governor=governor,
         seed=seed,
-        runtime_s=result.runtime_s,
-        completed=result.completed,
-        pkg_energy_j=pkg_energy,
-        dram_energy_j=dram_energy,
-        gpu_energy_j=gpu_energy,
-        avg_pkg_w=pkg_energy / duration,
-        avg_dram_w=dram_energy / duration,
-        avg_gpu_w=gpu_energy / duration,
-        monitor_energy_j=daemon.monitor_energy_j if daemon is not None else 0.0,
-        mean_invocation_s=daemon.mean_invocation_s if daemon is not None else None,
-        decision_period_s=daemon.decision_period_s if daemon is not None else None,
-        traces=traces,
-        decisions=daemon.decisions if daemon is not None else [],
-        incidents=list(log),
-        supervised=supervisor is not None,
-        degraded_time_s=degraded_time_s,
-        failsafe_count=supervisor.failsafe_count if supervisor is not None else 0,
-        rearm_count=supervisor.rearm_count if supervisor is not None else 0,
-        missed_deadlines=supervisor.missed_deadlines if supervisor is not None else 0,
-        spans=list(tracer.spans) if tracer is not None else [],
-        actuation_switches=hub.backend.switch_count,
-        actuation_latency_s=hub.backend.latency_charged_s,
-        actuation_settling_ticks=hub.backend.settling_ticks,
-        guarded=telemetry_guard is not None,
-        guard_quarantines=telemetry_guard.quarantine_count if telemetry_guard is not None else 0,
-        guard_quarantines_by_device=(
-            dict(telemetry_guard.quarantines_by_device) if telemetry_guard is not None else {}
-        ),
-        guard_breaker_trips=(
-            telemetry_guard.breaker_trip_count if telemetry_guard is not None else 0
-        ),
-        guard_refusals=telemetry_guard.refusal_count if telemetry_guard is not None else 0,
-        guard_verify_failures=(
-            telemetry_guard.verify_failure_count if telemetry_guard is not None else 0
-        ),
-        guard_reads_by_device=(
-            dict(telemetry_guard.reads_by_device) if telemetry_guard is not None else {}
-        ),
+        obs=obs,
+        hub=hub,
+        log=log,
+        tracer=tracer,
+        daemon=daemon,
+        supervisor=supervisor,
+        guard=telemetry_guard,
     )
-    if obs.enabled and obs.metrics:
-        registry = derive_metrics(hub, daemon, supervisor)
-        record_run_totals(registry, run, len(result.recorder))
-        run.metrics = registry
-    if obs.enabled and obs.tsdb:
-        run.tsdb = derive_tsdb(hub, daemon, supervisor)
-    return run

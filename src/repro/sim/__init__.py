@@ -13,7 +13,8 @@ models are built on:
   protocol and the standard observer stack (telemetry advancement, trace
   capture, scheduled-runtime firing),
 * :class:`~repro.sim.engine.SimulationEngine` — the engine core: clock +
-  physics step + observer dispatch.
+  physics step + observer dispatch; :func:`~repro.sim.engine.lockstep`
+  steps several started engines together.
 """
 
 from repro.sim.clock import SimClock
@@ -30,7 +31,7 @@ from repro.sim.observers import (
     core_freq_channels,
     standard_observers,
 )
-from repro.sim.engine import ScheduledRuntime, SimulationEngine
+from repro.sim.engine import ScheduledRuntime, SimulationEngine, lockstep
 
 __all__ = [
     "SimClock",
@@ -49,4 +50,5 @@ __all__ = [
     "standard_observers",
     "ScheduledRuntime",
     "SimulationEngine",
+    "lockstep",
 ]

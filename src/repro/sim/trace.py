@@ -155,6 +155,9 @@ class TraceRecorder:
     channels:
         The channel names, in column order. :meth:`record_row` rows must
         supply values in exactly this order.
+    expected_rows:
+        Rows the caller expects to record. Up to 1024 of them are
+        allocated up front; the buffer doubles whenever it fills.
 
     Notes
     -----
@@ -163,15 +166,17 @@ class TraceRecorder:
     schema check.
     """
 
-    def __init__(self, channels: Iterable[str]) -> None:
+    def __init__(self, channels: Iterable[str], *, expected_rows: int = _INITIAL_CAPACITY) -> None:
         self._channels: Tuple[str, ...] = tuple(channels)
         if len(set(self._channels)) != len(self._channels):
             raise SimulationError(f"duplicate channel names: {self._channels}")
         if not self._channels:
             raise SimulationError("at least one channel is required")
+        if expected_rows < 1:
+            raise SimulationError(f"expected_rows must be at least 1, got {expected_rows!r}")
         self._index: Dict[str, int] = {c: i for i, c in enumerate(self._channels)}
         self._n_channels = len(self._channels)
-        self._capacity = _INITIAL_CAPACITY
+        self._capacity = min(expected_rows, _INITIAL_CAPACITY)
         self._n = 0
         self._times = np.empty(self._capacity)
         self._buf = np.empty((self._n_channels, self._capacity))

@@ -13,6 +13,7 @@ from typing import List, Optional
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
 from repro.telemetry.sampling import AccessMeter
+from repro.units import ordered_sum
 
 __all__ = ["NVMLDevice"]
 
@@ -48,7 +49,7 @@ class NVMLDevice:
             meter.charge("nvml_query", _QUERY_TIME_S, _QUERY_ENERGY_J)
         gpus = self.node.gpus.gpus
         if index is None:
-            return float(sum(g.power_w() for g in gpus))
+            return float(ordered_sum(g.power_w() for g in gpus))
         if not (0 <= index < len(gpus)):
             raise TelemetryError(f"no such GPU {index!r} (node has {len(gpus)})")
         return gpus[index].power_w()

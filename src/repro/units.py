@@ -20,6 +20,7 @@ boundary speaks canonical units.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 __all__ = [
     "GHZ_PER_UNCORE_RATIO",
@@ -32,6 +33,7 @@ __all__ = [
     "ghz_to_mhz",
     "clamp",
     "approx_equal",
+    "ordered_sum",
 ]
 
 #: Intel uncore ratio registers encode frequency in multiples of 100 MHz.
@@ -104,3 +106,23 @@ def clamp(value: float, lo: float, hi: float) -> float:
 def approx_equal(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
     """Tolerant float comparison used by clock arithmetic."""
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, starting from ``0.0``.
+
+    The builtin ``sum`` is not a substitute for floats: from Python 3.12 it
+    compensates the rounding error of each addition, so the same inputs can
+    sum to a different double on 3.9 and on 3.12. This loop rounds after
+    every addition on every version, the way NumPy's pairwise sum does
+    below eight terms.
+
+    >>> ordered_sum([1e16, 1.0, -1e16])
+    0.0
+    """
+    total = 0.0
+    for value in values:
+        # Not ``+=``: a plain rebinding shows whole-program dataflow (the
+        # RL008 seed-taint lint) that the total is no literal.
+        total = total + value
+    return total

@@ -17,6 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.units import ordered_sum
 
 __all__ = ["Segment", "Workload", "WorkloadExecution"]
 
@@ -88,7 +89,7 @@ class Workload:
     @property
     def nominal_duration_s(self) -> float:
         """Total nominal duration (the runtime at fully satisfied demand)."""
-        return float(sum(s.duration_s for s in self.segments))
+        return float(ordered_sum(s.duration_s for s in self.segments))
 
     @property
     def peak_demand_gbps(self) -> float:

@@ -98,7 +98,7 @@ class TestStepCoresMatchesPerSocketFormulas:
         jitter = np.empty((len(cpus), cpus[0].n_cores))
         for tick in range(25):
             stall, ratio = 1.0 - 0.03 * tick, 0.4 + 0.02 * tick
-            out = step_cores(cpus, socket_util, stall, ratio, jitter)
+            out = step_cores(cpus, [socket_util], [stall], [ratio], jitter)
             for s, (cpu, ref) in enumerate(zip(cpus, refs)):
                 ref.step(socket_util, stall, ratio)
                 _assert_socket_matches(cpu, ref)
@@ -120,7 +120,7 @@ class TestStepCoresMatchesPerSocketFormulas:
         mixed_ticks = 0
         for socket_util in (1e-3 / refs[0]._weights[0], 0.002, 1.0):
             for _ in range(60):
-                out = step_cores(cpus, socket_util, 1.0, 1.0, jitter)
+                out = step_cores(cpus, [socket_util], [1.0], [1.0], jitter)
                 kinds = []
                 for cpu, ref in zip(cpus, refs):
                     ref.step(socket_util, 1.0, 1.0)
@@ -138,7 +138,7 @@ class TestStepCoresMatchesPerSocketFormulas:
     def test_partial_rows_reduce_over_the_active_cores(self):
         cpus, refs = _stack("intel_a100", seed=3)
         jitter = np.empty((2, cpus[0].n_cores))
-        out = step_cores(cpus, 0.002, 0.77, 0.93, jitter)
+        out = step_cores(cpus, [0.002], [0.77], [0.93], jitter)
         for s, ref in enumerate(refs):
             ref.step(0.002, 0.77, 0.93)
             active = ref._utils > 1e-3

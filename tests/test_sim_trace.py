@@ -108,6 +108,16 @@ class TestTraceRecorder:
         assert len(s) == 5000
         assert s.values[-1] == 4999.0
 
+    def test_expected_rows_size_the_first_allocation(self):
+        assert TraceRecorder(["x"], expected_rows=3)._capacity == 3
+        assert TraceRecorder(["x"], expected_rows=10**6)._capacity == 1024
+        rec = TraceRecorder(["x"], expected_rows=3)
+        for i in range(10):
+            rec.record_row((i + 1) * 0.01, [float(i)])
+        assert rec.series("x").values.tolist() == [float(i) for i in range(10)]
+        with pytest.raises(SimulationError, match="expected_rows"):
+            TraceRecorder(["x"], expected_rows=0)
+
     def test_missing_channel_rejected(self):
         rec = TraceRecorder(["a", "b"])
         with pytest.raises(SimulationError):

@@ -1,5 +1,8 @@
 """Unit-conversion helpers: exact values, round-trips and error paths."""
 
+import functools
+import math
+import operator
 
 import pytest
 
@@ -78,3 +81,27 @@ class TestFrequencyHelpers:
     def test_approx_equal(self):
         assert units.approx_equal(1.0, 1.0 + 1e-13)
         assert not units.approx_equal(1.0, 1.001)
+
+
+class TestOrderedSum:
+    """``ordered_sum`` rounds after every addition, on every Python version."""
+
+    @pytest.mark.parametrize(
+        "values, in_order, exact",
+        [
+            ([1e16, 1.0, -1e16], 0.0, 1.0),
+            ([0.1] * 10, 0.9999999999999999, 1.0),
+            ([1.0, 1e100, 1.0, -1e100], 0.0, 2.0),
+        ],
+    )
+    def test_adds_left_to_right_where_fsum_differs(self, values, in_order, exact):
+        assert math.fsum(values) == exact
+        assert units.ordered_sum(values) == in_order
+        assert units.ordered_sum(values) == functools.reduce(operator.add, values, 0.0)
+
+    def test_starts_from_positive_zero(self):
+        assert math.copysign(1.0, units.ordered_sum([])) == 1.0
+        assert math.copysign(1.0, units.ordered_sum([-0.0])) == 1.0
+
+    def test_accepts_any_iterable(self):
+        assert units.ordered_sum(x / 4 for x in range(4)) == 1.5

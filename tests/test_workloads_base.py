@@ -1,10 +1,13 @@
 """Workload datatypes: validation, execution cursor, demand sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.base import Segment, Workload
+from repro.workloads.registry import get_workload
 
 
 class TestSegment:
@@ -35,6 +38,15 @@ class TestSegment:
 class TestWorkload:
     def test_nominal_duration(self, tiny_workload):
         assert tiny_workload.nominal_duration_s == pytest.approx(1.5)
+
+    def test_nominal_duration_adds_in_segment_order(self):
+        # srad's 90 durations: compensated summation (math.fsum, and the
+        # builtin sum from Python 3.12) gives 20.499999999999996; the
+        # horizon and progress channel of every srad run use this total.
+        srad = get_workload("srad", seed=1)
+        assert len(srad) == 90
+        assert math.fsum(s.duration_s for s in srad) == 20.499999999999996
+        assert srad.nominal_duration_s == 20.499999999999964
 
     def test_peak_demand(self, tiny_workload):
         assert tiny_workload.peak_demand_gbps == pytest.approx(20.0)
