@@ -20,21 +20,29 @@ reproduction:
 :func:`step_cores` advances a stack of identical sockets at once: socket
 ``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node (or a
 :class:`~repro.hw.node.NodeBatch` of nodes) pays each NumPy call once per
-tick rather than once per socket. :meth:`CPUCoreModel.step` is the same
-function on a stack of one.
+tick rather than once per socket. What depends only on utilisation and the
+jitter (utilisation, frequency, activity and power per core) is derived a
+:class:`CoreBlock` of ticks at a time; only the IPC level, which carries
+the memory stalls and the uncore ratio, is per tick. :meth:`CPUCoreModel.step`
+is the same function on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Union
+from math import copysign
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import PowerModelError
 from repro.units import clamp
 
-__all__ = ["CPUPowerParams", "CPUCoreModel", "CoreStep", "step_cores"]
+__all__ = ["CPUPowerParams", "CPUCoreModel", "CoreBlock", "CoreStep", "step_cores", "BLOCK_ROWS"]
+
+#: Socket rows a :class:`CoreBlock` spans: 64 ticks of a 2-socket node, 4
+#: of a 16-node batch, one tick from 128 sockets up.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,41 @@ class CPUCoreModel:
         self._utils = np.zeros(self.n_cores)
         self._freqs = np.full(self.n_cores, self.min_ghz)
         self._ipc = np.zeros(self.n_cores)
-        self._jitter = np.empty((1, self.n_cores))
         self._mean_ipc = 0.0
         self._power_w = float(_socket_power_w(self, self._utils, self._freqs))
+        #: Jitter rows drawn but not yet stepped through: ``_rows[0]`` is row
+        #: ``_rows_at`` of the stream, and ``_pos`` counts the rows stepped
+        #: through since construction (the socket's stream position).
+        self._rows = np.empty((0, self.n_cores))
+        self._rows_at = 0
+        self._pos = 0
+        self._lone: Optional[CoreBlock] = None
 
     # ------------------------------------------------------------------
     # State update
     # ------------------------------------------------------------------
     def step(self, socket_util: float, mem_stall_factor: float, uncore_ratio: float) -> None:
         """Advance one tick: :func:`step_cores` on a stack of one socket."""
-        step_cores((self,), (socket_util,), (mem_stall_factor,), (uncore_ratio,), self._jitter)
+        if self._lone is None:
+            self._lone = CoreBlock((self,))
+        step_cores(self._lone, (socket_util,), (mem_stall_factor,), (uncore_ratio,))
+
+    def _jitter_rows(self, k: int) -> np.ndarray:
+        """The next ``k`` jitter rows of the stream, ``(k, n_cores)``, read-only.
+
+        Peeking steps through nothing: the rows go to whichever block steps
+        the socket next. Rows not drawn yet are drawn in one
+        ``normal(1.0, 0.06, (missing, n_cores))`` call, which equals that
+        many one-row draws byte for byte.
+        """
+        first = self._pos - self._rows_at
+        missing = first + k - len(self._rows)
+        if missing > 0:
+            fresh = self._rng.normal(1.0, 0.06, (missing, self.n_cores))
+            self._rows = np.concatenate((self._rows[first:], fresh))
+            self._rows_at = self._pos
+            first = 0
+        return self._rows[first : first + k]
 
     # ------------------------------------------------------------------
     # Observables
@@ -140,7 +173,8 @@ class CPUCoreModel:
 
 class CoreStep(NamedTuple):
     """What :func:`step_cores` computed: per-core arrays with one row per
-    socket, and per-socket reductions in socket order."""
+    socket, and per-socket reductions in socket order. The arrays and lists
+    may be shared with other ticks of the block and must not be written."""
 
     utils: np.ndarray
     freqs_ghz: np.ndarray
@@ -150,39 +184,157 @@ class CoreStep(NamedTuple):
     mean_freq_ghz: List[float]
 
 
+class _Rows(NamedTuple):
+    """Derived core state of a socket stack under one utilisation vector:
+    ``(sockets, n_cores)`` arrays for one tick or ``(ticks, sockets,
+    n_cores)`` for several, and the per-socket reductions as lists of the
+    same leading shape."""
+
+    utils: np.ndarray
+    freqs_ghz: np.ndarray
+    active: np.ndarray
+    power_w: list
+    mean_freq_ghz: list
+    n_active: list
+
+
+class CoreBlock:
+    """A socket stack's jitter-driven core state, a block of ticks at a time.
+
+    The stack holds the sockets of one or more nodes, node after node, each
+    node with the same number of sockets, all of one part (core count, DVFS
+    range, peak IPC and power coefficients). A block spans ``ticks =
+    max(1, BLOCK_ROWS // sockets)`` ticks. It starts by taking each
+    socket's next ``ticks`` jitter rows (drawing any the socket has not
+    drawn yet) into a ``(ticks, sockets, n_cores)`` stack. Each tick steps
+    every socket one row through its stream.
+
+    Rows are derived per utilisation vector (one value per node): the first
+    time a vector is used in a block, :func:`step_cores` derives the current
+    tick's row alone; the second time, every remaining row of the block at
+    once, which later ticks with that vector only index. The vector of a
+    block's last tick counts as used once in the next block. A fresh vector
+    every tick therefore costs one row per tick, as a block of one tick
+    would. Derived arrays are never written, so each tick's views stay
+    valid after the block moves on.
+
+    A block is keyed on each socket's stream position at its start. When a
+    socket has been stepped by another block since (another batch, or the
+    socket stepped alone), the block starts over from the positions the
+    sockets have reached, so rows pre-drawn by one batch pass to the next
+    in stream order.
+    """
+
+    __slots__ = ("cpus", "ticks", "_jitter", "_marks", "_t", "_memo", "_last")
+
+    def __init__(self, cpus: Sequence[CPUCoreModel]) -> None:
+        self.cpus: Tuple[CPUCoreModel, ...] = tuple(cpus)
+        self.ticks = max(1, BLOCK_ROWS // len(self.cpus))
+        self._jitter = np.empty((0, len(self.cpus), self.cpus[0].n_cores))
+        self._marks: List[int] = []
+        # The next tick's index in the block; ``ticks`` before the first.
+        self._t = self.ticks
+        # Per utilisation vector: the block tick its rows start at and the
+        # rows from there on, or None once used a first time.
+        self._memo: Dict[tuple, Optional[Tuple[int, _Rows]]] = {}
+        self._last: Optional[tuple] = None
+
+    def _tick(self) -> int:
+        """This tick's index in the block, starting a new block when the
+        current one is spent or some socket has moved on without it."""
+        t = self._t
+        if t < self.ticks:
+            for cpu, mark in zip(self.cpus, self._marks):
+                if cpu._pos != mark + t:
+                    break
+            else:
+                return t
+        ticks = self.ticks
+        self._marks = [cpu._pos for cpu in self.cpus]
+        self._jitter = np.stack([cpu._jitter_rows(ticks) for cpu in self.cpus], axis=1)
+        self._memo = {} if self._last is None else {self._last: None}
+        return 0
+
+
 def _socket_power_w(cpu: CPUCoreModel, utils: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Core-domain power per socket (over the last axis) of ``cpu``'s part."""
+    """Core-domain power per socket (over the last axis) of ``cpu``'s part:
+    ``static + Σ (idle + peak · util · (0.3 + 0.7 (f / f_max)²))``.
+
+    The in-place steps reuse buffers without changing an operation:
+    ``x *= c`` and ``x += c`` are the IEEE products and sums ``c * x`` and
+    ``c + x``.
+    """
     p = cpu.power_params
-    f_ratio_sq = (freqs / cpu.max_ghz) ** 2
-    per_core = p.idle_core_w + p.peak_core_w * utils * (0.3 + 0.7 * f_ratio_sq)
+    shape = freqs / cpu.max_ghz
+    np.square(shape, out=shape)
+    shape *= 0.7
+    shape += 0.3
+    per_core = p.peak_core_w * utils
+    per_core *= shape
+    per_core += p.idle_core_w
     return p.static_w + np.add.reduce(per_core, axis=-1)
 
 
+def _rows_view(values: Sequence[float], per_node: int) -> Union[float, np.ndarray]:
+    """Per-node values as the stack's rows take them.
+
+    One node's value broadcasts over every row as a Python float; several
+    nodes' become a column with one entry per socket, each node's value
+    repeated across its sockets. Multiplying by a column entry is the same
+    IEEE product as multiplying by the float.
+    """
+    if len(values) == 1:
+        return values[0]
+    return np.repeat(values, per_node)[:, None]
+
+
+def _derive(part: CPUCoreModel, util_rows: Union[float, np.ndarray], jitter: np.ndarray) -> _Rows:
+    """Utilisation, frequency, activity and power of ``jitter``'s rows under
+    one utilisation vector, reduced over the last (core) axis. In-place
+    steps as in :func:`_socket_power_w`."""
+    # ``ndarray.clip`` is the ufunc ``np.clip`` dispatches to, called directly.
+    utils = util_rows * part._weights * jitter
+    utils.clip(0.0, 1.0, out=utils)
+    # DVFS: frequency tracks utilisation with a mild floor; a lightly
+    # loaded core sits near min frequency, a saturated core turbos:
+    # ``min + span · min(1.3 util, 1)``, clipped to the range.
+    freqs = utils * 1.3
+    np.minimum(freqs, 1.0, out=freqs)
+    freqs *= part.max_ghz - part.min_ghz
+    freqs += part.min_ghz
+    freqs.clip(part.min_ghz, part.max_ghz, out=freqs)
+    # Active cores retire instructions and count toward the mean IPC.
+    active = utils > 1e-3
+    return _Rows(
+        utils,
+        freqs,
+        active,
+        _socket_power_w(part, utils, freqs).tolist(),
+        (np.add.reduce(freqs, axis=-1) / part.n_cores).tolist(),
+        np.add.reduce(active, axis=-1, dtype=np.intp).tolist(),
+    )
+
+
 def step_cores(
-    cpus: Sequence[CPUCoreModel],
+    block: CoreBlock,
     socket_util: Sequence[float],
     mem_stall_factor: Sequence[float],
     uncore_ratio: Sequence[float],
-    jitter: np.ndarray,
 ) -> CoreStep:
-    """Advance a stack of identical sockets by one tick.
+    """Advance a block's stack of identical sockets by one tick.
 
-    The stack holds the sockets of one or more nodes, node after node, each
-    node with the same number of sockets; the three operating-point
-    arguments carry one value per node. Each socket draws its jitter from
-    its own stream, in stack order, into its row of ``jitter`` (an
-    ``(len(cpus), n_cores)`` scratch buffer the caller owns). Everything
-    after the draws runs once over the whole stack, and every reduction
-    runs along one socket's row. Every socket's model is left holding its
-    row of the new arrays and its reductions, so its observables read as
-    if it had stepped alone. The arrays are fresh each call; earlier ones
-    are never mutated.
+    The three operating-point arguments carry one value per node of the
+    stack. Utilisation, frequency, activity and power come from the block's
+    rows for this utilisation vector (see :class:`CoreBlock`); the IPC of
+    the active cores is set each tick. Every reduction runs along one
+    socket's row. Every socket's model is left holding its row of the
+    arrays and its reductions, so its observables read as if it had stepped
+    alone. Earlier arrays are never mutated.
 
     Parameters
     ----------
-    cpus:
-        The sockets, all of one part (core count, DVFS range, peak IPC and
-        power coefficients); the first one's parameters serve the stack.
+    block:
+        The stack's :class:`CoreBlock`.
     socket_util:
         Per node: average utilisation demanded of each of its sockets, in
         [0, 1].
@@ -193,44 +345,47 @@ def step_cores(
         Per node: effective uncore frequency over max; low uncore adds
         LLC/mesh latency that mildly depresses IPC even when bandwidth
         suffices.
-    jitter:
-        Scratch buffer for the draws, overwritten.
     """
     for util in socket_util:
         if not (0.0 <= util <= 1.0):
             raise PowerModelError(f"socket_util must be in [0, 1], got {util!r}")
+    cpus = block.cpus
     part = cpus[0]
     n = part.n_cores
-    for s, cpu in enumerate(cpus):
-        jitter[s] = cpu._rng.normal(1.0, 0.06, n)
+    t = block._tick()
+    per_node = len(cpus) // len(socket_util)
+    key = tuple(socket_util)
+    if 0.0 in key:
+        # -0.0 == 0.0 as a key, but a -0.0 demand keeps its sign in the rows.
+        key += tuple(copysign(1.0, util) for util in key)
+    memo = block._memo
+    found = memo.get(key)
+    if found is None and key not in memo:
+        # First use in this block: this tick's row alone.
+        memo[key] = None
+        utils, freqs, active, power_w, mean_freq_ghz, n_active = _derive(
+            part, _rows_view(socket_util, per_node), block._jitter[t]
+        )
+    else:
+        if found is None:
+            # Second use: every remaining row of the block at once.
+            rows = _derive(part, _rows_view(socket_util, per_node), block._jitter[t:])
+            found = memo[key] = (t, rows)
+        start, rows = found
+        row = t - start
+        utils, freqs, active = rows.utils[row], rows.freqs_ghz[row], rows.active[row]
+        power_w, n_active = rows.power_w[row], rows.n_active[row]
+        mean_freq_ghz = rows.mean_freq_ghz[row]
+    block._last = key
+    block._t = t + 1
+
     # Each node's IPC level for its active cores, in Python floats.
     levels = [
         part.peak_ipc * clamp(stall, 0.05, 1.0) * (0.88 + 0.12 * clamp(ratio, 0.0, 1.0))
         for stall, ratio in zip(mem_stall_factor, uncore_ratio)
     ]
-    if len(levels) == 1:
-        # One node: its values broadcast over every row as Python floats.
-        util_rows: Union[float, np.ndarray] = socket_util[0]
-        level_rows: Union[float, np.ndarray] = levels[0]
-    else:
-        # One column entry per socket, repeated across its node's sockets.
-        per_node = len(cpus) // len(levels)
-        util_rows = np.repeat(socket_util, per_node)[:, None]
-        level_rows = np.repeat(levels, per_node)[:, None]
-    # ``ndarray.clip`` is the ufunc ``np.clip`` dispatches to, called directly.
-    utils = (util_rows * part._weights * jitter).clip(0.0, 1.0)
-    # DVFS: frequency tracks utilisation with a mild floor; a lightly
-    # loaded core sits near min frequency, a saturated core turbos.
-    span = part.max_ghz - part.min_ghz
-    freqs = (part.min_ghz + span * np.minimum(utils * 1.3, 1.0)).clip(part.min_ghz, part.max_ghz)
-    # Active cores retire instructions and count toward the mean IPC.
-    active = utils > 1e-3
-    ipc = np.where(active, level_rows, 0.0)
-
-    power_w = _socket_power_w(part, utils, freqs).tolist()
+    ipc = np.where(active, _rows_view(levels, per_node), 0.0)
     ipc_sums = np.add.reduce(ipc, axis=1).tolist()
-    mean_freq_ghz = [total / n for total in np.add.reduce(freqs, axis=1).tolist()]
-    n_active = np.add.reduce(active, axis=1, dtype=np.intp).tolist()
     mean_ipc: List[float] = []
     for s, cpu in enumerate(cpus):
         k = n_active[s]
@@ -248,4 +403,5 @@ def step_cores(
         cpu._ipc = ipc[s]
         cpu._mean_ipc = socket_ipc
         cpu._power_w = power_w[s]
+        cpu._pos += 1
     return CoreStep(utils, freqs, ipc, mean_ipc, power_w, mean_freq_ghz)

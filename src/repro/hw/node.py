@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import HardwareError
-from repro.hw.cpu import CPUCoreModel, step_cores
+from repro.hw.cpu import CoreBlock, CPUCoreModel, step_cores
 from repro.hw.gpu import GPUGroup
 from repro.hw.memory import MemorySubsystem
 from repro.hw.power import PowerBreakdown
@@ -233,10 +233,11 @@ class NodeBatch:
     the power breakdown and the tick state. The cores of all nodes step in
     one :func:`~repro.hw.cpu.step_cores` call over the ``(Σ sockets,
     n_cores)`` stack, node after node, so the batch pays each NumPy call once
-    per tick rather than once per node. Each socket draws from its own
-    stream, and every reduction runs along one socket's row, so each node
-    ends every tick bit-identical to the same node stepped alone (DESIGN.md
-    §6n).
+    per tick rather than once per node, and derives their jitter-driven
+    state a :class:`~repro.hw.cpu.CoreBlock` of ticks at a time. Each
+    socket draws from its own stream, and every reduction runs along one
+    socket's row, so each node ends every tick bit-identical to the same
+    node stepped alone (DESIGN.md §6n, §6o).
 
     Parameters
     ----------
@@ -261,7 +262,7 @@ class NodeBatch:
         self._per_node = per_node
         self._cpus = tuple(cpu for node in self.nodes for cpu in node._cpus)
         _check_identical_parts(self._cpus)
-        self._jitter = np.empty((len(self._cpus), self._cpus[0].n_cores))
+        self._block = CoreBlock(self._cpus)
 
     def step(self, dt_s: float, segments: Sequence[Optional["Segment"]]) -> List[NodeTickState]:
         """Advance every node by ``dt_s``; ``segments[i]`` drives node ``i``.
@@ -304,7 +305,7 @@ class NodeBatch:
             ratios.append(eff_unc / node.uncore_max_ghz)
             ticks.append((demand, gpu_util, eff_unc, svc))
 
-        cores = step_cores(self._cpus, utils, stalls, ratios, self._jitter)
+        cores = step_cores(self._block, utils, stalls, ratios)
         n_nodes = len(self.nodes)
         node_utils = cores.utils.reshape(n_nodes, -1)
         node_freqs = cores.freqs_ghz.reshape(n_nodes, -1)

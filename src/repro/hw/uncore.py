@@ -21,6 +21,7 @@ behaviours the evaluation depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 from typing import Optional
 
 from repro.errors import FrequencyRangeError, PowerModelError
@@ -142,7 +143,14 @@ class UncoreModel:
         ) > 1e-9
 
     def snap(self, freq_ghz: float) -> float:
-        """Snap a frequency onto the supported bin grid, clamping to range."""
+        """Snap a frequency onto the supported bin grid, clamping to range.
+
+        ``±inf`` clamp to the range's ends; NaN raises
+        :class:`~repro.errors.FrequencyRangeError` (a clamp would read it as
+        the ceiling). Every actuation path snaps, so none adopts a NaN.
+        """
+        if isnan(freq_ghz):
+            raise FrequencyRangeError(freq_ghz, self.min_ghz, self.max_ghz)
         clamped = clamp(freq_ghz, self.min_ghz, self.max_ghz)
         bins = round(clamped / self.bin_ghz)
         return clamp(bins * self.bin_ghz, self.min_ghz, self.max_ghz)

@@ -116,6 +116,9 @@ class TelemetryObserver(BaseTickObserver):
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
         self.hub.on_tick(self._dt)
 
+    def on_finish(self, result: "EngineResult") -> None:
+        self.hub.on_finish()
+
 
 class NodeStateObserver(BaseTickObserver):
     """Records the node-level tick state plus workload progress.

@@ -145,6 +145,11 @@ class TelemetryHub:
         # the devices (and node step) just established.
         self.backend.on_tick(dt_s)
 
+    def on_finish(self) -> None:
+        """Settle the devices at run end: the MSR device folds its queued
+        ticks into its counters and lets go of the node's arrays."""
+        self.msr.flush()
+
     def set_uncore_max_ghz(self, freq_ghz: float, meter: Optional[AccessMeter] = None) -> None:
         """Program the uncore/fabric ceiling through the control backend.
 

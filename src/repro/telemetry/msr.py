@@ -21,7 +21,7 @@ compute deltas modulo 2^48 (:func:`counter_delta` does this correctly).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +57,10 @@ _COUNTER_MASK = np.uint64(_COUNTER_MOD - 1)
 
 _MAX_RATIO_MASK = 0x7F
 _MIN_RATIO_SHIFT = 8
+
+#: Ticks :meth:`MSRDevice.on_tick` queues before folding them into the
+#: counters unasked.
+_FOLD_TICKS = 16
 
 
 def encode_uncore_ratio_limit(max_ratio: int, min_ratio: int) -> int:
@@ -129,10 +133,12 @@ class MSRDevice:
 
     Notes
     -----
-    The fixed counters advance inside :meth:`on_tick`, which the simulation
-    engine calls every tick: instructions accumulate at
-    ``ipc × core_freq``, cycles at ``core_freq`` (unhalted, so idle cores
-    barely advance).
+    The fixed counters advance by every tick passed to :meth:`on_tick`,
+    which the simulation engine calls every tick: instructions accumulate
+    at ``ipc × core_freq``, cycles at ``core_freq`` (unhalted, so idle cores
+    barely advance). A tick is queued and folded into the counters when
+    something needs them (:meth:`flush`), so every read sees exactly the
+    values a per-tick advance would have left.
     """
 
     def __init__(self, node: HeterogeneousNode, costs: TelemetryCosts):
@@ -141,6 +147,11 @@ class MSRDevice:
         n = node.n_cores
         self._instructions = np.zeros(n, dtype=np.uint64)
         self._cycles = np.zeros(n, dtype=np.uint64)
+        # Ticks not yet folded into the counters: each tick's (frequency,
+        # utilisation, IPC) arrays, which the node never writes again, all
+        # of width ``_queued_dt``.
+        self._queue: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._queued_dt = 0.0
         # Shadow values of 0x620 per socket, so reads return exactly what
         # was last written (including min-ratio bits nobody touched).
         self._ratio_limit_shadow: Dict[int, int] = {}
@@ -154,20 +165,46 @@ class MSRDevice:
     # Engine-facing
     # ------------------------------------------------------------------
     def on_tick(self, dt_s: float) -> None:
-        """Advance every core's fixed counters by one tick, in place.
+        """Advance every core's fixed counters by one tick of the node's
+        latest state.
 
-        uint64 addition wraps modulo 2^64, a multiple of 2^48, so masking
-        the sum to 48 bits is the counter's own modulo-2^48 wrap.
+        The tick is queued; :meth:`flush` folds it in once 16 ticks are
+        queued, before a tick of another width, and whenever the counters
+        are read or shifted.
         """
+        if dt_s != self._queued_dt:
+            self.flush()
+            self._queued_dt = dt_s
         node = self.node
-        freq_hz = node.core_freqs_ghz * 1e9
+        queue = self._queue
+        queue.append((node.core_freqs_ghz, node.core_utils, node.core_ipc))
+        if len(queue) >= _FOLD_TICKS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold every queued tick into the counters, in place.
+
+        Each tick's advance is the same float products, truncated to uint64,
+        as one tick folded alone. The advances add in uint64, which wraps
+        modulo 2^64, a multiple of 2^48, so masking the sum to 48 bits is
+        the counters' own modulo-2^48 wrap: the fold is exact. Run ends
+        flush (:meth:`~repro.telemetry.hub.TelemetryHub.on_finish`), so an
+        ended run's device holds no queued arrays.
+        """
+        queue = self._queue
+        if not queue:
+            return
+        freqs, utils, ipc = (np.array(column) for column in zip(*queue))
+        self._queue = []
+        dt_s = self._queued_dt
+        freq_hz = freqs * 1e9
         # Unhalted cycles: idle cores are mostly in C-states.
-        active = np.maximum(node.core_utils, 0.02)
+        active = np.maximum(utils, 0.02)
         cyc = (freq_hz * active * dt_s).astype(np.uint64)
-        ins = (node.core_ipc * freq_hz * active * dt_s).astype(np.uint64)
-        np.add(self._cycles, cyc, out=self._cycles)
+        ins = (ipc * freq_hz * active * dt_s).astype(np.uint64)
+        np.add(self._cycles, np.add.reduce(cyc, axis=0), out=self._cycles)
         np.bitwise_and(self._cycles, _COUNTER_MASK, out=self._cycles)
-        np.add(self._instructions, ins, out=self._instructions)
+        np.add(self._instructions, np.add.reduce(ins, axis=0), out=self._instructions)
         np.bitwise_and(self._instructions, _COUNTER_MASK, out=self._instructions)
 
     # ------------------------------------------------------------------
@@ -196,9 +233,11 @@ class MSRDevice:
             return self._ratio_limit_shadow[socket]
         if address == IA32_FIXED_CTR0:
             self._check_core(core)
+            self.flush()
             return int(self._instructions[core])
         if address == IA32_FIXED_CTR1:
             self._check_core(core)
+            self.flush()
             return int(self._cycles[core])
         raise MSRAccessError(address, "unsupported register")
 
@@ -286,6 +325,7 @@ class MSRDevice:
                 energy,
                 n=2 * self.node.n_cores,
             )
+        self.flush()
         return self._instructions.copy(), self._cycles.copy()
 
     def jump_counters(self, offset: int) -> None:
@@ -296,6 +336,7 @@ class MSRDevice:
         wrap boundary, typically) while modular readers keep seeing exact
         deltas for every window that does not span the shift itself.
         """
+        self.flush()
         off = np.uint64(offset % _COUNTER_MOD)
         mod = np.uint64(_COUNTER_MOD)
         self._instructions = (self._instructions + off) % mod

@@ -88,12 +88,20 @@ class PCMCounters:
 
         Units are MB/s because that is the scale at which the paper's
         default thresholds (``inc=200``, ``dec=500``) are meaningful.
+        A window longer than the history that exists averages that history.
+        A window longer than the retained span (:data:`_HISTORY_SPAN_S`)
+        raises :class:`~repro.errors.TelemetryError`: the snapshots it
+        needs are gone.
         """
         if meter is not None:
             meter.charge("pcm_read", self.costs.pcm_read_time_s, self.costs.pcm_read_energy_j)
         window = window_s if window_s is not None else max(self.costs.pcm_read_time_s, 1e-3)
         if window <= 0:
             raise TelemetryError(f"window must be positive, got {window!r}")
+        if window > _HISTORY_SPAN_S:
+            raise TelemetryError(
+                f"window {window!r} s exceeds the {_HISTORY_SPAN_S} s of retained history"
+            )
         t_end, b_end = self._history[-1]
         t_start_wanted = t_end - window
         # Walk back to the newest snapshot at or before the window start.

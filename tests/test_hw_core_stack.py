@@ -1,17 +1,19 @@
 """The stacked core step against the per-socket formulas it replaced.
 
 :func:`repro.hw.cpu.step_cores` steps every socket of a node as one row of
-an ``(n_sockets, n_cores)`` array. :class:`ReferenceSocket` below keeps the
-earlier one-socket-at-a-time model verbatim (``np.clip``, the mean over
-``self._ipc[active]``, ``per_core.sum()``) as the oracle. Every comparison
-is on bytes, so a ``-0.0``/``+0.0`` flip or a regrouped sum fails.
+an ``(n_sockets, n_cores)`` array, and derives the utilisation-driven rows
+a :class:`~repro.hw.cpu.CoreBlock` of ticks at a time. :class:`ReferenceSocket`
+below keeps the earlier one-socket-at-a-time model verbatim (a fresh draw
+per tick, ``np.clip``, the mean over ``self._ipc[active]``,
+``per_core.sum()``) as the oracle. Every comparison is on bytes, so a
+``-0.0``/``+0.0`` flip, a regrouped sum or a row from the wrong tick fails.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw.cpu import CPUCoreModel, CPUPowerParams, step_cores
+from repro.hw.cpu import CoreBlock, CPUCoreModel, CPUPowerParams, step_cores
 from repro.hw.node import HeterogeneousNode, _socket_mean
 from repro.hw.presets import get_preset, intel_a100
 from repro.sim.rng import RngStreams
@@ -95,10 +97,10 @@ class TestStepCoresMatchesPerSocketFormulas:
     @pytest.mark.parametrize("socket_util", [0.0, 0.0002, 0.002, 0.3, 1.0])
     def test_rows_and_reductions_bit_identical(self, preset_name, socket_util):
         cpus, refs = _stack(preset_name, seed=7)
-        jitter = np.empty((len(cpus), cpus[0].n_cores))
+        block = CoreBlock(cpus)
         for tick in range(25):
             stall, ratio = 1.0 - 0.03 * tick, 0.4 + 0.02 * tick
-            out = step_cores(cpus, [socket_util], [stall], [ratio], jitter)
+            out = step_cores(block, [socket_util], [stall], [ratio])
             for s, (cpu, ref) in enumerate(zip(cpus, refs)):
                 ref.step(socket_util, stall, ratio)
                 _assert_socket_matches(cpu, ref)
@@ -115,12 +117,12 @@ class TestStepCoresMatchesPerSocketFormulas:
         # tail idle on every row; full demand saturates the hot cores.
         cpus, refs = _stack(preset_name, seed=3)
         n = cpus[0].n_cores
-        jitter = np.empty((len(cpus), n))
+        block = CoreBlock(cpus)
         seen = set()
         mixed_ticks = 0
         for socket_util in (1e-3 / refs[0]._weights[0], 0.002, 1.0):
             for _ in range(60):
-                out = step_cores(cpus, [socket_util], [1.0], [1.0], jitter)
+                out = step_cores(block, [socket_util], [1.0], [1.0])
                 kinds = []
                 for cpu, ref in zip(cpus, refs):
                     ref.step(socket_util, 1.0, 1.0)
@@ -137,8 +139,7 @@ class TestStepCoresMatchesPerSocketFormulas:
 
     def test_partial_rows_reduce_over_the_active_cores(self):
         cpus, refs = _stack("intel_a100", seed=3)
-        jitter = np.empty((2, cpus[0].n_cores))
-        out = step_cores(cpus, [0.002], [0.77], [0.93], jitter)
+        out = step_cores(CoreBlock(cpus), [0.002], [0.77], [0.93])
         for s, ref in enumerate(refs):
             ref.step(0.002, 0.77, 0.93)
             active = ref._utils > 1e-3
@@ -255,8 +256,7 @@ class TestMSRTick:
         msr = MSRDevice(node, preset.telemetry)
         # Park the counters just below the 48-bit boundary so they wrap.
         msr.jump_counters((1 << 48) - 10**9)
-        ins = msr._instructions.copy()
-        cyc = msr._cycles.copy()
+        ins, cyc = msr.read_all_core_counters(None)
         seg = Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.7, gpu_util=0.5)
         wrapped = False
         for _ in range(30):
@@ -273,8 +273,9 @@ class TestMSRTick:
                 ins[sl] = (ins[sl] + d_ins) % (1 << 48)
                 offset += cpu.n_cores
             wrapped |= bool((cyc < 10**9).any())
-            assert msr._cycles.tobytes() == cyc.tobytes()
-            assert msr._instructions.tobytes() == ins.tobytes()
+            read_ins, read_cyc = msr.read_all_core_counters(None)
+            assert read_cyc.tobytes() == cyc.tobytes()
+            assert read_ins.tobytes() == ins.tobytes()
         assert wrapped
 
 
@@ -307,3 +308,162 @@ class TestIdenticalParts:
         n_cores = params.pop("n_cores")
         with pytest.raises(HardwareError, match=field):
             self._node(CPUCoreModel(n_cores, **params))
+
+
+# ----------------------------------------------------------------------
+# Core blocks: jitter drawn and state derived a block of ticks at a time
+# ----------------------------------------------------------------------
+def _segment(util):
+    """A phase demanding ``util`` of each socket (``None`` idles the node)."""
+    if util is None:
+        return None
+    return Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=util, gpu_util=0.5)
+
+
+class _Oracle:
+    """A node's sockets as reference sockets on fresh streams of the node's
+    seed, fed each tick the operating point the node stepped at."""
+
+    def __init__(self, node: HeterogeneousNode, seed: int):
+        streams = RngStreams(seed)
+        self.refs = [
+            ReferenceSocket(cpu, streams.get(f"cpu.socket{s}"))
+            for s, (cpu, _) in enumerate(node.sockets)
+        ]
+
+    def check(self, node: HeterogeneousNode, segment, state) -> None:
+        util = 0.0 if segment is None else segment.cpu_util
+        intensity = 0.0 if segment is None else segment.mem_intensity
+        stall = 1.0 - node.cpu_mem_coupling * intensity * (1.0 - state.served_fraction)
+        ratio = state.uncore_effective_ghz / node.uncore_max_ghz
+        for (cpu, _), ref in zip(node.sockets, self.refs):
+            ref.step(util, stall, ratio)
+            _assert_socket_matches(cpu, ref)
+        for attr, field in (
+            ("core_utils", "_utils"),
+            ("core_freqs_ghz", "_freqs"),
+            ("core_ipc", "_ipc"),
+        ):
+            whole = np.concatenate([getattr(ref, field) for ref in self.refs])
+            assert getattr(node, attr).tobytes() == whole.tobytes()
+        assert _b(state.mean_ipc) == _b(np.mean([ref.mean_ipc() for ref in self.refs]))
+        mean_freq = np.mean([ref.mean_freq_ghz() for ref in self.refs])
+        assert _b(state.mean_core_freq_ghz) == _b(mean_freq)
+
+
+def _step_checked(nodes, oracles, twins, utils) -> None:
+    """One tick of ``nodes`` (alone or as a batch), checked against the
+    oracles and against twins stepped alone."""
+    segments = [_segment(u) for u in utils]
+    if len(nodes) == 1:
+        states = [nodes[0].step(0.01, segments[0])]
+    else:
+        states = HeterogeneousNode.batch(nodes).step(0.01, segments)
+    for node, oracle, twin, segment, state in zip(nodes, oracles, twins, segments, states):
+        oracle.check(node, segment, state)
+        assert twin.step(0.01, segment) == state
+        assert twin.core_utils.tobytes() == node.core_utils.tobytes()
+
+
+def _fleet(preset_name: str, seeds):
+    preset = get_preset(preset_name)
+    nodes = [preset.build_node(RngStreams(seed)) for seed in seeds]
+    twins = [preset.build_node(RngStreams(seed)) for seed in seeds]
+    oracles = [_Oracle(node, seed) for node, seed in zip(nodes, seeds)]
+    return nodes, twins, oracles
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("preset_name", PRESETS)
+    def test_a_block_draw_equals_successive_row_draws(self, preset_name):
+        # CoreBlock relies on this: a (k, n) draw is k successive n-draws,
+        # byte for byte, whatever block sizes a socket's rows are drawn in.
+        preset = get_preset(preset_name)
+        n = preset.cores_per_socket
+        for s in range(preset.n_sockets):
+            name = f"cpu.socket{s}"
+            blocks, rows = RngStreams(5).get(name), RngStreams(5).get(name)
+            drawn = np.concatenate([blocks.normal(1.0, 0.06, (k, n)) for k in (64, 1, 4, 3, 21)])
+            one_by_one = np.stack([rows.normal(1.0, 0.06, n) for _ in range(len(drawn))])
+            assert drawn.tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("n_cores", [32, 40, 64])
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 6), (4, 32), (64, 2)])
+    def test_block_reductions_equal_row_reductions(self, n_cores, shape):
+        x = np.random.default_rng(n_cores).normal(size=shape + (n_cores,)) * 1e3
+        for rows in (x, x[1:]):
+            sums = np.add.reduce(rows, axis=-1)
+            for index in np.ndindex(sums.shape):
+                assert _b(sums[index]) == _b(np.add.reduce(rows[index]))
+
+    def test_block_length_follows_the_socket_count(self):
+        cpus = [CPUCoreModel(4, rng=np.random.default_rng(s)) for s in range(200)]
+        ticks = [CoreBlock(cpus[:k]).ticks for k in (1, 2, 6, 32, 34, 128, 200)]
+        assert ticks == [128, 64, 21, 4, 3, 1, 1]
+
+
+class TestCoreBlocksMatchTheReference:
+    def test_alone_then_in_a_batch_then_alone(self):
+        nodes, twins, oracles = _fleet("intel_a100", (1, 2, 3))
+        a = nodes[:1]
+        utils = [0.3, 0.3, 0.7, 0.3, 0.002, None, 0.3]
+        for tick in range(10):
+            _step_checked(a, oracles[:1], twins[:1], [utils[tick % 7]])
+        # A 3-node batch spans 21 ticks a block: three blocks and a bit.
+        for tick in range(70):
+            _step_checked(nodes, oracles, twins, [utils[(tick + k) % 7] for k in range(3)])
+        # Alone again for more than one 64-tick block.
+        for tick in range(140):
+            _step_checked(a, oracles[:1], twins[:1], [utils[(tick // 9) % 7]])
+
+    def test_batches_that_share_a_node_keep_its_stream_in_order(self):
+        # Node a steps in a two-node batch, alone and in another batch in
+        # turn; each block must notice a's stream moved on without it.
+        nodes, twins, oracles = _fleet("intel_max1550", (4, 5, 6))
+        pair, other = nodes[:2], [nodes[0], nodes[2]]
+        for tick in range(120):
+            phase = tick % 11
+            if phase < 5:
+                _step_checked(pair, oracles[:2], twins[:2], [0.4, 0.25])
+            elif phase < 8:
+                _step_checked(nodes[:1], oracles[:1], twins[:1], [0.4])
+            else:
+                _step_checked(other, [oracles[0], oracles[2]], [twins[0], twins[2]], [0.4, 0.9])
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_utilisation_alternating_every_few_ticks(self, period, width):
+        nodes, twins, oracles = _fleet("intel_a100", range(width))
+        for tick in range(150):
+            util = (0.35, 0.8)[(tick // period) % 2]
+            _step_checked(nodes, oracles, twins, [util] * width)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_new_utilisation_every_tick(self, width):
+        nodes, twins, oracles = _fleet("amd_mi210", range(7, 7 + width))
+        for tick in range(150):
+            utils = [0.05 + 0.005 * tick + 0.05 * k for k in range(width)]
+            _step_checked(nodes, oracles, twins, utils)
+
+    @pytest.mark.parametrize("preset_name", PRESETS)
+    def test_partially_idle_rows_and_idle_segments(self, preset_name):
+        nodes, twins, oracles = _fleet(preset_name, (8, 9, 10))
+        phases = [0.002] * 5 + [None] * 7 + [0.5] * 3 + [0.0] * 4 + [-0.0] * 4 + [0.002] * 9
+        for tick in range(160):
+            utils = [phases[(tick + 11 * k) % len(phases)] for k in range(3)]
+            if tick < 80:
+                _step_checked(nodes, oracles, twins, utils)
+            else:
+                _step_checked(nodes[1:2], oracles[1:2], twins[1:2], utils[1:2])
+
+    def test_derived_rows_are_never_written(self):
+        node = intel_a100().build_node(RngStreams(12))
+        seg = _segment(0.4)
+        kept = []
+        for _ in range(130):
+            node.step(0.01, seg)
+            utils, freqs = node.core_utils, node.core_freqs_ghz
+            kept.append((utils, utils.copy(), freqs, freqs.copy()))
+        for utils, utils_copy, freqs, freqs_copy in kept:
+            assert utils.tobytes() == utils_copy.tobytes()
+            assert freqs.tobytes() == freqs_copy.tobytes()

@@ -24,6 +24,27 @@ class TestFrequencyControl:
         assert uncore.snap(0.1) == pytest.approx(0.8)
         assert uncore.snap(5.0) == pytest.approx(2.2)
 
+    def test_snap_rejects_nan_and_clamps_infinities(self, uncore):
+        # A clamp alone reads NaN as the ceiling: min(hi, nan) is hi.
+        with pytest.raises(FrequencyRangeError):
+            uncore.snap(float("nan"))
+        assert uncore.snap(float("inf")) == pytest.approx(2.2)
+        assert uncore.snap(float("-inf")) == pytest.approx(0.8)
+
+    def test_nan_reaches_no_target(self, uncore):
+        uncore.force(1.5)
+        for actuate in (
+            uncore.set_target,
+            uncore.request_target,
+            lambda f: uncore.request_target(f, delay_s=0.01),
+            uncore.force,
+        ):
+            with pytest.raises(FrequencyRangeError):
+                actuate(float("nan"))
+        assert uncore.target_ghz == pytest.approx(1.5)
+        assert uncore.effective_ghz == pytest.approx(1.5)
+        assert uncore.pending_target_ghz is None
+
     def test_set_target_returns_snapped(self, uncore):
         assert uncore.set_target(1.23) == pytest.approx(1.2)
 

@@ -39,6 +39,20 @@ class TestPCM:
         wide = a100_hub.pcm.read_throughput_mbps(window_s=1.0)
         assert wide == pytest.approx(10_000.0, rel=0.1)
 
+    def test_window_longer_than_retained_history_rejected(self, a100_node, a100_hub):
+        # 3 s at 5 GB/s, then 2 s demanding 60 GB/s: only the last 2 s of
+        # snapshots are kept, so a 4 s or 5 s window would silently average
+        # just those 2 s (the cumulative counter says 17,000 MB/s over 5 s).
+        a100_node.force_uncore_all(2.2)
+        drive(a100_node, a100_hub, seconds=3.0, demand=5.0)
+        drive(a100_node, a100_hub, seconds=2.0, demand=60.0)
+        last_2s = a100_hub.pcm.read_throughput_mbps(window_s=2.0)
+        whole = a100_hub.pcm.bytes_total / 5.0 / 1e6
+        assert whole < 0.6 * last_2s
+        for window in (2.0 + 1e-9, 4.0, 5.0):
+            with pytest.raises(TelemetryError, match="retained history"):
+                a100_hub.pcm.read_throughput_mbps(window_s=window)
+
     def test_read_charges_meter(self, a100_hub, a100_preset):
         meter = AccessMeter()
         a100_hub.pcm.read_throughput_mbps(meter)
@@ -89,10 +103,10 @@ class TestPCMDegenerateWindows:
     def test_window_longer_than_history_clamps(self, a100_node, a100_hub):
         a100_node.force_uncore_all(2.2)
         drive(a100_node, a100_hub, seconds=0.5, demand=10.0)
-        # 10 s window >> 0.5 s of history (and > the 2 s retention span):
-        # the read degrades to the oldest retained snapshot, i.e. the
+        # 1.5 s window > 0.5 s of history (but within the 2 s retention
+        # span): the read degrades to the oldest retained snapshot, i.e. the
         # whole-history average, rather than raising or extrapolating.
-        clamped = a100_hub.pcm.read_throughput_mbps(window_s=10.0)
+        clamped = a100_hub.pcm.read_throughput_mbps(window_s=1.5)
         full = a100_hub.pcm.read_throughput_mbps(window_s=0.5)
         assert clamped == pytest.approx(full, rel=1e-9)
         assert clamped == pytest.approx(10_000.0, rel=0.05)

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.errors import CounterOverflowError, MSRAccessError
+from repro.errors import CounterOverflowError, FrequencyRangeError, MSRAccessError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw.presets import amd_mi210, intel_a100
+from repro.runtime.session import build_run, make_governor
+from repro.sim.rng import RngStreams
+from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.msr import (
     COUNTER_WIDTH_BITS,
     IA32_FIXED_CTR0,
     IA32_FIXED_CTR1,
     MSR_UNCORE_RATIO_LIMIT,
+    MSRDevice,
     counter_delta,
     counter_delta_array,
     decode_uncore_ratio_limit,
@@ -16,6 +23,7 @@ from repro.telemetry.msr import (
 )
 from repro.telemetry.sampling import AccessMeter
 from repro.workloads.base import Segment
+from repro.workloads.registry import get_workload
 
 
 class TestRatioLimitCodec:
@@ -212,6 +220,105 @@ class TestCounterWrapRuns:
         assert int(instr.min()) < (1 << 47)  # the wrap actually happened
         assert len(baseline) > 3
         assert wrapped == baseline
+
+
+class _EagerMSR(MSRDevice):
+    """The device advancing its counters in every tick, as it did before
+    ticks were queued: the oracle for the queued device."""
+
+    def on_tick(self, dt_s):
+        super().on_tick(dt_s)
+        self.flush()
+
+
+def _advance(cyc, ins, node, dt_s):
+    """One tick of the fixed counters from the node's arrays, per core."""
+    freq_hz = node.core_freqs_ghz * 1e9
+    active = np.maximum(node.core_utils, 0.02)
+    d_cyc = (freq_hz * active * dt_s).astype(np.uint64)
+    d_ins = (node.core_ipc * freq_hz * active * dt_s).astype(np.uint64)
+    return (cyc + d_cyc) % np.uint64(1 << 48), (ins + d_ins) % np.uint64(1 << 48)
+
+
+class TestQueuedTicks:
+    @pytest.mark.parametrize("read_every", [1, 7])
+    def test_reads_see_every_tick_across_a_jump_and_a_width_change(self, read_every):
+        preset = intel_a100()
+        node = preset.build_node(RngStreams(3))
+        msr = MSRDevice(node, preset.telemetry)
+        cyc = np.zeros(node.n_cores, dtype=np.uint64)
+        ins = np.zeros(node.n_cores, dtype=np.uint64)
+        busy = Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.7, gpu_util=0.5)
+        light = Segment(1.0, 2.0, mem_intensity=0.2, cpu_util=0.002, gpu_util=0.5)
+        for tick in range(90):
+            dt = 0.01 if tick < 53 else 0.02
+            node.step(dt, busy if (tick // 5) % 3 else light)
+            msr.on_tick(dt)
+            cyc, ins = _advance(cyc, ins, node, dt)
+            if tick == 23:
+                offset = (1 << 48) - 3 * 10**8
+                msr.jump_counters(offset)
+                cyc = (cyc + np.uint64(offset)) % np.uint64(1 << 48)
+                ins = (ins + np.uint64(offset)) % np.uint64(1 << 48)
+            if tick % read_every == 0:
+                read_ins, read_cyc = msr.read_all_core_counters(None)
+                assert read_cyc.tobytes() == cyc.tobytes()
+                assert read_ins.tobytes() == ins.tobytes()
+                core = tick % node.n_cores
+                assert msr.read(0, IA32_FIXED_CTR0, core=core) == int(ins[core])
+                assert msr.read(0, IA32_FIXED_CTR1, core=core) == int(cyc[core])
+        assert bool((cyc < 3 * 10**8).any())  # the jump made some cores wrap
+        msr.flush()
+        assert msr._queue == []
+        read_ins, read_cyc = msr.read_all_core_counters(None)
+        assert read_cyc.tobytes() == cyc.tobytes()
+        assert read_ins.tobytes() == ins.tobytes()
+
+    def test_an_injected_wrap_logs_the_offset_of_a_per_tick_advance(self):
+        preset = intel_a100()
+        logs = []
+        for device in (MSRDevice, _EagerMSR):
+            node = preset.build_node(RngStreams(2))
+            hub = TelemetryHub(node, preset.telemetry)
+            hub.msr = device(node, preset.telemetry)
+            # Tick 37 is five ticks past a 16-tick fold.
+            injector = FaultInjector(FaultPlan([FaultSpec("msr", "wrap", start_s=0.365)]))
+            hub.install_fault_injector(injector)
+            seg = Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.6, gpu_util=0.5)
+            for _ in range(60):
+                node.step(0.01, seg)
+                hub.on_tick(0.01)
+            (wrap,) = injector.injections
+            counters = [a.tobytes() for a in hub.msr.read_all_core_counters()]
+            logs.append((wrap.time_s, wrap.detail, *counters))
+        assert "shifted +" in logs[0][1]
+        assert logs[0] == logs[1]
+
+    def test_an_ended_run_holds_no_queued_ticks(self):
+        workload = get_workload("srad", seed=1)
+        run = build_run("intel_a100", workload, make_governor("magus"), seed=1, max_time_s=0.23)
+        result = run.engine.run(run.workload, max_time_s=run.max_time_s)
+        assert len(result.recorder) == 23  # 23 % 16 ticks were queued at the end
+        assert run.hub.msr._queue == []
+
+
+class TestNaNTargets:
+    def test_nan_ceiling_is_rejected_on_every_vendor_path(self):
+        # min(hi, nan) is hi, so a clamp alone would pin the part maximum.
+        for preset in (intel_a100(), amd_mi210()):
+            node = preset.build_node(RngStreams(0))
+            node.force_uncore_all(preset.uncore_min_ghz)
+            hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor)
+            with pytest.raises(FrequencyRangeError):
+                hub.set_uncore_max_ghz(float("nan"))
+            with pytest.raises(FrequencyRangeError):
+                hub.msr.set_uncore_max_ghz(float("nan"))
+            if hub.hsmp is not None:
+                with pytest.raises(FrequencyRangeError):
+                    hub.hsmp.set_fabric_clock_ghz(float("nan"))
+            targets = [unc.target_ghz for _, unc in node.sockets]
+            assert targets == [preset.uncore_min_ghz] * node.n_sockets
+            assert hub.actuation_count == 0
 
 
 class TestAccessCosts:
