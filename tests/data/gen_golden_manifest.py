@@ -9,8 +9,9 @@ change, so every manifest comes from committed code; the hash of that
 ``src`` tree is recorded in the file. It writes ``golden_manifest.json`` next to itself: one SHA-256 per
 trace channel (over ``times.tobytes()`` then ``values.tobytes()``) plus one
 over the governor decisions, for every (preset, governor, mode) run of the
-matrix below, and the grant log, alert events and scraped time-series state
-of one small coordinated fleet. Under ``"obs"`` it pins, for the same matrix
+matrix below, and the caps, granted sum, grant journal, alert events,
+incidents, scraped time-series state and ``to_dict()`` summary of one small
+coordinated fleet. Under ``"obs"`` it pins, for the same matrix
 rerun with every observability output on, the Prometheus export of each
 run's metrics registry, the canonical state of its time-series store and
 its span list, plus the metric and time-series rollups of the same fleet
@@ -42,6 +43,7 @@ from repro.coordinator.fleet import (
     ample_budget_w,
     run_coordinated_fleet,
 )
+from repro.coordinator.journal import GrantJournal
 from repro.faults.plan import coordinated_campaign, standard_campaign
 from repro.obs.config import ObsConfig
 from repro.obs.exporters import render_prometheus
@@ -201,38 +203,53 @@ def obs_fleet_digests(fleet: FleetResult) -> Dict[str, str]:
     }
 
 
-def run_fleet() -> CoordinatedFleetResult:
-    """The small coordinated fleet, scraped in both passes and alerted on."""
+def run_fleet() -> Tuple[CoordinatedFleetResult, GrantJournal]:
+    """The small coordinated fleet, scraped in both passes and alerted on,
+    with the in-memory grant journal it wrote."""
     sim = ClusterSimulator(FLEET_PRESET, fleet_jobs())
     demand = sim.run_fleet(FLEET_GOVERNOR, dt_s=DT_S, n_workers=1, tsdb=True)
     floor = safe_floor_w(demand.idle_node_power_w)
     ample = ample_budget_w(demand, FLEET_NODES, floor)
     budget = max(FLEET_BUDGET_FRAC * ample, FLEET_NODES * floor * 1.05)
-    return run_coordinated_fleet(
+    journal = GrantJournal()
+    result = run_coordinated_fleet(
         sim,
         FLEET_GOVERNOR,
         budget_w=budget,
         plan=coordinated_campaign(SEED, n_nodes=FLEET_NODES),
+        journal=journal,
         demand_fleet=demand,
         dt_s=DT_S,
         n_workers=1,
         tsdb=True,
         alert_rules=default_fleet_rules(budget),
     )
+    return result, journal
 
 
-def fleet_digests(result: CoordinatedFleetResult) -> Dict[str, str]:
-    """Digests of the fleet's caps, granted sum, alert events and TSDB state."""
+def fleet_digests(result: CoordinatedFleetResult, journal: GrantJournal) -> Dict[str, str]:
+    """Digests of the fleet's caps, granted sum, journal bytes, alert events
+    (without and with their detail), incidents, TSDB state and summary."""
     assert result.alerts is not None and result.tsdb is not None
     events = [
         [e.time_s, e.rule, e.severity, e.state, e.labels, e.value]
         for e in result.alerts.events
     ]
+    incidents = [
+        [i.time_s, i.source, i.device, i.fault, i.action, i.outcome, i.fault_id, i.detail]
+        for i in result.incidents
+    ]
     return {
         "node_cap_w": sha256_arrays(result.tick_times_s, result.node_cap_w),
         "granted_sum_w": sha256_arrays(result.tick_times_s, result.granted_sum_w),
+        # Every committed line of the in-memory journal, grants and
+        # restarts, byte for byte.
+        "grant_journal": sha256_bytes(b"".join(journal._log._lines)),
         "alert_events": sha256_json(events),
+        "alert_events_detail": sha256_json([e.to_dict() for e in result.alerts.events]),
+        "incidents": sha256_json(incidents),
         "tsdb_state": hashlib.sha256(canonical_state_bytes(result.tsdb)).hexdigest(),
+        "to_dict": sha256_json(result.to_dict()),
     }
 
 
@@ -241,7 +258,7 @@ def compute() -> Dict[str, Dict[str, Dict[str, str]]]:
     runs = {key: run_digests(result) for key, _mode, result in matrix_runs()}
     obs = {key: obs_digests(result) for key, _mode, result in matrix_runs(OBS_ALL)}
     obs[OBS_FLEET_KEY] = obs_fleet_digests(run_obs_fleet())
-    return {"runs": runs, "obs": obs, "fleet": {"coordinated": fleet_digests(run_fleet())}}
+    return {"runs": runs, "obs": obs, "fleet": {"coordinated": fleet_digests(*run_fleet())}}
 
 
 def _git(*args: str) -> str:

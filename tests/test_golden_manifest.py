@@ -2,8 +2,9 @@
 
 ``tests/data/golden_manifest.json`` pins one SHA-256 per trace channel and
 one over the decisions for each (preset, governor, mode) run of
-``tests/data/gen_golden_manifest.py``, plus the grant log, alert events
-and scraped time-series state of a small coordinated fleet. Its ``"obs"``
+``tests/data/gen_golden_manifest.py``, plus the caps, granted sum, grant
+journal, alert events, incidents, scraped time-series state and summary of
+a small coordinated fleet. Its ``"obs"``
 rows pin each run's metrics export, time-series state and spans with every
 observability output on, plus the same fleet's uncoordinated rollups.
 Every digest is recomputed here and compared as bytes, so a
@@ -53,15 +54,17 @@ def fresh():
     obs_fleet = gen.run_obs_fleet()
     obs[gen.OBS_FLEET_KEY] = gen.obs_fleet_digests(obs_fleet)
     instruments.update(obs_fleet.metrics_rollup().names())
-    fleet = gen.run_fleet()
+    fleet, journal = gen.run_fleet()
     return {
         "runs": runs,
         "obs": obs,
         "observed_runs": observed_runs,
         "instruments": instruments,
-        "fleet": {"coordinated": gen.fleet_digests(fleet)},
+        "fleet": {"coordinated": gen.fleet_digests(fleet, journal)},
         "fired": fired,
         "alert_events": fleet.alerts.events,
+        "journal_kinds": [record["kind"] for record in journal._log.records()],
+        "incidents": fleet.incidents,
     }
 
 
@@ -133,6 +136,13 @@ class TestGoldenManifest:
 
     def test_fleet_alert_leg_is_not_vacuous(self, fresh):
         assert fresh["alert_events"], "the coordinated fleet fired no alert transition"
+        assert fresh["incidents"], "the coordinated fleet logged no incident"
+
+    def test_fleet_journal_leg_is_not_vacuous(self, fresh):
+        # The campaign crashes the coordinator, so the journal digest pins a
+        # restart record as well as grants.
+        kinds = fresh["journal_kinds"]
+        assert "grant" in kinds and "restart" in kinds, sorted(set(kinds))
 
 
 class TestMismatchReport:
