@@ -92,6 +92,10 @@ class ControlPlane:
         self._remaining: Dict[int, Optional[int]] = {
             idx: spec.count for idx, spec in enumerate(self._specs)
         }
+        #: Kind -> its ``(plan index, spec)`` pairs, in plan order.
+        self._by_kind: Dict[str, List[Tuple[int, FaultSpec]]] = {}
+        for idx, spec in enumerate(self._specs):
+            self._by_kind.setdefault(spec.kind, []).append((idx, spec))
         seed = plan.seed if plan is not None and plan.seed is not None else 0
         self._rng = spawn_generator(derive_seed(seed, "coordinator.chaos"))
         # Priority queues of (deliver_at_s, order_key, enqueue_seq, message).
@@ -114,9 +118,7 @@ class ControlPlane:
     # ------------------------------------------------------------- matching
     def _consume(self, kind: str, now_s: float, node_id: Optional[int]) -> bool:
         """Find the first in-window ``kind`` spec with budget and charge it."""
-        for idx, spec in enumerate(self._specs):
-            if spec.kind != kind:
-                continue
+        for idx, spec in self._by_kind.get(kind, ()):
             if not (spec.start_s <= now_s < spec.end_s):
                 continue
             if (
@@ -134,9 +136,7 @@ class ControlPlane:
         return False
 
     def _match_spec(self, kind: str, now_s: float) -> Optional[Tuple[int, FaultSpec]]:
-        for idx, spec in enumerate(self._specs):
-            if spec.kind != kind:
-                continue
+        for idx, spec in self._by_kind.get(kind, ()):
             if not (spec.start_s <= now_s < spec.end_s):
                 continue
             remaining = self._remaining[idx]
@@ -234,17 +234,14 @@ class ControlPlane:
         Returns the spec once, at the first tick inside its window with
         budget left; the fleet loop owns the actual crash/restart dance.
         """
-        for idx, spec in enumerate(self._specs):
-            if spec.kind != "coordinator_crash":
-                continue
-            if not (spec.start_s <= now_s < spec.end_s):
-                continue
-            remaining = self._remaining[idx]
-            if remaining is None or remaining > 0:
-                if remaining is not None:
-                    self._remaining[idx] = remaining - 1
-                return spec
-        return None
+        match = self._match_spec("coordinator_crash", now_s)
+        if match is None:
+            return None
+        idx, spec = match
+        remaining = self._remaining[idx]
+        if remaining is not None:
+            self._remaining[idx] = remaining - 1
+        return spec
 
     # ------------------------------------------------------------ reporting
     def partition_windows(self) -> Tuple[FaultSpec, ...]:

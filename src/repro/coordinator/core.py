@@ -99,6 +99,11 @@ class BudgetCoordinator:
         self._outstanding: Dict[int, List[Lease]] = {node: [] for node in range(n_nodes)}
         #: ``pessimistic_cap_w`` per node, refreshed by :meth:`_set_leases`.
         self._caps: List[float] = [config.safe_floor_w] * n_nodes
+        #: ``ordered_sum(self._caps)``, or ``None`` once a cap has changed.
+        self._granted_w: Optional[float] = None
+        #: At or below every outstanding lease's expiry: ``expire`` has
+        #: nothing to drop before it.
+        self._expiry_watermark_s = math.inf
         self._next_seq: Dict[int, int] = {node: 0 for node in range(n_nodes)}
         self._epoch = 0
         self._down_until_s: Optional[float] = None
@@ -146,12 +151,18 @@ class BudgetCoordinator:
     # -------------------------------------------------------------- expiry
     def expire(self, now_s: float) -> int:
         """Drop provably expired leases; returns how many expired."""
+        if now_s < self._expiry_watermark_s:
+            return 0
         expired = 0
+        watermark = math.inf
         for node, leases in self._outstanding.items():
             keep = [lease for lease in leases if lease.expires_s > now_s]
             if len(keep) < len(leases):
                 expired += len(leases) - len(keep)
                 self._set_leases(node, keep)
+            for lease in keep:
+                watermark = min(watermark, lease.expires_s)
+        self._expiry_watermark_s = watermark
         self.counters["expiries"] += expired
         return expired
 
@@ -159,13 +170,21 @@ class BudgetCoordinator:
         """Replace ``node_id``'s outstanding leases and refresh its cap.
 
         The only writer of ``_outstanding``, so ``_caps`` always holds
-        every node's pessimistic cap without a rescan of its leases.
+        every node's pessimistic cap without a rescan of its leases, the
+        granted sum is dropped when a cap changes, and the expiry
+        watermark falls to the earliest new expiry.
         """
         self._outstanding[node_id] = leases
         floor = self.config.safe_floor_w
-        self._caps[node_id] = (
-            max(floor, max(lease.cap_w for lease in leases)) if leases else floor
-        )
+        cap = max(floor, max(lease.cap_w for lease in leases)) if leases else floor
+        if cap != self._caps[node_id]:
+            self._caps[node_id] = cap
+            self._granted_w = None
+        for lease in leases:
+            # ``not >=`` so that a NaN expiry also lowers it: the scan
+            # that drops such a lease must still run.
+            if not lease.expires_s >= self._expiry_watermark_s:
+                self._expiry_watermark_s = lease.expires_s
 
     def pessimistic_cap_w(self, node_id: int) -> float:
         """What ``node_id`` might believe it holds right now."""
@@ -174,10 +193,13 @@ class BudgetCoordinator:
     def granted_sum_w(self) -> float:
         """Sum of pessimistic caps — the quantity the invariant bounds.
 
-        Summed afresh in node order on every call: a running total would
-        add the same floats in another order and round differently.
+        Summed in node order whenever a cap has changed since the last
+        call, and kept until the next change: a running total would add
+        the same floats in another order and round differently.
         """
-        return ordered_sum(self._caps)
+        if self._granted_w is None:
+            self._granted_w = ordered_sum(self._caps)
+        return self._granted_w
 
     def headroom_w(self) -> float:
         return self.config.budget_w - self.granted_sum_w()
@@ -202,11 +224,9 @@ class BudgetCoordinator:
         # Pessimistic rebuild: every journaled, unexpired grant is assumed
         # delivered; sequence counters resume past the largest journaled so
         # nodes do not reject post-restart grants as stale replays.
-        outstanding = self.journal.outstanding_at(now_s)
+        outstanding, next_seq = self.journal.recover(now_s)
         for node in range(self.n_nodes):
             self._set_leases(node, outstanding.get(node, []))
-        next_seq = self.journal.next_seq()
-        for node in range(self.n_nodes):
             self._next_seq[node] = next_seq.get(node, 0)
         self._quarantine_until_s = now_s + cfg.quarantine_epochs * cfg.epoch_s
         self.journal.record_restart(now_s, self._quarantine_until_s)

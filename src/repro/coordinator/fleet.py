@@ -49,7 +49,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs.aggregate import merge_registries
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tsdb import TimeSeriesDB
+from repro.obs.tsdb import Series, TimeSeriesDB
 from repro.sim.clock import SimClock
 from repro.units import ordered_sum
 
@@ -447,9 +447,15 @@ def run_coordinated_fleet(
     engine: Optional[AlertEngine] = None
     if alert_rules is not None and db is not None:
         engine = AlertEngine(db, alert_rules, incidents=log)
+    # Series handles, each fetched on its series' first sample, so a series
+    # exists exactly when it has been sampled (DESIGN.md §6k).
+    labels = [{"node": str(node)} for node in range(n_nodes)]
+    heartbeat_ts: List[Optional[Series]] = [None] * n_nodes
+    lease_ts: List[Optional[Tuple[Series, Series]]] = [None] * n_nodes
 
     for tick in range(n_ticks):
         now = clock.now
+        demand_now = demand[:, tick].tolist()
         # 1. Control-plane life events: a due crash wipes the coordinator;
         #    a completed outage replays the journal and starts quarantine.
         crash = plane.crash_due(now)
@@ -459,13 +465,14 @@ def run_coordinated_fleet(
         # 2. Nodes heartbeat on their period (same phase — one switch
         #    fabric), reporting instantaneous demand and remaining peak.
         if tick % hb_every == 0:
+            desired_now = desired[:, tick].tolist()
             for node in range(n_nodes):
                 plane.send_heartbeat(
                     Heartbeat(
                         node_id=node,
                         sent_s=now,
-                        demand_w=float(demand[node, tick]),
-                        desired_w=float(desired[node, tick]),
+                        demand_w=demand_now[node],
+                        desired_w=desired_now[node],
                     ),
                     now,
                 )
@@ -474,12 +481,12 @@ def run_coordinated_fleet(
         coordinator.receive(delivered_hbs, now)
         if db is not None:
             for hb in delivered_hbs:
-                db.record(
-                    "repro.ts.fleet.node_heartbeat_w",
-                    now,
-                    hb.demand_w,
-                    {"node": str(hb.node_id)},
-                )
+                beat_ts = heartbeat_ts[hb.node_id]
+                if beat_ts is None:
+                    beat_ts = heartbeat_ts[hb.node_id] = db.series(
+                        "repro.ts.fleet.node_heartbeat_w", labels[hb.node_id]
+                    )
+                beat_ts.record(now, hb.demand_w)
         # 4. Epoch boundary: arbitrate and transmit grants.
         if tick % epoch_every == 0:
             for lease in coordinator.arbitrate(now):
@@ -490,58 +497,50 @@ def run_coordinated_fleet(
         for lease in plane.deliver_grants(now):
             nodes[lease.node_id].apply_grant(lease, now)
         # 6. Record the tick.
-        for node in range(n_nodes):
-            node_cap[node, tick] = nodes[node].effective_cap_w(now)
-        granted_sum[tick] = coordinator.granted_sum_w()
+        caps = [state.effective_cap_w(now) for state in nodes]
+        node_cap[:, tick] = caps
+        granted = coordinator.granted_sum_w()
+        granted_sum[tick] = granted
         # 7. Scrape + alert evaluation (pure observation of steps 1-6).
         if db is not None:
             if tick == 0:
+                # The first sample of every series sampled each tick or
+                # each epoch.
                 db.record("repro.ts.fleet.budget_w", now, config.budget_w)
+                node_demand_ts = [
+                    db.series("repro.ts.fleet.node_demand_w", label) for label in labels
+                ]
+                node_cap_ts = [
+                    db.series("repro.ts.fleet.node_cap_w", label) for label in labels
+                ]
+                demand_ts = db.series("repro.ts.fleet.demand_w")
+                granted_ts = db.series("repro.ts.fleet.granted_w")
+                delivered_ts = db.series("repro.ts.fleet.delivered_w")
+                headroom_ts = db.series("repro.ts.fleet.headroom_w")
+                down_ts = db.series("repro.ts.coordinator.down")
+                quarantine_ts = db.series("repro.ts.coordinator.quarantine")
             for node in range(n_nodes):
-                label = {"node": str(node)}
-                db.record(
-                    "repro.ts.fleet.node_demand_w", now, float(demand[node, tick]), label
-                )
-                db.record(
-                    "repro.ts.fleet.node_cap_w", now, float(node_cap[node, tick]), label
-                )
+                node_demand_ts[node].record(now, demand_now[node])
+                node_cap_ts[node].record(now, caps[node])
                 lease = nodes[node].current
                 if lease is not None and now < lease.expires_s:
-                    db.record(
-                        "repro.ts.fleet.node_lease_age_s",
-                        now,
-                        max(0.0, now - lease.granted_s),
-                        label,
-                    )
-                    db.record(
-                        "repro.ts.fleet.node_lease_remaining_s",
-                        now,
-                        lease.expires_s - now,
-                        label,
-                    )
-            db.record("repro.ts.fleet.demand_w", now, float(demand[:, tick].sum()))
-            db.record("repro.ts.fleet.granted_w", now, float(granted_sum[tick]))
-            db.record(
-                "repro.ts.fleet.delivered_w",
-                now,
-                float(np.minimum(demand[:, tick], node_cap[:, tick]).sum()),
+                    pair = lease_ts[node]
+                    if pair is None:
+                        pair = lease_ts[node] = (
+                            db.series("repro.ts.fleet.node_lease_age_s", labels[node]),
+                            db.series("repro.ts.fleet.node_lease_remaining_s", labels[node]),
+                        )
+                    pair[0].record(now, max(0.0, now - lease.granted_s))
+                    pair[1].record(now, lease.expires_s - now)
+            demand_ts.record(now, float(demand[:, tick].sum()))
+            granted_ts.record(now, granted)
+            delivered_ts.record(
+                now, float(np.minimum(demand[:, tick], node_cap[:, tick]).sum())
             )
-            db.record(
-                "repro.ts.fleet.headroom_w",
-                now,
-                float(config.budget_w - granted_sum[tick]),
-            )
+            headroom_ts.record(now, config.budget_w - granted)
             if tick % epoch_every == 0:
-                db.record(
-                    "repro.ts.coordinator.down",
-                    now,
-                    1.0 if coordinator.is_down(now) else 0.0,
-                )
-                db.record(
-                    "repro.ts.coordinator.quarantine",
-                    now,
-                    1.0 if coordinator.in_quarantine(now) else 0.0,
-                )
+                down_ts.record(now, 1.0 if coordinator.is_down(now) else 0.0)
+                quarantine_ts.record(now, 1.0 if coordinator.in_quarantine(now) else 0.0)
             if engine is not None and (tick % epoch_every == 0 or tick == n_ticks - 1):
                 engine.evaluate(now)
         if tick + 1 < n_ticks:

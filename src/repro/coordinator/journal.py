@@ -8,7 +8,8 @@ partially written final line, which replay ignores and the next append
 cuts off. Every complete line must hold a known record, or the journal is
 corrupt and recovery refuses to guess.
 
-A recovering coordinator replays the journal to rebuild two things:
+A recovering coordinator replays the journal once
+(:meth:`GrantJournal.recover`) to rebuild two things:
 
 * the set of journaled leases whose expiry is still in the future — the
   *pessimistic* picture of what nodes may still believe they hold (a
@@ -24,8 +25,9 @@ the same :meth:`GrantJournal.replay`.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.coordinator.lease import Lease
 from repro.errors import CoordinatorError
@@ -79,22 +81,30 @@ class GrantJournal:
                 )
         return leases
 
-    def outstanding_at(self, time_s: float) -> Dict[int, List[Lease]]:
-        """Journaled leases per node that are not yet provably expired."""
+    def recover(self, time_s: float) -> Tuple[Dict[int, List[Lease]], Dict[int, int]]:
+        """Everything a restart at ``time_s`` needs, from one replay.
+
+        Returns ``(outstanding, next_seq)``: per node, the journaled
+        leases not yet provably expired at ``time_s`` (oldest first), and
+        one past the largest journaled sequence number.
+        """
         outstanding: Dict[int, List[Lease]] = {}
+        next_seq: Dict[int, int] = {}
         for lease in self.replay():
             if lease.expires_s > time_s:
                 outstanding.setdefault(lease.node_id, []).append(lease)
-        return outstanding
-
-    def next_seq(self) -> Dict[int, int]:
-        """Per-node next sequence number: one past the largest journaled."""
-        next_seq: Dict[int, int] = {}
-        for lease in self.replay():
             next_seq[lease.node_id] = max(
                 next_seq.get(lease.node_id, 0), lease.seq + 1
             )
-        return next_seq
+        return outstanding, next_seq
+
+    def outstanding_at(self, time_s: float) -> Dict[int, List[Lease]]:
+        """Journaled leases per node that are not yet provably expired."""
+        return self.recover(time_s)[0]
+
+    def next_seq(self) -> Dict[int, int]:
+        """Per-node next sequence number: one past the largest journaled."""
+        return self.recover(math.inf)[1]
 
     def grant_count(self) -> int:
         return len(self.replay())

@@ -35,6 +35,11 @@ from repro.errors import ReproError
 
 __all__ = ["JsonlLog"]
 
+#: The record encoder. ``json.dumps`` with these arguments builds an equal
+#: encoder on every call and returns ``encode``'s string, so reusing one
+#: gives the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class JsonlLog:
     """Append-only JSONL records, fsynced per append, with one crash rule.
@@ -55,7 +60,7 @@ class JsonlLog:
 
     def append(self, record: Dict[str, Any]) -> None:
         """Durably append one record; it is committed when this returns."""
-        line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        line = (_ENCODER.encode(record) + "\n").encode()
         if self.path is None:
             self._lines.append(line)
             return

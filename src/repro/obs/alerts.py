@@ -63,6 +63,14 @@ _OPS = {
 }
 
 
+def _number(rule: str, field: str, value: float) -> float:
+    """``value`` as a float; NaN raises (no comparison with it ever holds)."""
+    value = float(value)
+    if value != value:
+        raise ObsError(f"alert rule {rule!r}: {field} must not be NaN")
+    return value
+
+
 @dataclass(frozen=True)
 class AlertEvent:
     """One firing/resolved transition of one (rule, label-set) pair."""
@@ -129,8 +137,8 @@ class ThresholdRule(AlertRule):
         if op not in _OPS:
             raise ObsError(f"alert rule {name!r}: unknown comparison {op!r}")
         self.op = op
-        self.threshold = float(threshold)
-        self.for_s = float(for_s)
+        self.threshold = _number(name, "threshold", threshold)
+        self.for_s = _number(name, "for_s", for_s)
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
@@ -184,12 +192,13 @@ class BurnRateRule(AlertRule):
             raise ObsError(
                 f"alert rule {name!r}: exactly one of threshold/threshold_series"
             )
+        window_s = _number(name, "window_s", window_s)
         if window_s <= 0 or not (0.0 < burn_frac <= 1.0):
             raise ObsError(f"alert rule {name!r}: invalid window/burn_frac")
         self.op = op
-        self.window_s = float(window_s)
+        self.window_s = window_s
         self.burn_frac = float(burn_frac)
-        self.threshold = threshold
+        self.threshold = None if threshold is None else _number(name, "threshold", threshold)
         self.threshold_series = threshold_series
 
     def _threshold_ref(self, tsdb: TimeSeriesDB, target: Series) -> Optional[Series]:
@@ -204,26 +213,52 @@ class BurnRateRule(AlertRule):
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
     ) -> Tuple[bool, float, str]:
         t0 = now_s - self.window_s
-        # Segment boundaries: window start plus every sample inside it
-        # (of the target; the threshold staircase is read at each
-        # boundary, which is exact when both series share the scrape
-        # cadence and conservative otherwise).
-        boundaries = [t0] + [t for t, _ in target.samples_between(t0, now_s)] + [now_s]
+        # Segments run from the window start to each distinct target
+        # sample time inside the window, then to ``now_s``. Each segment
+        # holds the target's and the threshold's staircase values at its
+        # left end (exact when both series share the scrape cadence,
+        # conservative otherwise). One walk over both series' breakpoints
+        # reads what ``value_at(left)`` reads; before a series' first raw
+        # breakpoint it asks ``value_at`` itself, which falls back to the
+        # buckets (DESIGN.md §6k).
+        times, values = target.steps(t0, now_s)
+        n = len(times)
+        i = 0
+        if n and times[0] <= t0:
+            value: Optional[float] = values[0]
+            i = 1
+        else:
+            value = target.value_at(t0)
         # Resolved once: a missing threshold series leaves ``limit`` None.
         ref = self._threshold_ref(tsdb, target) if self.threshold is None else None
+        limit = self.threshold
+        if ref is not None:
+            ref_times, ref_values = ref.steps(t0, now_s)
+        else:
+            ref_times, ref_values = [], []
+        ref_n = len(ref_times)
+        j = 0
         op = _OPS[self.op]
         violating_s = 0.0
         covered_s = 0.0
-        for left, right in zip(boundaries, boundaries[1:]):
-            if right <= left:
-                continue
-            value = target.value_at(left)
-            limit = ref.value_at(left) if ref is not None else self.threshold
-            if value is None or limit is None:
-                continue
-            covered_s += right - left
-            if op(value, limit):
-                violating_s += right - left
+        left = t0
+        while True:
+            right = times[i] if i < n else now_s
+            if right > left:
+                if ref is not None:
+                    while j < ref_n and ref_times[j] <= left:
+                        j += 1
+                    limit = ref_values[j - 1] if j else ref.value_at(left)
+                if value is not None and limit is not None:
+                    covered_s += right - left
+                    if op(value, limit):
+                        violating_s += right - left
+                left = right
+            if i >= n:
+                break
+            # Equal timestamps: the last one's value holds from ``left``.
+            value = values[i]
+            i += 1
         if covered_s <= 0.0:
             return False, 0.0, "no data in window"
         frac = violating_s / self.window_s
@@ -247,9 +282,10 @@ class AbsenceRule(AlertRule):
         severity: str = SEV_WARN,
     ) -> None:
         super().__init__(name, series, severity=severity)
+        stale_after_s = _number(name, "stale_after_s", stale_after_s)
         if stale_after_s <= 0:
             raise ObsError(f"alert rule {name!r}: stale_after_s must be > 0")
-        self.stale_after_s = float(stale_after_s)
+        self.stale_after_s = stale_after_s
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
@@ -286,19 +322,23 @@ class AnomalyRule(AlertRule):
         severity: str = SEV_WARN,
     ) -> None:
         super().__init__(name, series, severity=severity)
+        z_threshold = _number(name, "z_threshold", z_threshold)
         if not (0.0 < alpha < 1.0) or z_threshold <= 0 or warmup < 2:
             raise ObsError(f"alert rule {name!r}: invalid EWMA parameters")
-        self.z_threshold = float(z_threshold)
+        self.z_threshold = z_threshold
         self.alpha = float(alpha)
         self.warmup = int(warmup)
-        self.min_sigma = float(min_sigma)
+        self.min_sigma = _number(name, "min_sigma", min_sigma)
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
     ) -> Tuple[bool, float, str]:
         last_seen = state.get("last_seen_s", float("-inf"))
-        fresh = target.samples_between(max(0.0, last_seen), now_s)
-        fresh = [(t, v) for t, v in fresh if t > last_seen]
+        # Samples newer than the last one scored, none before t=0.
+        if last_seen >= 0.0:
+            fresh = target.samples_after(last_seen, now_s)
+        else:
+            fresh = target.samples_between(0.0, now_s)
         n = state.get("n", 0.0)
         mean = state.get("mean", 0.0)
         var = state.get("var", 0.0)

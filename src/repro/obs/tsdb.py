@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import floor
+from math import floor, isfinite
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ObsError
@@ -251,8 +251,15 @@ class Series:
 
         Samples must arrive in non-decreasing time order (the sim clock
         only moves forward); equal timestamps are allowed and keep
-        insertion order in the raw ring.
+        insertion order in the raw ring. A NaN or infinite time or value
+        raises: a NaN time would pass both order checks and unsort the
+        ring, and a non-finite value has no exact bucket sum.
         """
+        value = float(value)
+        if not (isfinite(t_s) and isfinite(value)):
+            raise ObsError(
+                f"series {self.name!r}: non-finite sample ({t_s!r}, {value!r})"
+            )
         if self._times and t_s < self._times[-1]:
             raise ObsError(
                 f"series {self.name!r}: sample at t={t_s} is older than "
@@ -264,7 +271,7 @@ class Series:
                 f"fold watermark {self._covered[0]} (already downsampled)"
             )
         self._times.append(t_s)
-        self._values.append(float(value))
+        self._values.append(value)
         if len(self._times) > self.capacity:
             self._compact()
 
@@ -369,10 +376,33 @@ class Series:
         hi = bisect_right(self._times, t1_s)
         return list(zip(self._times[lo:hi], self._values[lo:hi]))
 
-    def samples_after(self, t_s: float) -> List[Tuple[float, float]]:
-        """Raw samples strictly newer than ``t_s`` (oldest first)."""
-        lo = bisect_right(self._times, t_s)
-        return list(zip(self._times[lo:], self._values[lo:]))
+    def samples_after(
+        self, t_s: float, until_s: Optional[float] = None
+    ) -> List[Tuple[float, float]]:
+        """Raw samples strictly newer than ``t_s`` (oldest first), and no
+        newer than ``until_s`` when it is given."""
+        times = self._times
+        lo = bisect_right(times, t_s)
+        hi = len(times) if until_s is None else bisect_right(times, until_s, lo)
+        return list(zip(times[lo:hi], self._values[lo:hi]))
+
+    def steps(self, t0_s: float, t1_s: float) -> Tuple[List[float], List[float]]:
+        """The raw breakpoints of the staircase on ``[t0_s, t1_s)``.
+
+        Returns ``(times, values)``: the last raw sample at or before
+        ``t0_s``, if there is one, then every raw sample with
+        ``t0_s < t < t1_s``, oldest first. Walking them in order gives
+        :meth:`value_at` for any non-decreasing run of instants in the
+        window: the last breakpoint at or before the instant, and
+        ``value_at`` itself (which falls back to the buckets) before the
+        first one.
+        """
+        times = self._times
+        lo = bisect_right(times, t0_s)
+        if lo:
+            lo -= 1
+        hi = bisect_left(times, t1_s, lo)
+        return times[lo:hi], self._values[lo:hi]
 
     def buckets(self, level: int) -> List[Bucket]:
         """Level ``level`` buckets, oldest first."""
@@ -531,6 +561,7 @@ class TimeSeriesDB:
         "level_capacity",
         "_series",
         "_label_keys",
+        "_by_name",
     )
 
     def __init__(
@@ -551,6 +582,15 @@ class TimeSeriesDB:
         #: Caller label items -> canonical labels. A memo, not state: it
         #: is never pickled and ``__setstate__`` starts it empty.
         self._label_keys: Dict[Tuple[Tuple[str, str], ...], LabelsTuple] = {}
+        #: Name -> its series sorted by labels, built on the first
+        #: :meth:`query` after a series was added (:meth:`_add` drops it).
+        #: A memo like ``_label_keys``.
+        self._by_name: Optional[Dict[str, List[Series]]] = None
+
+    def _add(self, key: Tuple[str, LabelsTuple], series: Series) -> None:
+        """Store a new series; the only writer of ``_series``."""
+        self._series[key] = series
+        self._by_name = None
 
     def _labels(self, labels: Optional[Mapping[str, str]]) -> LabelsTuple:
         """:func:`_labels_key`, memoised on the mapping's items.
@@ -592,7 +632,7 @@ class TimeSeriesDB:
                 levels=self.levels,
                 level_capacity=self.level_capacity,
             )
-            self._series[key] = s
+            self._add(key, s)
         return s
 
     def record(
@@ -614,11 +654,13 @@ class TimeSeriesDB:
         return self._series.get((name, self._labels(labels)))
 
     def query(self, name: str) -> List[Series]:
-        """Every label-set of ``name``, sorted by labels."""
-        return [
-            self._series[key]
-            for key in sorted(key for key in self._series if key[0] == name)
-        ]
+        """Every label-set of ``name``, sorted by labels (a new list)."""
+        if self._by_name is None:
+            by_name: Dict[str, List[Series]] = {}
+            for key in sorted(self._series):
+                by_name.setdefault(key[0], []).append(self._series[key])
+            self._by_name = by_name
+        return list(self._by_name.get(name, ()))
 
     def names(self) -> List[str]:
         """All distinct series names, sorted."""
@@ -661,7 +703,7 @@ class TimeSeriesDB:
             clone.__setstate__(tuple(state))
             target = out._series.get((clone.name, new_labels))
             if target is None:
-                out._series[(clone.name, new_labels)] = clone
+                out._add((clone.name, new_labels), clone)
             else:
                 target.merge(clone)
         return out
@@ -685,7 +727,7 @@ class TimeSeriesDB:
             if mine is None:
                 clone = Series(theirs.name, theirs.labels, capacity=2)
                 clone.__setstate__(theirs.__getstate__())
-                self._series[key] = clone
+                self._add(key, clone)
             else:
                 mine.merge(theirs)
         return self
@@ -702,10 +744,11 @@ class TimeSeriesDB:
          self.levels, self.level_capacity) = geometry  # type: ignore[misc]
         self._series = {}
         self._label_keys = {}
+        self._by_name = None
         for s_state in series_states:  # type: ignore[union-attr]
             s = Series("x.x", capacity=2)
             s.__setstate__(s_state)
-            self._series[(s.name, s.labels)] = s
+            self._add((s.name, s.labels), s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimeSeriesDB({len(self._series)} series)"

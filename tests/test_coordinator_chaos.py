@@ -145,6 +145,105 @@ class TestControlPlaneFaults:
         assert p.crash_due(2.25) is None
 
 
+class LinearScanPlane(ControlPlane):
+    """The control plane with its spec lookups before the kind index: a
+    scan of every spec in plan order, skipping other kinds."""
+
+    def _consume(self, kind, now_s, node_id):
+        for idx, spec in enumerate(self._specs):
+            if spec.kind != kind:
+                continue
+            if not (spec.start_s <= now_s < spec.end_s):
+                continue
+            if node_id is not None and spec.target is not None and spec.target != node_id:
+                continue
+            remaining = self._remaining[idx]
+            if remaining is None:
+                return True
+            if remaining > 0:
+                self._remaining[idx] = remaining - 1
+                return True
+        return False
+
+    def _match_spec(self, kind, now_s):
+        for idx, spec in enumerate(self._specs):
+            if spec.kind != kind:
+                continue
+            if not (spec.start_s <= now_s < spec.end_s):
+                continue
+            remaining = self._remaining[idx]
+            if remaining is None or remaining > 0:
+                return idx, spec
+        return None
+
+    def crash_due(self, now_s):
+        for idx, spec in enumerate(self._specs):
+            if spec.kind != "coordinator_crash":
+                continue
+            if not (spec.start_s <= now_s < spec.end_s):
+                continue
+            remaining = self._remaining[idx]
+            if remaining is None or remaining > 0:
+                if remaining is not None:
+                    self._remaining[idx] = remaining - 1
+                return spec
+        return None
+
+
+def overlapping_plan(rng):
+    """Several overlapping, budgeted specs of every control kind, interleaved
+    with a hub fault the plane must ignore."""
+    kinds = [
+        "heartbeat_drop",
+        "heartbeat_delay",
+        "heartbeat_reorder",
+        "partition_uplink",
+        "partition_downlink",
+        "grant_replay",
+        "coordinator_crash",
+    ]
+    specs = [FaultSpec("msr", "read_error", 0.0, 10.0, count=None)]
+    for _ in range(14):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        count = None if rng.uniform() < 0.2 else int(rng.integers(1, 4))
+        target = None if rng.uniform() < 0.4 or kind == "coordinator_crash" else int(rng.integers(3))
+        start = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        specs.append(
+            FaultSpec("control", kind, start, float(rng.choice([1.0, 3.0, 8.0])), count=count, target=target)
+        )
+    return FaultPlan(specs, seed=int(rng.integers(100)), name="overlap")
+
+
+class TestKindIndex:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_charges_the_same_spec_as_a_linear_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        plan = overlapping_plan(rng)
+        fast = ControlPlane(plan, heartbeat_s=0.5, tick_s=0.25)
+        slow = LinearScanPlane(plan, heartbeat_s=0.5, tick_s=0.25)
+        seq = 0
+        for tick in range(48):
+            now = 0.25 * tick
+            crashes = [p.crash_due(now) for p in (fast, slow)]
+            assert crashes[0] is crashes[1]
+            for node in range(3):
+                if tick % 2 == 0:
+                    for p in (fast, slow):
+                        p.send_heartbeat(hb(node, now), now)
+                if rng.uniform() < 0.3:
+                    grant = lease(seq, node=node, granted=now, expires=now + 3.0)
+                    seq += 1
+                    for p in (fast, slow):
+                        p.send_grant(grant, now)
+            assert fast.deliver_heartbeats(now) == slow.deliver_heartbeats(now)
+            assert fast.deliver_grants(now) == slow.deliver_grants(now)
+            assert fast.counters == slow.counters
+            assert fast._remaining == slow._remaining
+        assert fast.partition_windows() == slow.partition_windows()
+        # The plan charged budgets of several kinds, not just one.
+        assert sum(fast.counters[k] for k in ("heartbeats_dropped", "heartbeats_delayed")) > 0
+
+
 @pytest.fixture(scope="module")
 def chaos_run():
     return run_coordination("intel_a100", JOBS, seed=2, budget_frac=0.8, n_workers=1)

@@ -178,6 +178,20 @@ class TestCoordinateCli:
         assert "never-exceed: OK" in out
         assert "no faults" in out
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-5"])
+    def test_invalid_budget_is_a_clean_error(self, capsys, budget):
+        # A NaN budget used to pass every check and the gate.
+        rc = main(
+            [
+                "coordinate", "--job", "sort@0", "--job", "bfs@3", "--seed", "2",
+                "--budget", budget, "--max-time", "5", "--json", "--gate",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error:" in captured.err and "budget_w" in captured.err
+        assert "gate:" not in captured.out
+
     def test_requires_jobs(self):
         with pytest.raises(SystemExit):
             main(["coordinate"])

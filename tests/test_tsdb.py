@@ -7,6 +7,7 @@ produce an identical pickled state, so `map_parallel` worker count can
 never leak into a scraped run's artifacts.
 """
 
+import math
 import pickle
 import random
 
@@ -64,6 +65,38 @@ class TestSeriesBasics:
             Series("repro.ts.test.value", resolution_s=0.0)
         with pytest.raises(ObsError, match="geometry"):
             Series("repro.ts.test.value", factor=1)
+
+    @pytest.mark.parametrize(
+        "t_s, value",
+        [
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (-math.inf, 1.0),
+            (2.0, math.nan),
+            (2.0, math.inf),
+            (2.0, -math.inf),
+        ],
+    )
+    def test_non_finite_sample_rejected(self, t_s, value):
+        s = small_series()
+        s.record(1.0, 1.0)
+        with pytest.raises(ObsError, match="non-finite"):
+            s.record(t_s, value)
+        with pytest.raises(ObsError, match="non-finite"):
+            TimeSeriesDB().record("repro.ts.test.value", t_s, value)
+        # Nothing was appended, and the ring still takes ordered samples.
+        assert s.samples_after(-1.0) == [(1.0, 1.0)]
+        s.record(2.0, 3.0)
+        assert s.summary()["count"] == 2.0
+
+    def test_nan_time_cannot_unsort_the_ring(self):
+        s = small_series()
+        s.record(1.0, 1.0)
+        with pytest.raises(ObsError):
+            s.record(math.nan, 2.0)
+        with pytest.raises(ObsError, match="never rewinds"):
+            s.record(0.5, 3.0)
+        assert s.samples_after(-1.0) == [(1.0, 1.0)]
 
     def test_invalid_name_and_label_keys_rejected(self):
         with pytest.raises(Exception):
@@ -176,6 +209,30 @@ def reference_value_at(series, t_s):
     return best.last if best is not None else None
 
 
+def reference_samples_window(series, t_s, until_s):
+    """The linear scan ``samples_after(t_s, until_s)`` replaced."""
+    return [(t, v) for t, v in zip(series._times, series._values) if t_s < t <= until_s]
+
+
+def reference_steps(series, t0_s, t1_s):
+    """``steps`` as a linear scan: the last raw sample at or before ``t0_s``,
+    then the raw samples strictly inside ``(t0_s, t1_s)``; none at or after
+    ``t1_s``."""
+    raw = list(zip(series._times, series._values))
+    head = [(t, v) for t, v in raw if t <= t0_s][-1:]
+    inside = [(t, v) for t, v in raw if t0_s < t < t1_s]
+    pairs = [(t, v) for t, v in head if t < t1_s] + inside
+    return [t for t, _ in pairs], [v for _, v in pairs]
+
+
+def walk_value_at(steps, series, t_s):
+    """The staircase value at ``t_s`` read off ``steps`` (``value_at`` before
+    the first breakpoint), as the burn-rate walk reads it."""
+    times, values = steps
+    seen = [v for t, v in zip(times, values) if t <= t_s]
+    return seen[-1] if seen else series.value_at(t_s)
+
+
 def random_series(seed, n_samples):
     """A seeded series with repeated timestamps, folded past its capacity."""
     rng = random.Random(seed)
@@ -212,6 +269,12 @@ class TestWindowReadsMatchLinearScans:
         for t0 in probes:
             t1 = t0 + rng.choice([-0.5, 0.0, 0.05, 0.5, 3.0])
             assert s.samples_between(t0, t1) == reference_samples_between(s, t0, t1)
+            assert s.samples_after(t0, t1) == reference_samples_window(s, t0, t1)
+            steps = s.steps(t0, t1)
+            assert steps == reference_steps(s, t0, t1)
+            if t1 > t0:
+                for t in sorted(rng.uniform(t0, t1) for _ in range(5)) + [t0]:
+                    assert walk_value_at(steps, s, t) == s.value_at(t)
 
 
 def build_chunks(n_chunks=3, n_samples=120):
@@ -364,6 +427,57 @@ class TestTimeSeriesDB:
         relabels = {"job": "j0", "node": "7"}
         assert state_bytes(busy.relabeled(relabels)) == state_bytes(plain.relabeled(relabels))
         assert state_bytes(busy.merge(build())) == state_bytes(plain.merge(build()))
+
+    def test_query_returns_a_copy(self):
+        db = TimeSeriesDB()
+        db.record("repro.ts.test.value", 0.0, 1.0, {"node": "0"})
+        db.query("repro.ts.test.value").clear()
+        db.query("repro.ts.test.missing").append(db.get("repro.ts.test.value", {"node": "0"}))
+        assert len(db.query("repro.ts.test.value")) == 1
+        assert db.query("repro.ts.test.missing") == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_query_index_equals_the_sorted_scan(self, seed):
+        """After every kind of series addition, ``query`` answers exactly
+        what a filter over every key would."""
+        names = ["repro.ts.test.a", "repro.ts.test.b", "repro.ts.test.missing"]
+        rng = random.Random(seed)
+
+        def scan(db, name):
+            return [db._series[key] for key in sorted(key for key in db._series if key[0] == name)]
+
+        def check(db):
+            for name in names:
+                got = db.query(name)
+                want = scan(db, name)
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
+
+        def random_db(n):
+            db = TimeSeriesDB(capacity=4, resolution_s=0.5, factor=2, levels=2, level_capacity=2)
+            for _ in range(n):
+                db.record(
+                    rng.choice(names[:2]), 0.0, 1.0, {"node": str(rng.randrange(6))}
+                )
+            return db
+
+        db = random_db(1)
+        for _ in range(25):
+            check(db)
+            step = rng.choice(["record", "series", "merge", "relabel", "pickle", "merge_all"])
+            if step == "record":
+                db.record(rng.choice(names[:2]), 0.0, 2.0, {"node": str(rng.randrange(9))})
+            elif step == "series":
+                db.series(rng.choice(names[:2]), {"node": str(rng.randrange(9))})
+            elif step == "merge":
+                db.merge(random_db(3))
+            elif step == "relabel":
+                db = db.relabeled({"job": rng.choice(["j0", "j1"])})
+            elif step == "pickle":
+                db = pickle.loads(pickle.dumps(db))
+            else:
+                db = merge_tsdbs([db, random_db(2)])
+        check(db)
 
     def test_merge_tsdbs_skips_nones(self):
         assert merge_tsdbs([]) is None
