@@ -42,7 +42,6 @@ from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tsdb import TimeSeriesDB, merge_tsdbs
 from repro.parallel.pool import default_workers, map_parallel
-from repro.parallel.retry import RetryPolicy
 from repro.runtime.session import BuiltRun, RunResult, build_run, make_governor, run_application
 from repro.sim.engine import lockstep
 from repro.units import ordered_sum
@@ -428,7 +427,6 @@ class ClusterSimulator:
         *,
         dt_s: float = 0.01,
         n_workers: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
         failure_model: Optional[NodeFailureModel] = None,
         obs: bool = False,
         tsdb: bool = False,
@@ -441,11 +439,8 @@ class ClusterSimulator:
         :data:`JOBS_PER_TASK`, so a fleet of a few jobs still uses every
         worker (``workers`` is ``n_workers``, or
         :func:`~repro.parallel.pool.default_workers` when that is ``None``).
-        Results are deterministic regardless
-        of worker count, and each job's run is bit-identical to the same
-        job run alone.  ``retry``
-        forwards a :class:`~repro.parallel.retry.RetryPolicy` to the pool
-        (long fleets survive a transiently killed worker).  With a
+        Results are deterministic regardless of worker count, and each
+        job's run is bit-identical to the same job run alone.  With a
         ``failure_model`` the *simulated* fleet additionally suffers seeded
         node deaths: interrupted jobs requeue FIFO onto surviving nodes and
         the result carries the failure accounting.  ``obs`` collects each
@@ -472,7 +467,6 @@ class ClusterSimulator:
                 for first in range(0, len(self.jobs), width)
             ],
             n_workers=n_workers,
-            retry=retry,
         )
         outcomes = [outcome for task in tasks for outcome in task]
         idle_w = self.idle_node_power_w(dt_s)

@@ -8,11 +8,7 @@ telemetry, workloads, governors, and the experiment harness.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
-
-if TYPE_CHECKING:  # typing-only: errors is the bottom layer; the runtime
-    # import would be circular (retry derives its records from these types).
-    from repro.parallel.retry import TaskFailure
+from typing import Tuple
 
 __all__ = [
     "ReproError",
@@ -34,7 +30,6 @@ __all__ = [
     "GovernorError",
     "ExperimentError",
     "PoolError",
-    "TaskTimeoutError",
     "CampaignError",
     "CoordinatorError",
     "LintError",
@@ -143,29 +138,11 @@ class ExperimentError(ReproError):
 
 
 class PoolError(ExperimentError):
-    """Raised when a parallel sweep fails after retries are exhausted.
+    """Raised when a task of a parallel sweep raised or lost its worker.
 
-    Carries the structured :class:`~repro.parallel.retry.TaskFailure`
-    records of every task that could not be completed, so callers in
-    ``on_error="raise"`` mode still learn *which* grid points died and why.
+    The message names the first such task in submission order, and the
+    task's own exception is chained as ``__cause__``.
     """
-
-    def __init__(self, message: str, failures: Tuple["TaskFailure", ...] = ()) -> None:
-        self.failures = tuple(failures)
-        super().__init__(message)
-
-
-class TaskTimeoutError(PoolError):
-    """Raised inside a pool worker when one task exceeds its time budget."""
-
-    def __init__(self, timeout_s: float) -> None:
-        self.timeout_s = timeout_s
-        # Single-argument super() keeps the exception picklable across the
-        # process boundary (pickle re-calls __init__ with ``args``).
-        super().__init__(f"task exceeded its {timeout_s:.3g}s timeout")
-
-    def __reduce__(self) -> Tuple[type, Tuple[float]]:
-        return (TaskTimeoutError, (self.timeout_s,))
 
 
 class CampaignError(ExperimentError):

@@ -34,8 +34,8 @@ reachable function:
   capture by reference, so the workers share the object.
 
 Submission calls located inside ``parallel/`` itself are infrastructure
-(the pool forwarding work to its own ``_invoke`` shim), not worker
-entries, and are excluded.  Reads of shared state are always fine — the
+(the pool handing each task to its executor), not worker entries, and
+are excluded.  Reads of shared state are always fine — the
 rule only cares about writes.
 """
 
@@ -122,7 +122,7 @@ class ParallelSharedStateRule(Rule):
 
         Entries come from the calls a function or the module body
         evaluates, never from ``parallel/``: submissions there are the
-        pool forwarding work to its own shims, not workers.
+        pool handing tasks to its executor, not workers.
         """
         nested: Optional[Set[str]] = None
         for node, fn, reach in project.iter_frames(mod):

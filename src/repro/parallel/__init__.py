@@ -1,14 +1,5 @@
-"""Process-parallel sweep execution for experiment grids."""
+"""Process-parallel execution of independent simulation tasks."""
 
-from repro.parallel.pool import TimeoutUnsupportedWarning, default_workers, map_parallel, run_grid
-from repro.parallel.retry import NO_RETRY, RetryPolicy, TaskFailure
+from repro.parallel.pool import default_workers, map_parallel
 
-__all__ = [
-    "map_parallel",
-    "run_grid",
-    "default_workers",
-    "RetryPolicy",
-    "TaskFailure",
-    "NO_RETRY",
-    "TimeoutUnsupportedWarning",
-]
+__all__ = ["map_parallel", "default_workers"]

@@ -1,9 +1,9 @@
-"""Process-pool helpers for embarrassingly parallel experiment sweeps.
+"""Process-pool helper for embarrassingly parallel simulation sweeps.
 
 Simulated runs are independent, CPU-bound Python — the textbook case for
-process pools rather than threads.  These helpers wrap
-:class:`concurrent.futures.ProcessPoolExecutor` with the conventions the
-experiment harness needs:
+process pools rather than threads.  :func:`map_parallel` wraps
+:class:`concurrent.futures.ProcessPoolExecutor` with the conventions its
+caller, :meth:`~repro.cluster.simulator.ClusterSimulator.run_fleet`, needs:
 
 * **Determinism** — results are returned in submission order regardless of
   completion order, so a parallel sweep is bit-identical to a serial one.
@@ -12,73 +12,30 @@ experiment harness needs:
   open file or a live ``Node`` — raises immediately with a clear message
   naming the offender instead of a cryptic pickling error from inside the
   pool.
-* **Resilience** — tasks are submitted as individual futures (not
-  ``pool.map``), so one crashed worker no longer aborts an entire Fig. 4
-  sweep: per-task timeouts, bounded retry-with-backoff
-  (:class:`~repro.parallel.retry.RetryPolicy`), ``BrokenProcessPool``
-  recovery (the executor is rebuilt and only unfinished tasks resubmitted)
-  and an ``on_error="collect"`` mode that returns structured
-  :class:`~repro.parallel.retry.TaskFailure` records in failed slots.
-* **Graceful degradation** — ``n_workers=1`` (or a single task) runs
-  serially in-process with identical retry/timeout/collect semantics,
-  which keeps coverage tools and debuggers usable.
-* **Clean interrupt** — ``KeyboardInterrupt`` cancels queued tasks and
-  terminates the worker processes before re-raising, so a Ctrl-C leaves no
-  orphaned workers burning CPU.
+* **In-process fallback** — one worker (or a single task) runs in the
+  calling process, which keeps coverage tools and debuggers usable.
+* **Deterministic failure** — the first task in submission order that
+  raised, or lost its worker, is reported as a
+  :class:`~repro.errors.PoolError` chained to its exception, whatever
+  order the tasks finished in.
+* **Clean interrupt** — ``KeyboardInterrupt`` terminates the worker
+  processes before re-raising, so a Ctrl-C leaves no orphaned workers
+  burning CPU.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
-import signal
-import threading
-import time
-import types
-import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.errors import ExperimentError, PoolError, TaskTimeoutError
-from repro.parallel.retry import NO_RETRY, RetryPolicy, TaskFailure
+from repro.errors import ExperimentError, PoolError
 
-__all__ = ["map_parallel", "run_grid", "default_workers", "TimeoutUnsupportedWarning"]
-
-_ON_ERROR_MODES = ("raise", "collect")
+__all__ = ["map_parallel", "default_workers"]
 
 
-class TimeoutUnsupportedWarning(UserWarning):
-    """``timeout_s`` was requested where it cannot be enforced.
-
-    Per-task timeouts rely on ``SIGALRM`` firing on the executing thread,
-    which requires a Unix platform and a main-thread caller for the serial
-    path.  Where neither holds the sweep still runs — unbounded — and this
-    warning is emitted exactly once per process so the degradation is
-    visible without aborting the campaign.
-    """
-
-
-_timeout_warning_lock = threading.Lock()
-_timeout_warning_emitted = False
-
-
-def _warn_timeout_unsupported(reason: str) -> None:
-    """Emit the degradation warning once per process (idempotent)."""
-    global _timeout_warning_emitted
-    with _timeout_warning_lock:
-        if _timeout_warning_emitted:
-            return
-        _timeout_warning_emitted = True
-    warnings.warn(
-        f"timeout_s cannot be enforced here ({reason}); tasks run unbounded",
-        TimeoutUnsupportedWarning,
-        stacklevel=3,
-    )
-
-
-def _check_picklable(func: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]] = ()) -> None:
+def _check_picklable(func: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]]) -> None:
     """Validate that the function *and every task kwarg* cross the process
     boundary, raising a clear :class:`ExperimentError` naming the offender."""
     try:
@@ -126,66 +83,8 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def _run_with_timeout(func: Callable[..., Any], kwargs: Dict[str, Any], timeout_s: Optional[float]) -> Any:
-    """Run one task, raising :class:`TaskTimeoutError` past ``timeout_s``.
-
-    The budget is enforced with ``SIGALRM`` *inside* the executing process
-    (pool workers run tasks on their main thread), so a timed-out task
-    raises and the worker survives — no pool teardown needed.  Off the main
-    thread, or on platforms without ``SIGALRM``, the task runs unbounded.
-    """
-    if (
-        timeout_s is None
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        return func(**kwargs)
-
-    def _on_alarm(signum: int, frame: Optional[types.FrameType]) -> None:
-        raise TaskTimeoutError(timeout_s)
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        return func(**kwargs)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _invoke(task: Tuple[Callable[..., Any], Dict[str, Any], Optional[float]]) -> Any:
-    func, kwargs, timeout_s = task
-    return _run_with_timeout(func, kwargs, timeout_s)
-
-
-def _run_serial(
-    func: Callable[..., Any],
-    kwargs_list: Sequence[Dict[str, Any]],
-    timeout_s: Optional[float],
-    policy: RetryPolicy,
-    on_error: str,
-) -> List[Any]:
-    """In-process execution with the same retry/timeout/collect semantics."""
-    results: List[Any] = []
-    for i, kwargs in enumerate(kwargs_list):
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                results.append(_run_with_timeout(func, dict(kwargs), timeout_s))
-                break
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                if policy.should_retry(exc, attempts):
-                    time.sleep(policy.backoff(attempts))
-                    continue
-                failure = TaskFailure.from_exception(i, kwargs, attempts, exc)
-                if on_error == "raise":
-                    raise PoolError(str(failure), (failure,)) from exc
-                results.append(failure)
-                break
-    return results
+def _task_failed(index: int, exc: BaseException) -> PoolError:
+    return PoolError(f"task[{index}] failed: {type(exc).__name__}: {exc}")
 
 
 def _terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -208,97 +107,26 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-# Test seam: the wait primitive the scheduling loop blocks on.
-_wait = wait
-
-
 def _run_pool(
-    func: Callable[..., Any],
-    kwargs_list: Sequence[Dict[str, Any]],
-    width: int,
-    timeout_s: Optional[float],
-    policy: RetryPolicy,
-    on_error: str,
+    func: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]], width: int
 ) -> List[Any]:
-    """Per-task future scheduling with retries and broken-pool recovery."""
-    n = len(kwargs_list)
-    results: List[Any] = [None] * n
-    done_flags = [False] * n
-    attempts = [0] * n
-    failures: Dict[int, TaskFailure] = {}
-    retry_heap: List[Tuple[float, int]] = []  # (due_monotonic, index)
-    future_of: Dict[Future, int] = {}
+    """Submit every task to one pool and collect results in submission order."""
     pool = ProcessPoolExecutor(max_workers=width)
-
-    def submit(index: int) -> None:
-        attempts[index] += 1
-        fut = pool.submit(_invoke, (func, dict(kwargs_list[index]), timeout_s))
-        future_of[fut] = index
-
-    def settle_failure(index: int, exc: BaseException) -> None:
-        failure = TaskFailure.from_exception(index, kwargs_list[index], attempts[index], exc)
-        failures[index] = failure
-        results[index] = failure
-        done_flags[index] = True
-
     try:
-        for i in range(n):
-            submit(i)
-        while future_of or retry_heap:
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _, idx = heapq.heappop(retry_heap)
-                submit(idx)
-            if not future_of:
-                time.sleep(max(0.0, retry_heap[0][0] - now))
-                continue
-            block = None if not retry_heap else max(0.0, retry_heap[0][0] - now)
-            done, _ = _wait(set(future_of), timeout=block, return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            broken: List[int] = []
-            for fut in done:
-                idx = future_of.pop(fut)
-                try:
-                    results[idx] = fut.result()
-                    done_flags[idx] = True
-                except BrokenProcessPool:
-                    broken.append(idx)
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:
-                    if policy.should_retry(exc, attempts[idx]):
-                        heapq.heappush(retry_heap, (now + policy.backoff(attempts[idx]), idx))
-                    else:
-                        settle_failure(idx, exc)
-            if broken:
-                # The pool is dead: every in-flight future is doomed, not
-                # just the task that killed its worker.  Rebuild the
-                # executor and resubmit only unfinished tasks, charging
-                # each one attempt (the culprit is unidentifiable, and a
-                # bounded charge keeps a crash-looping task from cycling
-                # the pool forever).
-                exc = BrokenProcessPool("a pool worker died unexpectedly")
-                broken.extend(future_of.values())
-                future_of.clear()
-                _terminate_workers(pool)
-                pool = ProcessPoolExecutor(max_workers=width)
-                for idx in sorted(broken):
-                    if attempts[idx] < policy.max_attempts:
-                        heapq.heappush(retry_heap, (now + policy.backoff(attempts[idx]), idx))
-                    else:
-                        settle_failure(idx, exc)
-            if failures and on_error == "raise":
-                _terminate_workers(pool)
-                ordered = tuple(failures[i] for i in sorted(failures))
-                raise PoolError(
-                    f"{len(ordered)} task(s) failed; first: {ordered[0]}", ordered
-                ) from None
-        return results
-    except KeyboardInterrupt:
+        futures = [pool.submit(func, **kwargs) for kwargs in kwargs_list]
+        results: List[Any] = []
+        for index, future in enumerate(futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:  # the task's own error, or BrokenProcessPool
+                raise _task_failed(index, exc) from exc
+    except BaseException:
+        # A failed task or a Ctrl-C: stop the tasks still running rather
+        # than wait for results nobody will read.
         _terminate_workers(pool)
         raise
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    pool.shutdown(wait=True)
+    return results
 
 
 def map_parallel(
@@ -306,9 +134,6 @@ def map_parallel(
     kwargs_list: Sequence[Dict[str, Any]],
     *,
     n_workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
 ) -> List[Any]:
     """Run ``func(**kwargs)`` for every kwargs dict, preserving order.
 
@@ -319,91 +144,32 @@ def map_parallel(
     kwargs_list:
         One kwargs dict per task.
     n_workers:
-        Pool size; default :func:`default_workers`. ``1`` runs serially.
-    timeout_s:
-        Per-task wall-clock budget; a task past it raises
-        :class:`~repro.errors.TaskTimeoutError` (retryable like any other
-        failure).  ``None`` (default) runs unbounded.  Where the budget
-        cannot be enforced (no ``SIGALRM`` on the platform, or serial
-        execution off the main thread) it degrades to unbounded with a
-        one-time :class:`TimeoutUnsupportedWarning` instead of failing.
-    retry:
-        A :class:`~repro.parallel.retry.RetryPolicy` for transient
-        failures; ``None`` (default) means one attempt, fail fast.
-    on_error:
-        ``"raise"`` (default) aborts the sweep with a
-        :class:`~repro.errors.PoolError` carrying the
-        :class:`~repro.parallel.retry.TaskFailure` records; ``"collect"``
-        finishes the sweep and returns failures in their tasks' result
-        slots, so one bad grid point costs one result, not the campaign.
+        Pool size; default :func:`default_workers`. ``1`` (or a single
+        task) runs in the calling process.
 
     Returns
     -------
     list
-        Results in the order of ``kwargs_list`` (failed slots hold
-        :class:`TaskFailure` records in ``"collect"`` mode).
+        Results in the order of ``kwargs_list``.
+
+    Raises
+    ------
+    PoolError
+        For the first task, in submission order, that raised or lost its
+        worker; the task's exception is chained as ``__cause__``.
     """
-    if on_error not in _ON_ERROR_MODES:
-        raise ExperimentError(f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ExperimentError(f"timeout_s must be positive, got {timeout_s!r}")
-    tasks = [dict(kw) for kw in kwargs_list]
-    if not tasks:
+    if not kwargs_list:
         return []
     workers = n_workers if n_workers is not None else default_workers()
     if workers < 1:
         raise ExperimentError(f"n_workers must be >= 1, got {workers!r}")
-    policy = retry if retry is not None else NO_RETRY
-    serial = workers == 1 or len(tasks) == 1
-    if timeout_s is not None:
-        # Degrade, don't abort: where SIGALRM can't fire the sweep still
-        # runs (unbounded), with a single structured warning.  Pool workers
-        # execute tasks on their own main thread, so only the platform
-        # check applies to the parallel path; the serial path additionally
-        # needs *this* thread to be the main thread.
-        if not hasattr(signal, "SIGALRM"):
-            _warn_timeout_unsupported("this platform has no SIGALRM")
-            timeout_s = None
-        elif serial and threading.current_thread() is not threading.main_thread():
-            _warn_timeout_unsupported("serial execution off the main thread")
-            timeout_s = None
-    if serial:
-        return _run_serial(func, tasks, timeout_s, policy, on_error)
-    _check_picklable(func, tasks)
-    return _run_pool(func, tasks, min(workers, len(tasks)), timeout_s, policy, on_error)
-
-
-def run_grid(
-    func: Callable[..., Any],
-    grid: Sequence[Dict[str, Any]],
-    *,
-    common: Optional[Dict[str, Any]] = None,
-    n_workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-) -> List[Tuple[Dict[str, Any], Any]]:
-    """Evaluate ``func`` over a parameter grid, pairing params with results.
-
-    Parameters
-    ----------
-    func:
-        Module-top-level callable.
-    grid:
-        Per-point parameter dicts.
-    common:
-        Parameters merged into every point (grid values win on conflict).
-    n_workers, timeout_s, retry, on_error:
-        Forwarded to :func:`map_parallel`.
-
-    Returns
-    -------
-    list of (params, result)
-        In grid order (failed points carry their :class:`TaskFailure` in
-        the result slot when ``on_error="collect"``).
-    """
-    merged = [{**(common or {}), **point} for point in grid]
-    results = map_parallel(
-        func, merged, n_workers=n_workers, timeout_s=timeout_s, retry=retry, on_error=on_error
-    )
-    return list(zip([dict(p) for p in grid], results))
+    if workers == 1 or len(kwargs_list) == 1:
+        results: List[Any] = []
+        for index, kwargs in enumerate(kwargs_list):
+            try:
+                results.append(func(**kwargs))
+            except Exception as exc:
+                raise _task_failed(index, exc) from exc
+        return results
+    _check_picklable(func, kwargs_list)
+    return _run_pool(func, kwargs_list, min(workers, len(kwargs_list)))

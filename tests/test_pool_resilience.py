@@ -1,4 +1,4 @@
-"""Resilient-pool error paths: timeouts, retries, broken pools, interrupts."""
+"""Pool error paths: task failures, dead workers, interrupts, bad input."""
 
 import os
 import signal
@@ -9,9 +9,8 @@ import time
 
 import pytest
 
-from repro.errors import ExperimentError, PoolError, TaskTimeoutError
+from repro.errors import ExperimentError, PoolError
 from repro.parallel.pool import map_parallel
-from repro.parallel.retry import NO_RETRY, RetryPolicy, TaskFailure
 
 
 # --- worker functions (module top level: picklable) ------------------------
@@ -26,19 +25,9 @@ def boom(x, bad=3):
     return x
 
 
-def sleep_for(t):
-    time.sleep(t)
-    return t
-
-
-def flaky(path, fail_times):
-    """Fails the first ``fail_times`` invocations (counter shared via file)."""
-    n = int(open(path).read()) if os.path.exists(path) else 0
-    with open(path, "w") as fh:
-        fh.write(str(n + 1))
-    if n < fail_times:
-        raise OSError(f"transient failure #{n}")
-    return "ok"
+def fail_after(x, delay_s):
+    time.sleep(delay_s)
+    raise ValueError(f"task {x} failed after {delay_s}s")
 
 
 def die_once(x, marker):
@@ -50,167 +39,30 @@ def die_once(x, marker):
     return x
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ExperimentError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ExperimentError):
-            RetryPolicy(backoff_s=-1.0)
-        with pytest.raises(ExperimentError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ExperimentError):
-            RetryPolicy(max_backoff_s=-0.1)
-
-    def test_backoff_schedule_deterministic_and_capped(self):
-        policy = RetryPolicy(max_attempts=5, backoff_s=0.1, backoff_multiplier=2.0, max_backoff_s=0.3)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff(4) == pytest.approx(0.3)
-
-    def test_should_retry_respects_types_and_budget(self):
-        policy = RetryPolicy(max_attempts=2, retry_on=(OSError,))
-        assert policy.should_retry(OSError(), 1)
-        assert not policy.should_retry(ValueError(), 1)
-        assert not policy.should_retry(OSError(), 2)  # budget exhausted
-
-    def test_no_retry_single_attempt(self):
-        assert NO_RETRY.max_attempts == 1
-
-
 class TestTaskFailureRecords:
-    def test_collect_returns_failure_in_slot(self):
-        out = map_parallel(boom, [{"x": i} for i in range(5)], n_workers=2, on_error="collect")
-        assert out[:3] == [0, 1, 2] and out[4] == 4
-        failure = out[3]
-        assert isinstance(failure, TaskFailure)
-        assert failure.index == 3
-        assert failure.kwargs == {"x": 3}
-        assert failure.error_type == "ValueError"
-        assert "bad point 3" in failure.error
-        assert failure.attempts == 1
-
-    def test_collect_ordering_deterministic(self):
-        kwargs = [{"x": i} for i in range(8)]
-        runs = [
-            map_parallel(boom, kwargs, n_workers=w, on_error="collect")
-            for w in (1, 2, 4)
-        ]
-        for out in runs:
-            assert [r.index if isinstance(r, TaskFailure) else r for r in out] == list(range(8))
-
     def test_raise_mode_carries_failures(self):
-        with pytest.raises(PoolError) as err:
+        with pytest.raises(PoolError, match=r"task\[3\].*ValueError: bad point 3") as err:
             map_parallel(boom, [{"x": i} for i in range(5)], n_workers=2)
-        assert len(err.value.failures) >= 1
-        assert err.value.failures[0].index == 3
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_serial_raise_chains_cause(self):
         with pytest.raises(PoolError) as err:
             map_parallel(boom, [{"x": 3}], n_workers=1)
         assert isinstance(err.value.__cause__, ValueError)
 
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ExperimentError):
-            map_parallel(ident, [{"x": 1}], on_error="ignore")
-
-
-class TestTimeouts:
-    def test_timeout_fires_in_pool(self):
-        out = map_parallel(
-            sleep_for, [{"t": 0.01}, {"t": 30.0}], n_workers=2, timeout_s=0.5, on_error="collect"
-        )
-        assert out[0] == 0.01
-        assert isinstance(out[1], TaskFailure)
-        assert out[1].error_type == "TaskTimeoutError"
-
-    def test_timeout_fires_serially(self):
-        with pytest.raises(PoolError):
-            map_parallel(sleep_for, [{"t": 30.0}], n_workers=1, timeout_s=0.2)
-
-    def test_fast_task_unaffected_by_timeout(self):
-        assert map_parallel(sleep_for, [{"t": 0.01}], n_workers=1, timeout_s=5.0) == [0.01]
-
-    def test_invalid_timeout_rejected(self):
-        with pytest.raises(ExperimentError):
-            map_parallel(ident, [{"x": 1}], timeout_s=0.0)
-
-    def test_timeout_error_pickles(self):
-        import pickle
-
-        exc = pickle.loads(pickle.dumps(TaskTimeoutError(1.5)))
-        assert isinstance(exc, TaskTimeoutError) and exc.timeout_s == 1.5
-
-
-class TestRetries:
-    def test_retry_then_succeed_serial(self, tmp_path):
-        counter = tmp_path / "count"
-        out = map_parallel(
-            flaky,
-            [{"path": str(counter), "fail_times": 2}],
-            n_workers=1,
-            retry=RetryPolicy(max_attempts=4, backoff_s=0.01),
-        )
-        assert out == ["ok"]
-        assert counter.read_text() == "3"  # 2 failures + 1 success
-
-    def test_retry_then_succeed_in_pool(self, tmp_path):
-        counter = tmp_path / "count"
-        out = map_parallel(
-            flaky,
-            [{"path": str(counter), "fail_times": 2}, {"path": str(tmp_path / "other"), "fail_times": 0}],
-            n_workers=2,
-            retry=RetryPolicy(max_attempts=4, backoff_s=0.01),
-        )
-        assert out == ["ok", "ok"]
-
-    def test_transient_failure_matches_fault_free_serial_run(self, tmp_path):
-        """A sweep with one transiently failing task returns results
-        identical to a fault-free serial sweep (acceptance criterion)."""
-        counter = tmp_path / "count"
-        kwargs = [{"path": str(tmp_path / f"c{i}"), "fail_times": 0} for i in range(6)]
-        kwargs[3] = {"path": str(counter), "fail_times": 1}
-        faulted = map_parallel(
-            flaky, kwargs, n_workers=3, retry=RetryPolicy(max_attempts=3, backoff_s=0.01)
-        )
-        clean = ["ok"] * 6
-        assert faulted == clean
-
-    def test_attempts_exhausted_reports_count(self, tmp_path):
-        counter = tmp_path / "count"
-        out = map_parallel(
-            flaky,
-            [{"path": str(counter), "fail_times": 99}],
-            n_workers=1,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
-            on_error="collect",
-        )
-        assert isinstance(out[0], TaskFailure)
-        assert out[0].attempts == 3
-
-    def test_non_retryable_type_fails_immediately(self, tmp_path):
-        out = map_parallel(
-            boom,
-            [{"x": 3}],
-            n_workers=1,
-            retry=RetryPolicy(max_attempts=5, backoff_s=0.0, retry_on=(OSError,)),
-            on_error="collect",
-        )
-        assert out[0].attempts == 1
+    @pytest.mark.parametrize("run", range(3))
+    def test_first_failure_in_submission_order_is_reported(self, run):
+        """Task 0 fails slowly and task 1 at once: the report names task 0,
+        however the two finish."""
+        with pytest.raises(PoolError, match=r"task\[0\]") as err:
+            map_parallel(
+                fail_after, [{"x": 0, "delay_s": 0.3}, {"x": 1, "delay_s": 0.0}], n_workers=2
+            )
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "task 0 failed" in str(err.value.__cause__)
 
 
 class TestBrokenPoolRecovery:
-    def test_worker_death_recovers_with_retry(self, tmp_path):
-        marker = str(tmp_path / "died")
-        out = map_parallel(
-            die_once,
-            [{"x": i, "marker": marker} for i in range(4)],
-            n_workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.01),
-        )
-        assert out == [0, 1, 2, 3]
-        assert os.path.exists(marker)  # the crash really happened
-
     def test_worker_death_without_retry_raises_pool_error(self, tmp_path):
         marker = str(tmp_path / "died")
         with pytest.raises(PoolError):
@@ -259,14 +111,14 @@ class TestKeyboardInterrupt:
                 os.kill(pid, 0)
 
     def test_interrupt_in_scheduler_reraises(self, monkeypatch):
-        """A KeyboardInterrupt inside the wait loop tears the pool down and
-        propagates (the CLI sees Ctrl-C, not a swallowed sweep)."""
-        import repro.parallel.pool as pool_mod
+        """A KeyboardInterrupt while results are collected tears the pool
+        down and propagates (the CLI sees Ctrl-C, not a swallowed sweep)."""
+        from concurrent.futures import Future
 
-        def interrupting_wait(*args, **kwargs):
+        def interrupting_result(self, timeout=None):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pool_mod, "_wait", interrupting_wait)
+        monkeypatch.setattr(Future, "result", interrupting_result)
         with pytest.raises(KeyboardInterrupt):
             map_parallel(ident, [{"x": i} for i in range(4)], n_workers=2)
 
