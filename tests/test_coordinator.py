@@ -144,6 +144,25 @@ class TestLease:
         with pytest.raises(CoordinatorError, match="malformed lease"):
             Lease.from_dict({"node_id": 0, "cap_w": "not-a-number"})
 
+    @pytest.mark.parametrize("field", ["cap_w", "granted_s", "expires_s"])
+    def test_nan_field_rejected(self, field):
+        fields = dict(node_id=0, cap_w=100.0, granted_s=1.0, expires_s=4.0, seq=0, epoch=0)
+        fields[field] = math.nan
+        with pytest.raises(CoordinatorError, match="must not carry NaN"):
+            Lease(**fields)
+        # A journal record replays through from_dict, which must refuse it too.
+        with pytest.raises(CoordinatorError, match="must not carry NaN"):
+            Lease.from_dict(fields)
+
+    def test_nan_cap_in_a_journal_file_fails_replay(self, tmp_path):
+        path = tmp_path / "grants.jsonl"
+        GrantJournal(path).record_grant(
+            Lease(node_id=0, cap_w=100.0, granted_s=1.0, expires_s=4.0, seq=0, epoch=0)
+        )
+        path.write_text(path.read_text().replace('"cap_w":100.0', '"cap_w":NaN'))
+        with pytest.raises(CoordinatorError, match="must not carry NaN"):
+            GrantJournal(path).replay()
+
 
 class TestCapSchedule:
     def test_floor_before_first_breakpoint(self):
@@ -343,6 +362,21 @@ def heartbeat(node, sent, desired, demand=None):
         demand_w=desired if demand is None else demand,
         desired_w=desired,
     )
+
+
+class TestHeartbeat:
+    @pytest.mark.parametrize("field", ["sent_s", "demand_w", "desired_w"])
+    def test_nan_field_rejected(self, field):
+        fields = dict(node_id=0, sent_s=0.0, demand_w=50.0, desired_w=50.0)
+        fields[field] = math.nan
+        with pytest.raises(CoordinatorError, match="must not carry NaN"):
+            Heartbeat(**fields)
+
+    def test_nan_desire_never_reaches_a_grant(self):
+        coord = BudgetCoordinator(config(budget_w=1000.0, safe_floor_w=100.0), 2)
+        with pytest.raises(CoordinatorError):
+            coord.receive([Heartbeat(0, 0.0, 50.0, math.nan)], 0.0)
+        assert all(not math.isnan(lease.cap_w) for lease in coord.arbitrate(0.0))
 
 
 class TestArbitration:

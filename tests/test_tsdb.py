@@ -89,6 +89,12 @@ class TestSeriesBasics:
         s.record(2.0, 3.0)
         assert s.summary()["count"] == 2.0
 
+    def test_negative_time_on_a_fresh_series_says_why(self):
+        # Nothing was folded yet, so the refusal must not blame a downsample.
+        with pytest.raises(ObsError, match=r"t=-1\.0 is before t=0") as err:
+            small_series().record(-1.0, 2.0)
+        assert "downsampled" not in str(err.value)
+
     def test_nan_time_cannot_unsort_the_ring(self):
         s = small_series()
         s.record(1.0, 1.0)
