@@ -7,6 +7,8 @@ be made against the *same* runs, so we pay for each run once.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.hw.presets import intel_a100
@@ -54,6 +56,18 @@ def tiny_workload():
 # Session-scoped paired runs on a mid-size workload, shared by the
 # integration/metric/analysis tests.
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="session")
+def repo_lint():
+    """``lint_project`` over ``src/repro``, once per session.
+
+    ``(violations, n_files, stats)``. Linting ``src`` gives the same
+    violations and stats, since ``repro`` is the only package under it.
+    """
+    from repro.lintkit import lint_project
+
+    return lint_project([str(Path(__file__).resolve().parent.parent / "src" / "repro")])
+
+
 @pytest.fixture(scope="session")
 def srad_runs():
     """SRAD under every policy on Intel+A100 (seed 1)."""

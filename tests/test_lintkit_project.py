@@ -206,9 +206,9 @@ class TestLintProjectEngine:
         with pytest.raises(LintError):
             lint_project(["definitely/not/a/path"])
 
-    def test_repo_is_clean_under_project_rules(self):
+    def test_repo_is_clean_under_project_rules(self, repo_lint):
         # The acceptance gate: src/repro lints clean with an empty baseline.
-        violations, _, stats = lint_project([str(REPO / "src")])
+        violations, _, stats = repo_lint
         assert violations == []
         assert stats.to_dict()["call_edges"] > 1000
 
