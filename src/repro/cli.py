@@ -11,6 +11,7 @@ an entry point). Subcommands mirror the library's main workflows::
     repro metrics --workload srad                # Prometheus dump + energy attribution
     repro suite --figure 4a                      # a Fig. 4 sweep
     repro experiments --quick                    # the full paper report
+    repro experiments --trace-schema intel_a100  # the channels a run records
     repro resilience --seed 2 --check-repro      # fault campaign vs golden runs
     repro guard --seed 2 --gate-stuck-freeze     # silent-corruption detection coverage
     repro latency --preset gpu_dvfs              # switch-latency sensitivity report
@@ -131,8 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     suite_p.add_argument("--seed", type=int, default=1)
 
     exp_p = sub.add_parser("experiments", help="run the full paper report")
-    exp_p.add_argument("--quick", action="store_true")
+    exp_p.add_argument("--quick", action="store_true", help="reduced sweeps for a fast pass")
     exp_p.add_argument("--seed", type=int, default=1)
+    exp_p.add_argument(
+        "--trace-schema",
+        metavar="PRESET",
+        choices=sorted(PRESETS),
+        help="print the trace-channel schema recorded for PRESET and exit",
+    )
 
     fleet_p = sub.add_parser("fleet", help="aggregate power of a job fleet (§6.1 budget argument)")
     fleet_p.add_argument("--system", default="intel_a100", choices=sorted(PRESETS))
@@ -1126,8 +1133,11 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.experiments.runner import run_all
+    from repro.experiments.runner import describe_trace_schema, run_all
 
+    if args.trace_schema is not None:
+        print(describe_trace_schema(args.trace_schema))
+        return 0
     for report in run_all(quick=args.quick, seed=args.seed):
         print(report)
     return 0

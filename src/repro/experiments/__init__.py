@@ -14,7 +14,7 @@ Module      Paper artefact                                       Section
 =========== ==================================================== =========
 
 ``runner`` executes everything and prints the paper-shaped reports
-(``python -m repro.experiments.runner``).
+(``repro experiments``).
 
 ``resilience`` is not a paper artefact: it measures each governor under a
 seeded telemetry-fault campaign against its fault-free golden run (energy
@@ -50,7 +50,7 @@ from repro.experiments.coordination import (
     assert_coordination_safe,
 )
 from repro.experiments.paper import PAPER, PaperClaim, ClaimResult, verify_reproduction, format_verification
-from repro.experiments.export import export_all, export_rows_csv, export_series_csv
+from repro.experiments.export import export_rows_csv, export_series_csv
 
 __all__ = [
     "Fig1Result",
@@ -89,7 +89,6 @@ __all__ = [
     "ClaimResult",
     "verify_reproduction",
     "format_verification",
-    "export_all",
     "export_rows_csv",
     "export_series_csv",
 ]

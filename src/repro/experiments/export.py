@@ -1,9 +1,9 @@
 """CSV export of every experiment's data series.
 
-``python -m repro.experiments.runner --outdir results/`` (or
-:func:`export_all`) writes one CSV per paper artefact, so the figures can
-be re-plotted with any external tool: each file carries exactly the series
-the corresponding figure draws or the rows the table lists.
+``repro campaign run --outdir results/`` runs :data:`EXPORT_STEPS` and
+writes one CSV per paper artefact, so the figures can be re-plotted with
+any external tool: each file carries exactly the series the corresponding
+figure draws or the rows the table lists.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.sim.trace import TimeSeries
 __all__ = [
     "export_series_csv",
     "export_rows_csv",
-    "export_all",
     "EXPORT_STEPS",
     "export_fig1",
     "export_fig2",
@@ -188,7 +187,7 @@ def export_table2(outdir: Union[str, Path], *, seed: int = 1, quick: bool = True
 
 #: Paper artefact exporters in campaign order: step name -> exporter.  The
 #: journaled-campaign runner (:mod:`repro.campaign`) wraps these as named,
-#: individually cacheable steps; :func:`export_all` runs them back to back.
+#: individually cacheable steps.
 EXPORT_STEPS = {
     "fig1": export_fig1,
     "fig2": export_fig2,
@@ -201,16 +200,3 @@ EXPORT_STEPS = {
     "fig7": export_fig7,
     "table2": export_table2,
 }
-
-
-def export_all(outdir: Union[str, Path], *, seed: int = 1, quick: bool = True) -> List[Path]:
-    """Run every experiment and write one CSV per artefact.
-
-    Returns the list of files written. Reuses the same experiment
-    entry points as the printed reports; for a crash-resumable version of
-    the same sweep use ``repro campaign run`` (:mod:`repro.campaign`).
-    """
-    written: List[Path] = []
-    for step in EXPORT_STEPS.values():
-        written.extend(step(outdir, seed=seed, quick=quick))
-    return written

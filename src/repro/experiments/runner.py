@@ -2,7 +2,8 @@
 
 Usage::
 
-    python -m repro.experiments.runner [--quick] [--seed N]
+    repro experiments [--quick] [--seed N]
+    repro experiments --trace-schema PRESET
 
 ``--quick`` shrinks the expensive sweeps (single repeat, reduced Fig. 7
 grid, 2-minute overhead runs) for a fast end-to-end pass; the full mode
@@ -11,13 +12,10 @@ matches the paper's protocol (5 repeats, full grid, 10-minute idle runs).
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 from typing import List
 
 from repro.analysis.report import format_table
-from repro.errors import ConfigError
 from repro.experiments.fig1_profiling import run_fig1
 from repro.experiments.fig2_power_profiles import run_fig2
 from repro.experiments.fig4_end_to_end import (
@@ -33,7 +31,7 @@ from repro.experiments.fig7_sensitivity import run_fig7, threshold_grid
 from repro.experiments.table1_jaccard import format_table1, run_table1
 from repro.experiments.table2_overhead import format_table2, run_table2
 
-__all__ = ["main", "run_all", "describe_trace_schema"]
+__all__ = ["run_all", "describe_trace_schema"]
 
 
 def _banner(text: str) -> str:
@@ -151,36 +149,3 @@ def run_all(*, quick: bool = True, seed: int = 1) -> List[str]:
 
     reports.append(f"\nTotal experiment wall time: {time.time() - t0:.0f}s")
     return reports
-
-
-def main(argv=None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="reduced sweeps for a fast pass")
-    parser.add_argument("--seed", type=int, default=1, help="master seed")
-    parser.add_argument("--outdir", default=None, help="also write one CSV per artefact here")
-    parser.add_argument(
-        "--trace-schema",
-        metavar="PRESET",
-        default=None,
-        help="print the trace-channel schema recorded for PRESET and exit",
-    )
-    args = parser.parse_args(argv)
-    if args.trace_schema is not None:
-        try:
-            print(describe_trace_schema(args.trace_schema))
-        except ConfigError as exc:
-            parser.error(str(exc))
-        return 0
-    for report in run_all(quick=args.quick, seed=args.seed):
-        print(report)
-    if args.outdir:
-        from repro.experiments.export import export_all
-
-        written = export_all(args.outdir, seed=args.seed, quick=args.quick)
-        print(f"\nwrote {len(written)} CSV artefacts to {args.outdir}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

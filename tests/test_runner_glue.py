@@ -5,6 +5,7 @@ by tests/test_experiments.py and the benchmark harness)."""
 import pytest
 
 import repro.experiments.runner as runner_mod
+from repro import cli
 from repro.experiments.fig4_end_to_end import Fig4Row, summary_stats
 from repro.errors import ExperimentError
 
@@ -30,11 +31,13 @@ class TestSummaryStats:
 
 
 class TestRunnerMain:
+    """``repro experiments`` is the runner's only front end."""
+
     def test_main_prints_all_reports(self, monkeypatch, capsys):
         monkeypatch.setattr(runner_mod, "run_all", lambda **kw: ["REPORT-A", "REPORT-B"])
-        assert runner_mod.main(["--quick"]) == 0
+        assert cli.main(["experiments", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "REPORT-A" in out and "REPORT-B" in out
+        assert out.index("REPORT-A") < out.index("REPORT-B")
 
     def test_main_forwards_seed(self, monkeypatch):
         captured = {}
@@ -44,8 +47,14 @@ class TestRunnerMain:
             return []
 
         monkeypatch.setattr(runner_mod, "run_all", fake_run_all)
-        runner_mod.main(["--seed", "7"])
+        assert cli.main(["experiments", "--seed", "7"]) == 0
         assert captured == {"quick": False, "seed": 7}
+
+    def test_trace_schema_prints_the_channel_blocks(self, monkeypatch, capsys):
+        monkeypatch.setattr(runner_mod, "run_all", lambda **kw: pytest.fail("ran experiments"))
+        assert cli.main(["experiments", "--trace-schema", "intel_a100"]) == 0
+        out = capsys.readouterr().out
+        assert "core0_freq_ghz .. core79_freq_ghz (80 channels)" in out
 
     def test_banner_shape(self):
         banner = runner_mod._banner("Title")
