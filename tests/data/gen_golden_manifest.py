@@ -15,7 +15,12 @@ coordinated fleet. Under ``"obs"`` it pins, for the same matrix
 rerun with every observability output on, the Prometheus export of each
 run's metrics registry, the canonical state of its time-series store and
 its span list, plus the metric and time-series rollups of the same fleet
-run uncoordinated.
+run uncoordinated. Under ``"callers"`` it pins the two caller families the
+matrix does not reach: a small fleet under a ``NodeFailureModel`` (requeue
+counts, lost work, wasted energy, the failure log and aggregate power) and
+one ``run_batch`` (its windows, traces and decisions). Under ``"claims"``
+it pins the 16 values ``repro verify`` measures, each as ``float.hex``, so
+a claim that drifts inside its band still shows.
 ``tests/test_golden_manifest.py`` recomputes every digest and lists each
 mismatching (config, channel) pair.
 
@@ -35,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.failures import NodeFailureModel
 from repro.cluster.job import ClusterJob
 from repro.cluster.simulator import ClusterSimulator, FleetResult
 from repro.coordinator.config import safe_floor_w
@@ -49,6 +55,7 @@ from repro.obs.config import ObsConfig
 from repro.obs.exporters import render_prometheus
 from repro.obs.scrape import default_fleet_rules
 from repro.obs.tsdb import canonical_state_bytes
+from repro.runtime.batch import BatchResult, run_batch
 from repro.runtime.session import RunResult, make_governor, run_application
 from repro.workloads.registry import SUITE_INTEL_A100, get_workload
 
@@ -80,6 +87,14 @@ FLEET_BUDGET_FRAC = 0.7
 OBS_ALL = ObsConfig(enabled=True, metrics=True, spans=True, tsdb=True)
 #: Key of the uncoordinated fleet's rollup digests among the ``"obs"`` rows.
 OBS_FLEET_KEY = "fleet/plain"
+
+#: The failure fleet: three short staggered jobs on three nodes, two of
+#: which die mid-job (surveyed) while the third drains the schedule.
+FAILURE_WORKLOADS = ("sort", "bfs", "srad")
+FAILURE_MODEL = NodeFailureModel(mtbf_s=4.0, seed=SEED, restart_delay_s=0.5, lost_work_fraction=0.5)
+#: The batch: two whole applications one second apart under one daemon.
+BATCH_WORKLOADS = ("sort", "bfs")
+BATCH_GAP_S = 1.0
 
 
 def config_key(preset: str, governor: str, mode: str) -> str:
@@ -253,12 +268,81 @@ def fleet_digests(result: CoordinatedFleetResult, journal: GrantJournal) -> Dict
     }
 
 
+def run_failure_fleet() -> FleetResult:
+    """The failure fleet under ``FAILURE_MODEL``."""
+    jobs = [
+        ClusterJob(f"job{i}-{name}", name, 1.0 * i, seed=SEED + i, max_time_s=FLEET_JOB_HORIZON_S)
+        for i, name in enumerate(FAILURE_WORKLOADS)
+    ]
+    sim = ClusterSimulator(FLEET_PRESET, jobs, n_nodes=len(jobs))
+    return sim.run_fleet(FLEET_GOVERNOR, dt_s=DT_S, n_workers=1, failure_model=FAILURE_MODEL)
+
+
+def failure_fleet_digests(fleet: FleetResult) -> Dict[str, str]:
+    """Digests of a failure fleet's churn accounting and aggregate power."""
+    return {
+        "requeue_counts": sha256_json(fleet.requeue_counts),
+        "lost_work_s": float.hex(fleet.lost_work_s),
+        "wasted_energy_j": float.hex(fleet.wasted_energy_j),
+        "failure_log": sha256_json(
+            [
+                [e.node_id, e.time_s, e.job_name, e.lost_work_s, e.wasted_energy_j]
+                for e in fleet.failures
+            ]
+        ),
+        "aggregate_power_w": sha256_arrays(fleet.grid_times_s, fleet.aggregate_power_w),
+    }
+
+
+def run_batch_row() -> BatchResult:
+    """``BATCH_WORKLOADS`` back to back under one MAGUS daemon."""
+    return run_batch(
+        FLEET_PRESET, BATCH_WORKLOADS, make_governor(FLEET_GOVERNOR),
+        gap_s=BATCH_GAP_S, seed=SEED, dt_s=DT_S,
+    )
+
+
+def batch_digests(batch: BatchResult) -> Dict[str, str]:
+    """Digests of a batch's windows, every trace channel and its decisions."""
+    out = {
+        name: sha256_arrays(series.times, series.values)
+        for name, series in sorted(batch.traces.items())
+    }
+    out["decisions"] = sha256_json([[d.time_s, d.target_ghz, d.reason] for d in batch.decisions])
+    out["windows"] = sha256_json(
+        [[w.workload_name, w.start_s, w.end_s, w.energy_j, w.avg_cpu_w] for w in batch.windows]
+    )
+    return out
+
+
+def caller_digests() -> Dict[str, Dict[str, str]]:
+    """The ``"callers"`` rows: the failure fleet and the batch."""
+    return {
+        "fleet/failures": failure_fleet_digests(run_failure_fleet()),
+        "batch": batch_digests(run_batch_row()),
+    }
+
+
+def claim_values() -> Dict[str, str]:
+    """Every value ``repro verify`` checks (seed ``SEED``, quick), as ``float.hex``."""
+    from repro.experiments.paper import _measurements
+
+    return {name: float.hex(value) for name, value in sorted(_measurements(SEED, True).items())}
+
+
 def compute() -> Dict[str, Dict[str, Dict[str, str]]]:
-    """Every digest of the matrix and the fleet, keyed like the manifest."""
+    """Every digest of the matrix, the fleets, the batch and the claims,
+    keyed like the manifest."""
     runs = {key: run_digests(result) for key, _mode, result in matrix_runs()}
     obs = {key: obs_digests(result) for key, _mode, result in matrix_runs(OBS_ALL)}
     obs[OBS_FLEET_KEY] = obs_fleet_digests(run_obs_fleet())
-    return {"runs": runs, "obs": obs, "fleet": {"coordinated": fleet_digests(*run_fleet())}}
+    return {
+        "runs": runs,
+        "obs": obs,
+        "fleet": {"coordinated": fleet_digests(*run_fleet())},
+        "callers": caller_digests(),
+        "claims": claim_values(),
+    }
 
 
 def _git(*args: str) -> str:

@@ -6,7 +6,9 @@ one over the decisions for each (preset, governor, mode) run of
 journal, alert events, incidents, scraped time-series state and summary of
 a small coordinated fleet. Its ``"obs"``
 rows pin each run's metrics export, time-series state and spans with every
-observability output on, plus the same fleet's uncoordinated rollups.
+observability output on, plus the same fleet's uncoordinated rollups. Its
+``"callers"`` rows pin a fleet under node failures and one batch, and its
+``"claims"`` row the 16 values ``repro verify`` measures, as ``float.hex``.
 Every digest is recomputed here and compared as bytes, so a
 ``-0.0``/``+0.0`` flip that ``np.array_equal`` forgives still fails.
 A failure lists every mismatching (config, channel) pair, with the NumPy
@@ -55,7 +57,15 @@ def fresh():
     obs[gen.OBS_FLEET_KEY] = gen.obs_fleet_digests(obs_fleet)
     instruments.update(obs_fleet.metrics_rollup().names())
     fleet, journal = gen.run_fleet()
+    failure_fleet = gen.run_failure_fleet()
+    batch = gen.run_batch_row()
     return {
+        "callers": {
+            "fleet/failures": gen.failure_fleet_digests(failure_fleet),
+            "batch": gen.batch_digests(batch),
+        },
+        "failure_fleet": failure_fleet,
+        "batch": batch,
         "runs": runs,
         "obs": obs,
         "observed_runs": observed_runs,
@@ -66,6 +76,12 @@ def fresh():
         "journal_kinds": [record["kind"] for record in journal._log.records()],
         "incidents": fleet.incidents,
     }
+
+
+@pytest.fixture(scope="module")
+def claims():
+    """The claim values, measured as ``repro verify`` measures them (~10 s)."""
+    return gen.claim_values()
 
 
 def _mismatches(pinned, current):
@@ -143,6 +159,32 @@ class TestGoldenManifest:
         # restart record as well as grants.
         kinds = fresh["journal_kinds"]
         assert "grant" in kinds and "restart" in kinds, sorted(set(kinds))
+
+
+    def test_every_caller_digest_matches(self, manifest, fresh):
+        bad = _mismatches(manifest["callers"], fresh["callers"])
+        assert not bad, _report(manifest, bad)
+
+    def test_failure_fleet_leg_is_not_vacuous(self, fresh):
+        fleet = fresh["failure_fleet"]
+        assert fleet.n_failures >= 2 and len(fleet.requeue_counts) >= 2
+        assert fleet.lost_work_s > 0 and fleet.wasted_energy_j > 0
+
+    def test_batch_leg_is_not_vacuous(self, fresh):
+        batch = fresh["batch"]
+        assert [w.workload_name for w in batch.windows] == list(gen.BATCH_WORKLOADS)
+        assert batch.decisions
+
+    def test_every_claim_value_matches(self, manifest, claims):
+        assert len(manifest["claims"]) == 16
+        bad = [
+            f"{name}: {float.fromhex(want)!r} -> "
+            f"{float.fromhex(claims[name]) if name in claims else 'missing'!r}"
+            for name, want in sorted(manifest["claims"].items())
+            if claims.get(name) != want
+        ]
+        bad += [f"{name}: new" for name in sorted(set(claims) - set(manifest["claims"]))]
+        assert not bad, _report(manifest, bad)
 
 
 class TestMismatchReport:
