@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.sim.rng import spawn_generator
+from repro.units import require_finite
 
 __all__ = ["NodeFailureModel", "NodeFailureEvent", "Segment"]
 
@@ -36,7 +37,8 @@ class NodeFailureModel:
     mtbf_s:
         Mean time between failures per node (cluster seconds).  Each node's
         time of death is one exponential draw with this mean; nodes whose
-        draw lands past the schedule simply never fail.
+        draw lands past the schedule simply never fail (with ``inf``, no
+        node does).  NaN is refused, here and in ``restart_delay_s``.
     seed:
         Seeds the death-time draws (one :func:`numpy.random.default_rng`
         stream, consumed in node-id order).
@@ -56,6 +58,13 @@ class NodeFailureModel:
     lost_work_fraction: float = 1.0
 
     def __post_init__(self) -> None:
+        # The range checks below are comparisons, which NaN passes.
+        for name in ("mtbf_s", "restart_delay_s"):
+            require_finite(
+                getattr(self, name),
+                error=lambda value, name=name: ExperimentError(f"{name} must not be NaN"),
+                allow_inf=True,
+            )
         if self.mtbf_s <= 0:
             raise ExperimentError(f"mtbf_s must be positive, got {self.mtbf_s!r}")
         if self.restart_delay_s < 0:

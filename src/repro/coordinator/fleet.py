@@ -51,7 +51,7 @@ from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tsdb import Series, TimeSeriesDB
 from repro.sim.clock import SimClock
-from repro.units import ordered_sum
+from repro.units import ordered_sum, require_finite
 
 __all__ = [
     "node_demand_matrix",
@@ -183,6 +183,10 @@ class CoordinatedFleetResult:
         budget = self.config.budget_w if budget_w is None else budget_w
         if budget <= 0:
             raise CoordinatorError(f"budget must be positive, got {budget!r}")
+        # NaN passes the comparison above and would never count as over.
+        require_finite(
+            budget, error=lambda b: CoordinatorError(f"budget must be finite, got {b!r}")
+        )
         over = self.aggregate_delivered_w > budget
         return float(over.sum() * self.config.tick_s)
 

@@ -51,6 +51,18 @@ class TestModelValidation:
         with pytest.raises(ExperimentError):
             NodeFailureModel(mtbf_s=10.0, restart_delay_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["mtbf_s", "restart_delay_s"])
+    def test_nan_rejected(self, field):
+        # Both used to pass the range checks: a NaN MTBF killed no node and
+        # a NaN restart delay summed to a NaN total.
+        kwargs = {"mtbf_s": 10.0, field: float("nan")}
+        with pytest.raises(ExperimentError, match=f"{field} must not be NaN"):
+            NodeFailureModel(**kwargs)
+
+    def test_infinite_mtbf_never_fails(self):
+        model = NodeFailureModel(mtbf_s=float("inf"), seed=1)
+        assert np.isinf(model.death_times(3)).all()
+
     def test_lost_work_fraction_bounds(self):
         for bad in (-0.1, 1.1):
             with pytest.raises(ExperimentError):

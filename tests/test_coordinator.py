@@ -666,6 +666,16 @@ class TestCoordinatedFleet:
             logs.append([lease.to_dict() for lease in journal.replay()])
         assert logs[0] == logs[1]
 
+    def test_time_over_budget_refuses_a_non_finite_budget(self, small_sim, demand_fleet):
+        # NaN used to count no tick as over, and so did an infinite budget.
+        result = run_coordinated_fleet(
+            small_sim, "default", demand_fleet=demand_fleet, n_workers=1
+        )
+        assert result.time_over_budget_s() == 0.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(CoordinatorError, match=f"budget must be finite, got {bad!r}"):
+                result.time_over_budget_s(bad)
+
     def test_mismatched_demand_fleet_rejected(self, small_sim, demand_fleet):
         with pytest.raises(CoordinatorError, match="demand fleet ran"):
             run_coordinated_fleet(small_sim, "magus", demand_fleet=demand_fleet)

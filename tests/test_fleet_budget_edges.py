@@ -73,6 +73,17 @@ class TestBudgetBoundary:
             with pytest.raises(ExperimentError):
                 r.time_over_budget_s(bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, bad):
+        # NaN used to count no tick as over, and so did an infinite budget.
+        r = make_result([100.0, 250.0])
+        with pytest.raises(ExperimentError, match=f"budget must be finite, got {bad!r}"):
+            r.time_over_budget_s(bad)
+
+    def test_negative_infinity_keeps_its_message(self):
+        with pytest.raises(ExperimentError, match="budget must be positive, got -inf"):
+            make_result([100.0]).time_over_budget_s(float("-inf"))
+
 
 class TestSingleSampleTrace:
     def test_single_sample_over_counts_one_grid_step(self):
