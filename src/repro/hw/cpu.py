@@ -22,9 +22,10 @@ reproduction:
 :class:`~repro.hw.node.NodeBatch` of nodes) pays each NumPy call once per
 tick rather than once per socket. What depends only on utilisation and the
 jitter (utilisation, frequency, activity and power per core) is derived a
-:class:`CoreBlock` of ticks at a time; only the IPC level, which carries
-the memory stalls and the uncore ratio, is per tick. :meth:`CPUCoreModel.step`
-is the same function on a stack of one.
+:class:`CoreBlock` of ticks at a time, and so is the IPC under each IPC
+level, which carries the memory stalls and the uncore ratio; only the mean
+IPC of a partially active socket is per tick. :meth:`CPUCoreModel.step` is
+the same function on a stack of one.
 """
 
 from __future__ import annotations
@@ -212,11 +213,12 @@ class CoreBlock:
     Rows are derived per utilisation vector (one value per node): the first
     time a vector is used in a block, :func:`step_cores` derives the current
     tick's row alone; the second time, every remaining row of the block at
-    once, which later ticks with that vector only index. The vector of a
-    block's last tick counts as used once in the next block. A fresh vector
-    every tick therefore costs one row per tick, as a block of one tick
-    would. Derived arrays are never written, so each tick's views stay
-    valid after the block moves on.
+    once, which later ticks with that vector only index. IPC rows and their
+    sums follow the same rule per utilisation vector and IPC levels (one
+    level per node). The vector and levels of a block's last tick count as
+    used once in the next block. A fresh vector every tick therefore costs
+    one row per tick, as a block of one tick would. Derived arrays are never
+    written, so each tick's views stay valid after the block moves on.
 
     A block is keyed on each socket's stream position at its start. When a
     socket has been stepped by another block since (another batch, or the
@@ -225,7 +227,7 @@ class CoreBlock:
     in stream order.
     """
 
-    __slots__ = ("cpus", "ticks", "_jitter", "_marks", "_t", "_memo", "_last")
+    __slots__ = ("cpus", "ticks", "_jitter", "_marks", "_t", "_memo", "_ipc", "_last")
 
     def __init__(self, cpus: Sequence[CPUCoreModel]) -> None:
         self.cpus: Tuple[CPUCoreModel, ...] = tuple(cpus)
@@ -237,7 +239,11 @@ class CoreBlock:
         # Per utilisation vector: the block tick its rows start at and the
         # rows from there on, or None once used a first time.
         self._memo: Dict[tuple, Optional[Tuple[int, _Rows]]] = {}
-        self._last: Optional[tuple] = None
+        # The same per (utilisation vector, IPC levels): the IPC rows and
+        # their per-socket sums.
+        self._ipc: Dict[Tuple[tuple, tuple], Optional[Tuple[int, np.ndarray, list]]] = {}
+        # The last tick's (utilisation vector, IPC levels).
+        self._last: Optional[Tuple[tuple, tuple]] = None
 
     def _tick(self) -> int:
         """This tick's index in the block, starting a new block when the
@@ -252,7 +258,9 @@ class CoreBlock:
         ticks = self.ticks
         self._marks = [cpu._pos for cpu in self.cpus]
         self._jitter = np.stack([cpu._jitter_rows(ticks) for cpu in self.cpus], axis=1)
-        self._memo = {} if self._last is None else {self._last: None}
+        last = self._last
+        self._memo = {} if last is None else {last[0]: None}
+        self._ipc = {} if last is None else {last: None}
         return 0
 
 
@@ -325,11 +333,11 @@ def step_cores(
 
     The three operating-point arguments carry one value per node of the
     stack. Utilisation, frequency, activity and power come from the block's
-    rows for this utilisation vector (see :class:`CoreBlock`); the IPC of
-    the active cores is set each tick. Every reduction runs along one
-    socket's row. Every socket's model is left holding its row of the
-    arrays and its reductions, so its observables read as if it had stepped
-    alone. Earlier arrays are never mutated.
+    rows for this utilisation vector, and the IPC from its rows for this
+    vector and these IPC levels (see :class:`CoreBlock`). Every reduction
+    runs along one socket's row. Every socket's model is left holding its
+    row of the arrays and its reductions, so its observables read as if it
+    had stepped alone. Earlier arrays are never mutated.
 
     Parameters
     ----------
@@ -376,7 +384,6 @@ def step_cores(
         utils, freqs, active = rows.utils[row], rows.freqs_ghz[row], rows.active[row]
         power_w, n_active = rows.power_w[row], rows.n_active[row]
         mean_freq_ghz = rows.mean_freq_ghz[row]
-    block._last = key
     block._t = t + 1
 
     # Each node's IPC level for its active cores, in Python floats.
@@ -384,8 +391,22 @@ def step_cores(
         part.peak_ipc * clamp(stall, 0.05, 1.0) * (0.88 + 0.12 * clamp(ratio, 0.0, 1.0))
         for stall, ratio in zip(mem_stall_factor, uncore_ratio)
     ]
-    ipc = np.where(active, _rows_view(levels, per_node), 0.0)
-    ipc_sums = np.add.reduce(ipc, axis=1).tolist()
+    pair = block._last = (key, tuple(levels))
+    ipc_memo = block._ipc
+    held = ipc_memo.get(pair)
+    if held is None and pair not in ipc_memo:
+        ipc_memo[pair] = None
+        ipc = np.where(active, _rows_view(levels, per_node), 0.0)
+        ipc_sums = np.add.reduce(ipc, axis=-1).tolist()
+    else:
+        if held is None:
+            # Each use of the pair used the vector, so its rows exist.
+            assert found is not None
+            start, rows = found
+            ipc_rows = np.where(rows.active[t - start :], _rows_view(levels, per_node), 0.0)
+            held = ipc_memo[pair] = (t, ipc_rows, np.add.reduce(ipc_rows, axis=-1).tolist())
+        start, ipc_rows, sums = held
+        ipc, ipc_sums = ipc_rows[t - start], sums[t - start]
     mean_ipc: List[float] = []
     for s, cpu in enumerate(cpus):
         k = n_active[s]
