@@ -512,7 +512,10 @@ def _cmd_alerts(args) -> int:
 
 def _cmd_fleet(args) -> int:
     from repro.cluster import ClusterSimulator, NodeFailureModel, compare_fleets
+    from repro.cluster.simulator import check_fleet_budget
 
+    if args.budget is not None:
+        check_fleet_budget(args.budget)
     model = None
     if args.mtbf is not None:
         model = NodeFailureModel(

@@ -47,6 +47,7 @@ from repro.sim.engine import lockstep
 from repro.units import ordered_sum, require_finite
 
 __all__ = [
+    "check_fleet_budget",
     "JobOutcome",
     "Placement",
     "FleetResult",
@@ -173,6 +174,20 @@ def _window_energy(times: np.ndarray, values: np.ndarray, t0: float, t1: float) 
     return float(np.trapezoid(ys, xs))
 
 
+def check_fleet_budget(budget_w: float) -> None:
+    """Refuse a fleet power budget that is not positive and finite.
+
+    :meth:`FleetResult.time_over_budget_s` checks its budget with this;
+    ``repro fleet`` checks ``--budget`` with it before running any fleet.
+    """
+    if budget_w <= 0:
+        raise ExperimentError(f"budget must be positive, got {budget_w!r}")
+    # NaN passes the comparison above and would never count as over.
+    require_finite(
+        budget_w, error=lambda b: ExperimentError(f"budget must be finite, got {b!r}")
+    )
+
+
 @dataclass(frozen=True)
 class Placement:
     """Where and when one job actually ran."""
@@ -233,12 +248,7 @@ class FleetResult:
 
     def time_over_budget_s(self, budget_w: float) -> float:
         """Cluster time spent above a power cap."""
-        if budget_w <= 0:
-            raise ExperimentError(f"budget must be positive, got {budget_w!r}")
-        # NaN passes the comparison above and would never count as over.
-        require_finite(
-            budget_w, error=lambda b: ExperimentError(f"budget must be finite, got {b!r}")
-        )
+        check_fleet_budget(budget_w)
         over = self.aggregate_power_w > budget_w
         return float(over.sum() * GRID_S)
 

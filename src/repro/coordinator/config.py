@@ -24,7 +24,7 @@ from typing import Optional
 from repro.errors import CoordinatorError
 from repro.units import require_finite
 
-__all__ = ["CoordinatorConfig", "safe_floor_w"]
+__all__ = ["CoordinatorConfig", "check_budget_w", "safe_floor_w"]
 
 #: Margin over measured idle power reserved for minimum-uncore compute.
 _FLOOR_MARGIN = 1.02
@@ -45,6 +45,23 @@ def safe_floor_w(idle_node_power_w: float) -> float:
             f"idle node power must be positive, got {idle_node_power_w!r}"
         )
     return idle_node_power_w * _FLOOR_MARGIN
+
+
+def check_budget_w(budget_w: float) -> None:
+    """Refuse a global budget that is NaN, infinite or not positive.
+
+    Raises what :class:`CoordinatorConfig` raises for such a ``budget_w``,
+    so a caller that builds the config only after a long simulation can
+    check its budget first.
+    """
+    require_finite(
+        budget_w, error=lambda _: CoordinatorError("budget_w must not be NaN"), allow_inf=True
+    )
+    require_finite(
+        budget_w, error=lambda b: CoordinatorError(f"budget_w must be finite, got {b!r}")
+    )
+    if budget_w <= 0:
+        raise CoordinatorError(f"budget_w must be positive, got {budget_w!r}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +131,7 @@ class CoordinatorConfig:
                     f"{name} must be finite, got {value!r}"
                 ),
             )
-        if self.budget_w <= 0:
-            raise CoordinatorError(f"budget_w must be positive, got {self.budget_w!r}")
+        check_budget_w(self.budget_w)
         if self.safe_floor_w <= 0:
             raise CoordinatorError(
                 f"safe_floor_w must be positive, got {self.safe_floor_w!r}"

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cluster.job import ClusterJob
 from repro.cluster.simulator import ClusterSimulator
-from repro.coordinator.config import CoordinatorConfig, safe_floor_w
+from repro.coordinator.config import CoordinatorConfig, check_budget_w, safe_floor_w
 from repro.coordinator.fleet import (
     CoordinatedFleetResult,
     ample_budget_w,
@@ -312,6 +312,8 @@ def run_coordination(
         raise ExperimentError(
             f"budget_frac must be in (0, 1], got {budget_frac!r}"
         )
+    if budget_w is not None:
+        check_budget_w(budget_w)
     tsdb = tsdb or alert_rules is not None
     sim = ClusterSimulator(preset, jobs)
     fleet = sim.run_fleet(governor, dt_s=dt_s, n_workers=n_workers, obs=obs, tsdb=tsdb)

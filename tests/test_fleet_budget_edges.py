@@ -7,13 +7,15 @@ single-sample traces still count whole grid steps, and fleets whose
 nodes finish at different times only accrue over-budget time while the
 aggregate actually exceeds the cap. A coordinated run also rejects, up
 front, a control fault aimed at a node the fleet does not have and a
-grant journal that already holds another run's grants.
+grant journal that already holds another run's grants, and the CLI
+refuses a bad explicit ``--budget`` before any fleet runs.
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterJob, ClusterSimulator
+from repro.cli import main
 from repro.cluster.simulator import GRID_S, FleetResult, JobOutcome, Placement
 from repro.coordinator import GrantJournal, Lease, run_coordinated_fleet
 from repro.errors import CoordinatorError, ExperimentError
@@ -199,3 +201,52 @@ class TestUsedJournal:
     def test_empty_journal_is_accepted(self, two_nodes):
         with pytest.raises(_DemandPassStarted):
             run_coordinated_fleet(two_nodes, "default", journal=GrantJournal())
+
+
+class TestExplicitBudgetBeforeAnyRun:
+    """A bad ``--budget`` exits 2 before the first fleet run, with the error
+    the check after the runs used to raise."""
+
+    @pytest.fixture(autouse=True)
+    def no_fleet_runs(self, monkeypatch):
+        def run_fleet(self, *args, **kwargs):
+            raise _DemandPassStarted
+
+        monkeypatch.setattr(ClusterSimulator, "run_fleet", run_fleet)
+
+    @pytest.mark.parametrize(
+        ("budget", "message"),
+        [
+            ("nan", "budget must be finite, got nan"),
+            ("inf", "budget must be finite, got inf"),
+            ("0", "budget must be positive, got 0.0"),
+            ("-5", "budget must be positive, got -5.0"),
+        ],
+    )
+    def test_fleet(self, capsys, budget, message):
+        rc = main(["fleet", "--job", "sort@0", "--job", "bfs@3", "--budget", budget])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("budget", "message"),
+        [
+            ("nan", "budget_w must not be NaN"),
+            ("inf", "budget_w must be finite, got inf"),
+            ("0", "budget_w must be positive, got 0.0"),
+            ("-5", "budget_w must be positive, got -5.0"),
+        ],
+    )
+    def test_coordinate(self, capsys, budget, message):
+        rc = main(["coordinate", "--job", "sort@0", "--budget", budget, "--max-time", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", [["fleet"], ["coordinate", "--max-time", "5"]])
+    def test_a_good_budget_reaches_the_fleet_run(self, verb):
+        with pytest.raises(_DemandPassStarted):
+            main([*verb, "--job", "sort@0", "--budget", "700"])
