@@ -14,16 +14,22 @@ an inner span cannot corrupt the tree). Span ids are consecutive integers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ObsError
 from repro.obs.registry import validate_metric_name
 
 __all__ = ["Span", "SpanTracer"]
 
+#: Attribute types kept as they are, matched exactly: a cycle's attributes
+#: are almost all of these, and one set lookup is cheaper than the checks.
+_PLAIN_TYPES = frozenset({type(None), bool, int, float, str})
+
 
 def _coerce_attr(value: object) -> object:
     """Normalise an attribute value for lossless JSON export."""
+    if type(value) in _PLAIN_TYPES:
+        return value
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -61,20 +67,26 @@ class Span:
 class SpanTracer:
     """Records nested spans with caller-supplied simulated timestamps."""
 
-    __slots__ = ("spans", "_stack", "_next_id")
+    __slots__ = ("spans", "_stack", "_next_id", "_names")
 
     def __init__(self) -> None:
         #: Every span ever begun, in begin order (open spans included).
         self.spans: List[Span] = []
         self._stack: List[Span] = []
         self._next_id = 1
+        # Names already validated; a run reuses a handful of them.
+        self._names: Set[str] = set()
+
+    def _check_name(self, name: str) -> None:
+        if name not in self._names:
+            self._names.add(validate_metric_name(name))
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def begin(self, name: str, start_s: float, category: str = "span", **attrs: object) -> int:
         """Open a span at simulated time ``start_s``; returns its id."""
-        validate_metric_name(name)
+        self._check_name(name)
         span = Span(
             span_id=self._next_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
@@ -120,7 +132,7 @@ class SpanTracer:
 
     def instant(self, name: str, time_s: float, category: str = "span", **attrs: object) -> Span:
         """Record a zero-duration span at ``time_s``."""
-        validate_metric_name(name)
+        self._check_name(name)
         span = Span(
             span_id=self._next_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
