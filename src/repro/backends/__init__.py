@@ -1,14 +1,11 @@
-"""Pluggable control backends: property logic split from access mechanism.
+"""Uncore actuation and its modeled switch latency.
 
-``ControlBackend`` is the contract (typed properties over named domains),
-``SimBackend`` the one implementation shipped today (the simulator's
-MSR/HSMP/NVML devices), and ``LatencyModel`` the seeded switch-latency
-distribution a backend charges per actuation. A real-hardware backend
-(``/dev/cpu/*/msr``, TPMI, ``amd_hsmp``) slots in beside ``SimBackend``
-without touching governors, daemon or hub callers — see ``DESIGN.md``.
+``SimBackend`` is the one actuation path: it programs the uncore ceiling
+through the hub's MSR (Intel) or HSMP (AMD) device and charges the
+switch latency that ``LatencyModel``, a seeded per-switch distribution,
+draws for it. See ``DESIGN.md`` §6e.
 """
 
-from repro.backends.base import PROPERTIES, ControlBackend, PropertySpec
 from repro.backends.latency import (
     ACTUATION_SECONDS_BUCKETS,
     LATENCY_PRESETS,
@@ -19,9 +16,6 @@ from repro.backends.latency import (
 from repro.backends.sim import SimBackend
 
 __all__ = [
-    "ControlBackend",
-    "PropertySpec",
-    "PROPERTIES",
     "LatencyModel",
     "LatencyParams",
     "LATENCY_PRESETS",

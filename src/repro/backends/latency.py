@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import BackendError
 from repro.sim.rng import derive_seed, spawn_generator
+from repro.units import require_finite
 
 __all__ = [
     "LatencyParams",
@@ -70,6 +71,12 @@ class LatencyParams:
     def __post_init__(self) -> None:
         if self.median_s < 0 or self.sigma < 0 or self.floor_s < 0 or self.ceil_s < 0:
             raise BackendError(f"latency parameters must be non-negative: {self!r}")
+        # NaN passes the comparisons above and below; a NaN or infinite
+        # parameter would make every draw NaN or infinite.
+        require_finite(
+            self.median_s, self.sigma, self.floor_s, self.ceil_s,
+            error=lambda *_: BackendError(f"latency parameters must be finite: {self!r}"),
+        )
         if self.median_s > 0:
             if not (self.floor_s <= self.median_s <= self.ceil_s):
                 raise BackendError(

@@ -12,10 +12,11 @@ are meaningful magic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.units import require_finite
 
 __all__ = ["MagusConfig"]
 
@@ -78,6 +79,15 @@ class MagusConfig:
     step_ghz: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Every range check below is a comparison, which NaN passes.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is not None:
+                require_finite(
+                    value,
+                    error=lambda _, name=spec.name: ConfigError(f"{name} must not be NaN"),
+                    allow_inf=True,
+                )
         if self.interval_s <= 0:
             raise ConfigError(f"interval_s must be positive, got {self.interval_s!r}")
         if self.history_len < 2:

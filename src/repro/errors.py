@@ -79,9 +79,9 @@ class TelemetryError(ReproError):
 
 
 class BackendError(TelemetryError):
-    """Raised when a control backend is misused (unknown property, write to
-    a read-only property, binding a backend to two hubs...) — never by the
-    underlying device access, which surfaces as its own telemetry error."""
+    """Raised for an invalid switch-latency model (a negative or non-finite
+    parameter, an unknown preset, a spec of the wrong type) — never by the
+    device access, which surfaces as its own telemetry error."""
 
 
 class MSRAccessError(TelemetryError):

@@ -298,7 +298,6 @@ class _FaultyMSRDevice:
         meter: Optional[AccessMeter] = None,
         *,
         delay_s: float = 0.0,
-        socket: Optional[int] = None,
     ) -> None:
         fault_id = self._injector.trip("actuation", "write_error", "uncore limit write")
         if fault_id is not None:
@@ -324,7 +323,7 @@ class _FaultyMSRDevice:
                     self._inner.costs.msr_write_energy_j,
                 )
             return
-        self._inner.set_uncore_max_ghz(freq_ghz, meter, delay_s=delay_s, socket=socket)
+        self._inner.set_uncore_max_ghz(freq_ghz, meter, delay_s=delay_s)
 
 
 class _FaultyPCMCounters:
@@ -427,7 +426,6 @@ class _FaultyHSMPDevice:
         meter: Optional[AccessMeter] = None,
         *,
         delay_s: float = 0.0,
-        socket: Optional[int] = None,
     ) -> float:
         fault_id = self._injector.trip("actuation", "write_error", "fabric P-state request")
         if fault_id is not None:
@@ -447,4 +445,4 @@ class _FaultyHSMPDevice:
             if meter is not None:
                 meter.charge("hsmp_mailbox", _MAILBOX_TIME_S, _MAILBOX_ENERGY_J)
             return float(freq_ghz)
-        return self._inner.set_fabric_clock_ghz(freq_ghz, meter, delay_s=delay_s, socket=socket)
+        return self._inner.set_fabric_clock_ghz(freq_ghz, meter, delay_s=delay_s)

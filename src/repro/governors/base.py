@@ -79,17 +79,6 @@ class GovernorContext:
         guard = self.hub.guard
         return guard if guard is not None else RawTelemetryView(self.hub)
 
-    @property
-    def actuation_pending(self) -> bool:
-        """True while a previous actuation's switch latency is settling.
-
-        Optional signal: no shipped policy branches on it (all pinned
-        traces are latency-free), but a latency-aware policy can use it to
-        hold off stacking a new transition on an unfinished one. Free to
-        read — the backend answers from state it already tracks.
-        """
-        return self.hub.actuation_pending
-
 
 class UncoreGovernor(abc.ABC):
     """Abstract uncore-scaling policy.

@@ -24,7 +24,7 @@ the bursts, so UPS keeps stepping down and the bursts get clipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from repro.governors.base import Decision, GovernorContext, UncoreGovernor
 from repro.telemetry.msr import counter_delta_array
 from repro.telemetry.rapl import RAPL_DRAM
 from repro.telemetry.sampling import AccessMeter
+from repro.units import require_finite
 
 __all__ = ["UPSConfig", "UPSGovernor"]
 
@@ -60,6 +61,13 @@ class UPSConfig:
     launch_delay_s: float = 0.5
 
     def __post_init__(self) -> None:
+        # Every range check below is a comparison, which NaN passes.
+        for spec in fields(self):
+            require_finite(
+                getattr(self, spec.name),
+                error=lambda _, name=spec.name: GovernorError(f"{name} must not be NaN"),
+                allow_inf=True,
+            )
         if self.interval_s <= 0:
             raise GovernorError(f"interval must be positive, got {self.interval_s!r}")
         if not (0 < self.dram_rel_threshold < 1) or not (0 < self.ipc_slack < 1):

@@ -204,7 +204,6 @@ def run_application(
     dt_s: float = 0.01,
     max_time_s: float = 600.0,
     per_core_channels: bool = True,
-    extra_observers=(),
     fault_plan: Optional[FaultPlan] = None,
     supervise: Optional[bool] = None,
     supervisor_config: Optional[SupervisorConfig] = None,
@@ -236,10 +235,6 @@ def run_application(
         Record the per-core frequency channels (derived from the node
         topology). Fleet-scale callers disable this to keep the trace
         narrow — on an 80-core node it is by far the widest channel block.
-    extra_observers:
-        Additional :class:`~repro.sim.observers.TickObserver` instances
-        spliced into the engine's stack before the runtime-firing stage
-        (after any observers the governor itself contributes).
     fault_plan:
         A :class:`~repro.faults.plan.FaultPlan` to inject against the
         node's telemetry, or ``None`` for a fault-free run.
@@ -300,7 +295,6 @@ def run_application(
         dt_s=dt_s,
         max_time_s=max_time_s,
         per_core_channels=per_core_channels,
-        extra_observers=extra_observers,
         fault_plan=fault_plan,
         supervise=supervise,
         supervisor_config=supervisor_config,
@@ -409,7 +403,6 @@ def build_run(
     dt_s: float = 0.01,
     max_time_s: float = 600.0,
     per_core_channels: bool = True,
-    extra_observers=(),
     fault_plan: Optional[FaultPlan] = None,
     supervise: Optional[bool] = None,
     supervisor_config: Optional[SupervisorConfig] = None,
@@ -479,7 +472,7 @@ def build_run(
         hub,
         runtimes,
         per_core_channels=per_core_channels,
-        extra=(*policy_observers, *extra_observers),
+        extra=policy_observers,
     )
     engine = SimulationEngine(node, observers=observers, clock=SimClock(dt_s))
     return BuiltRun(

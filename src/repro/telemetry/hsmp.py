@@ -105,10 +105,8 @@ class HSMPDevice:
         meter: Optional[AccessMeter] = None,
         *,
         delay_s: float = 0.0,
-        socket: Optional[int] = None,
     ) -> float:
-        """Request a fabric clock (HSMP_SET_PSTATE-style); every socket
-        when ``socket`` is None.
+        """Request a fabric clock (HSMP_SET_PSTATE-style) on every socket.
 
         The request snaps to the part's coarse P-state grid; the snapped
         value is returned. One mailbox transaction per socket. ``delay_s``
@@ -119,8 +117,7 @@ class HSMPDevice:
         if freq_ghz <= 0:
             raise TelemetryError(f"invalid fabric clock request {freq_ghz!r}")
         snapped = freq_ghz
-        sockets = range(self.node.n_sockets) if socket is None else (socket,)
-        for s in sockets:
+        for s in range(self.node.n_sockets):
             if meter is not None:
                 meter.charge("hsmp_mailbox", _MAILBOX_TIME_S, _MAILBOX_ENERGY_J)
             snapped = self.node.uncore(s).request_target(freq_ghz, delay_s=delay_s)

@@ -9,16 +9,14 @@ The hub also provides the **vendor-neutral actuation path**: on Intel the
 uncore limit is programmed through MSR ``0x620``, on AMD through HSMP
 fabric P-state requests (§6.6). Governors never need to know which — the
 daemon calls :meth:`TelemetryHub.set_uncore_max_ghz`, which delegates to
-the hub's :class:`~repro.backends.base.ControlBackend` (a zero-latency
-:class:`~repro.backends.sim.SimBackend` by default, bit-identical to the
-pre-backend dispatch).
+the hub's :class:`~repro.backends.sim.SimBackend` (zero switch latency
+unless the run models one).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.backends.base import ControlBackend
 from repro.backends.latency import LatencyModel
 from repro.backends.sim import SimBackend
 from repro.errors import TelemetryError
@@ -53,14 +51,10 @@ class TelemetryHub:
         ``"intel"`` (MSR actuation; HSMP absent) or ``"amd"`` (HSMP
         actuation; the MSR uncore-limit register absent, per-core counters
         still available for completeness).
-    backend:
-        A pre-built :class:`~repro.backends.base.ControlBackend` to route
-        actuation through; omitted, the hub builds a
-        :class:`~repro.backends.sim.SimBackend` over its own devices.
-        Mutually exclusive with ``latency``.
     latency:
-        Switch-latency model for the default backend; omitted means the
-        zero model (instantaneous transitions, the pre-backend behaviour).
+        Switch-latency model of the hub's
+        :class:`~repro.backends.sim.SimBackend`; omitted means the zero
+        model (instantaneous transitions).
     """
 
     def __init__(
@@ -69,27 +63,19 @@ class TelemetryHub:
         costs: TelemetryCosts,
         vendor: str = "intel",
         *,
-        backend: Optional[ControlBackend] = None,
         latency: Optional[LatencyModel] = None,
     ):
         if vendor not in ("intel", "amd"):
             raise TelemetryError(f"unknown vendor {vendor!r}; expected 'intel' or 'amd'")
-        if backend is not None and latency is not None:
-            raise TelemetryError(
-                "pass either a pre-built backend or a latency model, not both "
-                "(a latency model parameterises the default SimBackend)"
-            )
         self.node = node
-        self.costs = costs
         self.vendor = vendor
         self.msr = MSRDevice(node, costs)
         self.pcm = PCMCounters(node, costs)
         self.rapl = RAPLCounters(node, costs)
         self.nvml = NVMLDevice(node)
         self.hsmp: Optional[HSMPDevice] = HSMPDevice(node, costs) if vendor == "amd" else None
-        #: The control backend every actuation routes through.
-        self.backend: ControlBackend = backend if backend is not None else SimBackend(latency)
-        self.backend.bind(self)
+        #: The actuation path every uncore write routes through.
+        self.backend = SimBackend(self, latency)
         #: Installed fault injector, if any (see :meth:`install_fault_injector`).
         self.fault_injector: Optional["FaultInjector"] = None
         #: Installed telemetry guard, if any (see :meth:`install_guard`).
@@ -151,10 +137,9 @@ class TelemetryHub:
         self.msr.flush()
 
     def set_uncore_max_ghz(self, freq_ghz: float, meter: Optional[AccessMeter] = None) -> None:
-        """Program the uncore/fabric ceiling through the control backend.
+        """Program the uncore/fabric ceiling through the backend.
 
-        Kept under its historical name — callers need no migration. The
-        backend picks the vendor mechanism (MSR ``0x620`` on Intel, HSMP
+        The backend picks the vendor mechanism (MSR ``0x620`` on Intel, HSMP
         mailbox on AMD), samples any modeled switch latency and charges it
         to ``meter``.  With a guard installed, the write is verified
         against its register read-back (see
@@ -165,8 +150,3 @@ class TelemetryHub:
         else:
             self.backend.set_uncore_max_ghz(freq_ghz, meter)
         self.actuation_count += 1
-
-    @property
-    def actuation_pending(self) -> bool:
-        """True while a backend-programmed transition is still in flight."""
-        return self.backend.actuation_pending

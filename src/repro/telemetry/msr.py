@@ -285,18 +285,13 @@ class MSRDevice:
         meter: Optional[AccessMeter] = None,
         *,
         delay_s: float = 0.0,
-        socket: Optional[int] = None,
     ) -> None:
-        """Convenience: write the max-ratio bits of a socket's ``0x620``
-        (every socket when ``socket`` is None).
+        """Convenience: write the max-ratio bits of every socket's ``0x620``.
 
         This is the exact actuation sequence of the paper's runtimes: read
         nothing, rewrite only the max-frequency bits, leave min bits as-is.
         """
-        sockets = range(self.node.n_sockets) if socket is None else (socket,)
-        for s in sockets:
-            if s not in self._ratio_limit_shadow:
-                raise MSRAccessError(MSR_UNCORE_RATIO_LIMIT, f"no such socket {s!r}")
+        for s in range(self.node.n_sockets):
             current = self._ratio_limit_shadow[s]
             _max_r, min_r = decode_uncore_ratio_limit(current)
             snapped = self.node.uncore(s).snap(freq_ghz)

@@ -1,20 +1,20 @@
-"""The control-backend layer: property access, switch latency, identity.
+"""The actuation backend: switch latency, settling, identity.
 
 Four guarantees are pinned:
 
-* **Bit-identity.** An explicitly-constructed zero-latency
-  :class:`~repro.backends.sim.SimBackend` reproduces the golden MAGUS and
-  UPS traces sample-for-sample — the backend refactor moved the actuation
-  path without changing a single charge.
+* **Bit-identity.** A hub's zero-latency
+  :class:`~repro.backends.sim.SimBackend`, driven by an engine built by
+  hand, reproduces the golden MAGUS and UPS traces sample-for-sample.
 * **Determinism.** Latency draws are keyed off the run's master seed and
   driven purely by the actuation sequence, so results are identical
   across ``map_parallel`` worker counts and across replays.
 * **Fault transparency.** The backend looks devices up on the hub at
   call time, so an armed :class:`~repro.faults.injector.FaultInjector`
-  intercepts backend-routed writes exactly as it intercepted direct ones.
+  intercepts backend-routed writes exactly as it intercepts direct ones.
 * **Hardware-faithful settling.** A write updates the register shadow
   immediately; the clock domain adopts the target only after the modeled
-  latency, then slews — a read during settling returns the ramping value.
+  latency, then slews — the effective frequency during settling is the
+  ramping value.
 """
 
 import importlib.util
@@ -25,19 +25,18 @@ import pytest
 
 from repro.backends import (
     LATENCY_PRESETS,
-    PROPERTIES,
     LatencyModel,
     LatencyParams,
-    SimBackend,
     resolve_latency,
 )
-from repro.errors import BackendError, MSRAccessError, TelemetryError
+from repro.errors import BackendError, MSRAccessError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.hw.presets import amd_mi210, intel_a100
+from repro.hw.presets import intel_a100
 from repro.parallel.pool import map_parallel
 from repro.runtime.session import make_governor, run_application
 from repro.sim.rng import RngStreams
 from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.msr import MSR_UNCORE_RATIO_LIMIT, decode_uncore_ratio_limit
 from repro.telemetry.sampling import AccessMeter
 from repro.units import ghz_to_uncore_ratio
 from repro.workloads.base import Segment
@@ -53,13 +52,11 @@ SEG = Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.5, gpu_util=0.3)
 FIXED_20MS = LatencyParams(median_s=0.02, sigma=0.0, floor_s=0.02, ceil_s=0.02)
 
 
-def _intel_stack(latency=None, backend=None):
+def _intel_stack(latency=None):
     preset = intel_a100()
     node = preset.build_node(RngStreams(1))
     node.force_uncore_all(preset.uncore_min_ghz)
-    hub = TelemetryHub(
-        node, preset.telemetry, vendor=preset.vendor, backend=backend, latency=latency
-    )
+    hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor, latency=latency)
     return preset, node, hub
 
 
@@ -112,6 +109,18 @@ class TestLatencyModel:
         with pytest.raises(BackendError):
             LatencyParams(median_s=0.5, sigma=0.1, floor_s=1.0, ceil_s=2.0)
 
+    @pytest.mark.parametrize("field", ["median_s", "sigma", "floor_s", "ceil_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, field, bad):
+        # A NaN or infinite parameter makes every draw NaN or infinite.
+        params = {"median_s": 1e-3, "sigma": 0.5, "floor_s": 1e-4, "ceil_s": 1e-2, field: bad}
+        with pytest.raises(BackendError, match="must be finite"):
+            LatencyParams(**params)
+
+    def test_negative_infinity_keeps_its_message(self):
+        with pytest.raises(BackendError, match="must be non-negative"):
+            LatencyParams(median_s=float("-inf"))
+
     def test_resolve_coercions(self):
         assert resolve_latency(None).is_zero
         model = resolve_latency("msr_fast", seed=9)
@@ -120,71 +129,6 @@ class TestLatencyModel:
         assert resolve_latency(model) is model
         with pytest.raises(BackendError):
             resolve_latency(0.005)
-
-
-# ----------------------------------------------------------------------
-# Property surface + error paths
-# ----------------------------------------------------------------------
-class TestPropertySurface:
-    def test_catalogue_names_and_specs(self):
-        backend = SimBackend()
-        specs = backend.properties()
-        assert set(specs) == set(PROPERTIES)
-        assert specs["uncore.max_ratio"].writable
-        assert not specs["uncore.freq_ghz"].writable
-
-    def test_unknown_property_rejected(self):
-        _, _, hub = _intel_stack()
-        with pytest.raises(BackendError):
-            hub.backend.read("uncore.tilt")
-
-    def test_write_to_read_only_property_rejected(self):
-        _, _, hub = _intel_stack()
-        with pytest.raises(BackendError):
-            hub.backend.write("uncore.freq_ghz", 2.0)
-
-    def test_bad_socket_domain_rejected(self):
-        _, node, hub = _intel_stack()
-        with pytest.raises(BackendError):
-            hub.backend.read("uncore.max_ratio", domain=node.n_sockets)
-
-    def test_unbound_backend_rejected(self):
-        backend = SimBackend()
-        with pytest.raises(BackendError):
-            backend.read("uncore.max_ratio")
-
-    def test_double_bind_rejected(self):
-        backend = SimBackend()
-        _intel_stack(backend=backend)
-        with pytest.raises(BackendError):
-            _intel_stack(backend=backend)
-
-    def test_backend_and_latency_are_mutually_exclusive(self):
-        with pytest.raises(TelemetryError):
-            _intel_stack(backend=SimBackend(), latency=LatencyModel.zero())
-
-    def test_reads_route_through_vendor_mechanism(self):
-        _, node, hub = _intel_stack()
-        meter = AccessMeter()
-        # The shadow answers with the *programmed* limit, not the
-        # hardware ceiling: the node was forced to its uncore floor.
-        ratio = hub.backend.read("uncore.max_ratio", meter=meter)
-        assert ratio == ghz_to_uncore_ratio(node.uncore(0).target_ghz)
-        assert meter.counts["msr_read"] == 1
-
-    def test_amd_reads_charge_the_mailbox(self):
-        preset = amd_mi210()
-        node = preset.build_node(RngStreams(1))
-        hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor)
-        meter = AccessMeter()
-        hub.backend.read("uncore.max_ratio", meter=meter)
-        assert meter.counts["hsmp_mailbox"] == 1
-
-    def test_per_domain_write_actuates_one_socket(self):
-        _, node, hub = _intel_stack()
-        hub.backend.write("uncore.max_ratio", ghz_to_uncore_ratio(1.6), domain=0)
-        assert node.uncore(0).target_ghz == pytest.approx(1.6)
-        assert hub.backend.switch_count == 1
 
 
 # ----------------------------------------------------------------------
@@ -199,31 +143,27 @@ class TestSettlingSemantics:
 
         # Register shadow answers with the new limit at once (hardware-
         # faithful: the MSR readback never lags the write)...
-        assert hub.backend.read("uncore.max_ratio") == ghz_to_uncore_ratio(2.0)
+        shadow = decode_uncore_ratio_limit(hub.msr.read(0, MSR_UNCORE_RATIO_LIMIT))[0]
+        assert shadow == ghz_to_uncore_ratio(2.0)
         # ...but the clock domain has not adopted the target yet.
         assert unc.target_ghz == old_target
         assert unc.pending_target_ghz == pytest.approx(2.0)
-        assert hub.actuation_pending
-        assert hub.backend.actuation_pending
 
         # One 20 ms window = two 10 ms ticks; then the target is adopted.
         _tick(node, hub, 2)
         assert unc.pending_target_ghz is None
         assert unc.target_ghz == pytest.approx(2.0)
-        assert not hub.actuation_pending
 
     def test_read_during_settling_returns_ramping_value(self):
         _, node, hub = _intel_stack(latency=LatencyModel(FIXED_20MS))
         hub.set_uncore_max_ghz(2.0)
         _tick(node, hub, 3)  # past the latency window, into the slew ramp
         unc = node.uncore(0)
-        ramping = hub.backend.read("uncore.freq_ghz")
-        assert ramping == unc.effective_ghz
-        assert ramping < 2.0  # not the target: the domain is still slewing
+        assert unc.effective_ghz < 2.0  # not the target: the domain is still slewing
         assert unc.in_transition
         # Settle out: the ramp converges on the target.
         _tick(node, hub, 200)
-        assert hub.backend.read("uncore.freq_ghz") == pytest.approx(2.0)
+        assert unc.effective_ghz == pytest.approx(2.0)
         assert not unc.in_transition
 
     def test_settling_ticks_are_counted(self):
@@ -238,7 +178,6 @@ class TestSettlingSemantics:
         unc = node.uncore(0)
         assert unc.pending_target_ghz is None
         assert unc.target_ghz == pytest.approx(2.0)
-        assert not hub.actuation_pending
         assert hub.backend.latency_charged_s == 0.0
 
     def test_latency_charges_land_on_the_meter(self):
@@ -283,7 +222,7 @@ class TestFaultTransparency:
         # Budget spent: the next actuation goes through and settles.
         hub.set_uncore_max_ghz(1.5, meter)
         assert hub.backend.switch_count == 1
-        assert hub.actuation_pending
+        assert node.uncore(0).pending_target_ghz is not None
 
     def test_faulted_run_intercepts_backend_writes_end_to_end(self):
         plan = FaultPlan([FaultSpec("actuation", "write_error", 1.0, 30.0, count=3)])
@@ -296,11 +235,11 @@ class TestFaultTransparency:
 
 
 # ----------------------------------------------------------------------
-# Golden-trace bit-identity with an explicit zero-latency SimBackend
+# Golden-trace bit-identity through a hand-built hub and engine
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=["magus", "ups"])
 def explicit_backend_pair(request):
-    """(pinned arrays, run forced through an explicit SimBackend)."""
+    """(pinned arrays, run through a hand-built hub's zero-latency backend)."""
     from repro.runtime.daemon import MonitorDaemon
     from repro.sim.clock import SimClock
     from repro.sim.engine import SimulationEngine
@@ -315,9 +254,7 @@ def explicit_backend_pair(request):
     preset = intel_a100()
     node = preset.build_node(RngStreams(gen_golden_trace.SEED))
     node.force_uncore_all(preset.uncore_min_ghz)
-    hub = TelemetryHub(
-        node, preset.telemetry, vendor=preset.vendor, backend=SimBackend()
-    )
+    hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor)
     daemon = MonitorDaemon(make_governor(request.param), hub, node)
     observers = standard_observers(node, hub, [daemon], extra=tuple(daemon.observers))
     engine = SimulationEngine(

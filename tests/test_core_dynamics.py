@@ -85,6 +85,22 @@ class TestMagusConfig:
         with pytest.raises(ConfigError):
             MagusConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "interval_s",
+            "inc_threshold",
+            "dec_threshold",
+            "high_freq_threshold",
+            "launch_delay_s",
+            "step_ghz",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        # NaN passes every range check, so it must be refused by name.
+        with pytest.raises(ConfigError, match=f"{field} must not be NaN"):
+            MagusConfig(**{field: float("nan")})
+
 
 class TestTrendPredictor:
     def make(self, **cfg):

@@ -135,6 +135,13 @@ class TestUPSConfig:
         with pytest.raises(GovernorError):
             UPSConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["interval_s", "dram_rel_threshold", "ipc_slack", "step_ghz", "launch_delay_s"]
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(GovernorError, match=f"{field} must not be NaN"):
+            UPSConfig(**{field: float("nan")})
+
 
 class TestUPSBehaviour:
     def _cycle(self, gov, node, hub, now, seg):

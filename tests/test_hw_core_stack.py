@@ -17,7 +17,6 @@ from repro.hw.cpu import CoreBlock, CPUCoreModel, CPUPowerParams, step_cores
 from repro.hw.node import HeterogeneousNode, _socket_mean
 from repro.hw.presets import get_preset, intel_a100
 from repro.sim.rng import RngStreams
-from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.msr import MSRDevice
 from repro.units import clamp
 from repro.workloads.base import Segment
@@ -218,8 +217,7 @@ class TestNodeWideState:
         preset = intel_a100()
         node = preset.build_node(RngStreams(5))
         node.force_uncore_all(preset.uncore_max_ghz)
-        hub = TelemetryHub(node, preset.telemetry, vendor=preset.vendor)
-        hub.backend.write("uncore.max_ratio", 9, domain=1)
+        node.uncore(1).request_target(0.9)
         seg = Segment(1.0, 30.0, mem_intensity=0.8, cpu_util=0.45, gpu_util=0.6)
         distinct = 0
         for _ in range(40):

@@ -418,7 +418,7 @@ class TestSelfCheck:
     def test_repo_lints_clean(self, repo_lint):
         """The acceptance gate: ``src/repro`` is clean under all ten rules."""
         violations, n_files, stats = repo_lint
-        assert n_files == 145
+        assert n_files == 144
         assert violations == [], format_text(violations, n_files)
         assert stats.call_edges > 1000
 
