@@ -77,8 +77,14 @@ class SimBackend:
     def on_tick(self, dt_s: float) -> None:
         """Count ticks spent settling (latency window or slew ramp).
 
-        Purely observational: nothing here feeds back into simulated
-        state, so the zero-latency path stays bit-identical.
+        Counts every tick of the node's latest step. A step of several ticks
+        holds the uncore settled throughout, so its last tick speaks for all
+        of them. Purely observational: nothing here feeds back into
+        simulated state, so the zero-latency path stays bit-identical.
         """
-        if any(unc.in_transition for _, unc in self._hub.node.sockets):
-            self.settling_ticks += 1
+        node = self._hub.node
+        for _, unc in node.sockets:
+            if unc.in_transition:
+                state = node.last_state
+                self.settling_ticks += state.ticks if state is not None else 1
+                return

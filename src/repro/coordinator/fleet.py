@@ -523,9 +523,13 @@ def run_coordinated_fleet(
                 headroom_ts = db.series("repro.ts.fleet.headroom_w")
                 down_ts = db.series("repro.ts.coordinator.down")
                 quarantine_ts = db.series("repro.ts.coordinator.quarantine")
+            Series.record_column(node_demand_ts, now, demand_now)
+            Series.record_column(node_cap_ts, now, caps)
+            age_ts: List[Series] = []
+            ages: List[float] = []
+            remaining_ts: List[Series] = []
+            remaining: List[float] = []
             for node in range(n_nodes):
-                node_demand_ts[node].record(now, demand_now[node])
-                node_cap_ts[node].record(now, caps[node])
                 lease = nodes[node].current
                 if lease is not None and now < lease.expires_s:
                     pair = lease_ts[node]
@@ -534,8 +538,12 @@ def run_coordinated_fleet(
                             db.series("repro.ts.fleet.node_lease_age_s", labels[node]),
                             db.series("repro.ts.fleet.node_lease_remaining_s", labels[node]),
                         )
-                    pair[0].record(now, max(0.0, now - lease.granted_s))
-                    pair[1].record(now, lease.expires_s - now)
+                    age_ts.append(pair[0])
+                    ages.append(max(0.0, now - lease.granted_s))
+                    remaining_ts.append(pair[1])
+                    remaining.append(lease.expires_s - now)
+            Series.record_column(age_ts, now, ages)
+            Series.record_column(remaining_ts, now, remaining)
             demand_ts.record(now, float(demand[:, tick].sum()))
             granted_ts.record(now, granted)
             delivered_ts.record(

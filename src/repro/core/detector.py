@@ -14,7 +14,7 @@ detector can tell when the workload calms down.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Optional
 
 from repro.core.config import MagusConfig
 from repro.core.dynamics import tune_event_rate
@@ -43,6 +43,9 @@ class HighFrequencyDetector:
         self._flags: Deque[int] = deque(
             [0] * config.tune_history_len, maxlen=config.tune_history_len
         )
+        # The window's rate, computed once per window: a traced cycle asks
+        # for it again after is_high_frequency().
+        self._rate: Optional[float] = None
 
     @property
     def flags(self) -> List[int]:
@@ -57,10 +60,14 @@ class HighFrequencyDetector:
         workload, not the actuation.
         """
         self._flags.append(1 if tuned else 0)
+        self._rate = None
 
     def rate(self) -> float:
         """Current tune-event rate over the window, in [0, 1]."""
-        return tune_event_rate(list(self._flags))
+        rate = self._rate
+        if rate is None:
+            rate = self._rate = tune_event_rate(list(self._flags))
+        return rate
 
     def is_high_frequency(self) -> bool:
         """Run Algorithm 2: is the workload in high-frequency state?"""
@@ -73,3 +80,4 @@ class HighFrequencyDetector:
         self._flags = deque(
             [0] * self.config.tune_history_len, maxlen=self.config.tune_history_len
         )
+        self._rate = None

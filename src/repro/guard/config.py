@@ -13,9 +13,10 @@ accounted as honestly as any other monitoring overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
+from repro.units import require_finite
 
 __all__ = ["GuardConfig"]
 
@@ -92,6 +93,13 @@ class GuardConfig:
     check_energy_j: float = 0.0
 
     def __post_init__(self) -> None:
+        # Every range check below is a comparison, which NaN passes.
+        for spec in fields(self):
+            require_finite(
+                getattr(self, spec.name),
+                error=lambda _, name=spec.name: ConfigError(f"{name} must not be NaN"),
+                allow_inf=True,
+            )
         if self.margin < 1.0:
             raise ConfigError(f"margin must be >= 1, got {self.margin!r}")
         if self.max_ipc <= 0:

@@ -24,8 +24,9 @@ tick rather than once per socket. What depends only on utilisation and the
 jitter (utilisation, frequency, activity and power per core) is derived a
 :class:`CoreBlock` of ticks at a time, and so is the IPC under each IPC
 level, which carries the memory stalls and the uncore ratio; only the mean
-IPC of a partially active socket is per tick. :meth:`CPUCoreModel.step` is
-the same function on a stack of one.
+IPC of a partially active socket is per tick. One call steps a span of
+ticks under one operating point, a single tick being the span of one.
+:meth:`CPUCoreModel.step` is the same function on a stack of one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PowerModelError
-from repro.units import clamp
 
 __all__ = ["CPUPowerParams", "CPUCoreModel", "CoreBlock", "CoreStep", "step_cores", "BLOCK_ROWS"]
 
@@ -57,6 +57,59 @@ class CPUPowerParams:
     def __post_init__(self) -> None:
         if min(self.static_w, self.idle_core_w, self.peak_core_w) < 0:
             raise PowerModelError("CPU power coefficients must be non-negative")
+
+
+class CoreStep(NamedTuple):
+    """What :func:`step_cores` computed over its span of ticks.
+
+    The ``tick_`` fields hold one entry per tick: per-core arrays shaped
+    ``(ticks, sockets, n_cores)`` and per-socket reductions as one list per
+    tick, in socket order. The unprefixed properties are the span's last
+    tick. The arrays and lists may be shared with other ticks of the block
+    and must not be written.
+    """
+
+    tick_utils: np.ndarray
+    tick_freqs_ghz: np.ndarray
+    tick_ipc: np.ndarray
+    tick_mean_ipc: List[List[float]]
+    tick_power_w: List[List[float]]
+    tick_mean_freq_ghz: List[List[float]]
+
+    @property
+    def ticks(self) -> int:
+        """How many ticks the step spanned."""
+        return len(self.tick_power_w)
+
+    @property
+    def utils(self) -> np.ndarray:
+        """The last tick's per-core utilisation, one row per socket."""
+        return self.tick_utils[-1]
+
+    @property
+    def freqs_ghz(self) -> np.ndarray:
+        """The last tick's per-core frequencies, one row per socket."""
+        return self.tick_freqs_ghz[-1]
+
+    @property
+    def ipc(self) -> np.ndarray:
+        """The last tick's per-core IPC, one row per socket."""
+        return self.tick_ipc[-1]
+
+    @property
+    def mean_ipc(self) -> List[float]:
+        """The last tick's per-socket mean IPC over active cores."""
+        return self.tick_mean_ipc[-1]
+
+    @property
+    def power_w(self) -> List[float]:
+        """The last tick's per-socket core-domain power."""
+        return self.tick_power_w[-1]
+
+    @property
+    def mean_freq_ghz(self) -> List[float]:
+        """The last tick's per-socket mean core frequency."""
+        return self.tick_mean_freq_ghz[-1]
 
 
 class CPUCoreModel:
@@ -102,11 +155,13 @@ class CPUCoreModel:
         ranks = np.arange(self.n_cores, dtype=float)
         weights = 1.0 / (1.0 + 0.35 * ranks)
         self._weights = weights * (self.n_cores / weights.sum())
-        self._utils = np.zeros(self.n_cores)
-        self._freqs = np.full(self.n_cores, self.min_ghz)
-        self._ipc = np.zeros(self.n_cores)
-        self._mean_ipc = 0.0
-        self._power_w = float(_socket_power_w(self, self._utils, self._freqs))
+        utils = np.zeros((1, 1, self.n_cores))
+        freqs = np.full((1, 1, self.n_cores), self.min_ghz)
+        power_w = float(_socket_power_w(self, utils[0, 0], freqs[0, 0]))
+        #: The latest step of the stack this socket is row ``_row`` of; the
+        #: observables read its last tick.
+        self._step = CoreStep(utils, freqs, np.zeros_like(utils), [[0.0]], [[power_w]], [[self.min_ghz]])
+        self._row = 0
         #: Jitter rows drawn but not yet stepped through: ``_rows[0]`` is row
         #: ``_rows_at`` of the stream, and ``_pos`` counts the rows stepped
         #: through since construction (the socket's stream position).
@@ -147,49 +202,35 @@ class CPUCoreModel:
     @property
     def core_utils(self) -> np.ndarray:
         """Per-core utilisation after the latest :meth:`step` (read-only view)."""
-        return self._utils
+        return self._step.tick_utils[-1, self._row]
 
     @property
     def core_freqs_ghz(self) -> np.ndarray:
         """Per-core frequencies after the latest :meth:`step`."""
-        return self._freqs
+        return self._step.tick_freqs_ghz[-1, self._row]
 
     @property
     def core_ipc(self) -> np.ndarray:
         """Per-core IPC after the latest :meth:`step`."""
-        return self._ipc
+        return self._step.tick_ipc[-1, self._row]
 
     def mean_ipc(self) -> float:
         """Socket-average IPC over *active* cores (0 if all idle), as of the
         latest step."""
-        return self._mean_ipc
+        return self._step.tick_mean_ipc[-1][self._row]
 
     def power_w(self) -> float:
         """Core-domain power of the socket, as of the latest step."""
-        return self._power_w
+        return self._step.tick_power_w[-1][self._row]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CPUCoreModel(n_cores={self.n_cores}, util={self._utils.mean():.2f})"
-
-
-class CoreStep(NamedTuple):
-    """What :func:`step_cores` computed: per-core arrays with one row per
-    socket, and per-socket reductions in socket order. The arrays and lists
-    may be shared with other ticks of the block and must not be written."""
-
-    utils: np.ndarray
-    freqs_ghz: np.ndarray
-    ipc: np.ndarray
-    mean_ipc: List[float]
-    power_w: List[float]
-    mean_freq_ghz: List[float]
+        return f"CPUCoreModel(n_cores={self.n_cores}, util={self.core_utils.mean():.2f})"
 
 
 class _Rows(NamedTuple):
     """Derived core state of a socket stack under one utilisation vector:
-    ``(sockets, n_cores)`` arrays for one tick or ``(ticks, sockets,
-    n_cores)`` for several, and the per-socket reductions as lists of the
-    same leading shape."""
+    ``(ticks, sockets, n_cores)`` arrays, and the per-socket reductions as
+    one list per tick."""
 
     utils: np.ndarray
     freqs_ghz: np.ndarray
@@ -213,12 +254,14 @@ class CoreBlock:
     Rows are derived per utilisation vector (one value per node): the first
     time a vector is used in a block, :func:`step_cores` derives the current
     tick's row alone; the second time, every remaining row of the block at
-    once, which later ticks with that vector only index. IPC rows and their
-    sums follow the same rule per utilisation vector and IPC levels (one
-    level per node). The vector and levels of a block's last tick count as
-    used once in the next block. A fresh vector every tick therefore costs
-    one row per tick, as a block of one tick would. Derived arrays are never
-    written, so each tick's views stay valid after the block moves on.
+    once, which later ticks with that vector only index. A span of several
+    ticks derives the remaining rows on any use. IPC rows and their sums
+    follow the same rule per utilisation vector and IPC levels (one level
+    per node). The vector and levels of a block's last tick count as used
+    once in the next block. A fresh vector every tick therefore costs one
+    row per tick, as a block of one tick would. A span never runs past the
+    block's last tick. Derived arrays are never written, so each tick's
+    views stay valid after the block moves on.
 
     A block is keyed on each socket's stream position at its start. When a
     socket has been stepped by another block since (another batch, or the
@@ -328,16 +371,23 @@ def step_cores(
     socket_util: Sequence[float],
     mem_stall_factor: Sequence[float],
     uncore_ratio: Sequence[float],
+    ticks: int = 1,
 ) -> CoreStep:
-    """Advance a block's stack of identical sockets by one tick.
+    """Advance a block's stack of identical sockets by a span of ticks.
 
-    The three operating-point arguments carry one value per node of the
-    stack. Utilisation, frequency, activity and power come from the block's
-    rows for this utilisation vector, and the IPC from its rows for this
-    vector and these IPC levels (see :class:`CoreBlock`). Every reduction
-    runs along one socket's row. Every socket's model is left holding its
-    row of the arrays and its reductions, so its observables read as if it
-    had stepped alone. Earlier arrays are never mutated.
+    The span holds ``ticks`` ticks under one operating point, or as many as
+    the block has left if that is fewer; the returned
+    :attr:`CoreStep.ticks` says how many. The three operating-point
+    arguments carry one value per node of the stack. Utilisation,
+    frequency, activity and power come from the block's rows for this
+    utilisation vector, and the IPC from its rows for this vector and these
+    IPC levels (see :class:`CoreBlock`); a span of more than one tick takes
+    both from the rows derived for the rest of the block. Every reduction
+    runs along one socket's row, and the mean IPC of a partially active
+    socket is reduced per row. Every socket's model is left holding the
+    step, and reads its row of the span's last tick and its reductions, so
+    its observables read as if it had stepped alone. Earlier arrays are
+    never mutated.
 
     Parameters
     ----------
@@ -353,6 +403,8 @@ def step_cores(
         Per node: effective uncore frequency over max; low uncore adds
         LLC/mesh latency that mildly depresses IPC even when bandwidth
         suffices.
+    ticks:
+        The most ticks to step; at least 1.
     """
     for util in socket_util:
         if not (0.0 <= util <= 1.0):
@@ -361,6 +413,7 @@ def step_cores(
     part = cpus[0]
     n = part.n_cores
     t = block._tick()
+    ticks = min(ticks, block.ticks - t)
     per_node = len(cpus) // len(socket_util)
     key = tuple(socket_util)
     if 0.0 in key:
@@ -368,61 +421,69 @@ def step_cores(
         key += tuple(copysign(1.0, util) for util in key)
     memo = block._memo
     found = memo.get(key)
-    if found is None and key not in memo:
-        # First use in this block: this tick's row alone.
+    if found is None and key not in memo and ticks == 1:
+        # First use in this block, for one tick: this tick's row alone.
         memo[key] = None
-        utils, freqs, active, power_w, mean_freq_ghz, n_active = _derive(
-            part, _rows_view(socket_util, per_node), block._jitter[t]
-        )
+        rows = _derive(part, _rows_view(socket_util, per_node), block._jitter[t : t + 1])
+        row = 0
     else:
         if found is None:
-            # Second use: every remaining row of the block at once.
-            rows = _derive(part, _rows_view(socket_util, per_node), block._jitter[t:])
-            found = memo[key] = (t, rows)
+            # Second use, or a span: every remaining row of the block at once.
+            found = memo[key] = (t, _derive(part, _rows_view(socket_util, per_node), block._jitter[t:]))
         start, rows = found
         row = t - start
-        utils, freqs, active = rows.utils[row], rows.freqs_ghz[row], rows.active[row]
-        power_w, n_active = rows.power_w[row], rows.n_active[row]
-        mean_freq_ghz = rows.mean_freq_ghz[row]
-    block._t = t + 1
+    end = row + ticks
+    active = rows.active[row:end]
+    block._t = t + ticks
 
-    # Each node's IPC level for its active cores, in Python floats.
+    # Each node's IPC level for its active cores, in Python floats; the
+    # clamps are :func:`~repro.units.clamp`'s ``max(lo, min(hi, x))``.
+    peak = part.peak_ipc
     levels = [
-        part.peak_ipc * clamp(stall, 0.05, 1.0) * (0.88 + 0.12 * clamp(ratio, 0.0, 1.0))
+        peak * max(0.05, min(1.0, stall)) * (0.88 + 0.12 * max(0.0, min(1.0, ratio)))
         for stall, ratio in zip(mem_stall_factor, uncore_ratio)
     ]
     pair = block._last = (key, tuple(levels))
     ipc_memo = block._ipc
     held = ipc_memo.get(pair)
-    if held is None and pair not in ipc_memo:
+    if held is None and pair not in ipc_memo and ticks == 1:
         ipc_memo[pair] = None
         ipc = np.where(active, _rows_view(levels, per_node), 0.0)
         ipc_sums = np.add.reduce(ipc, axis=-1).tolist()
     else:
         if held is None:
-            # Each use of the pair used the vector, so its rows exist.
+            # A span derived the vector's rows above; otherwise each use of
+            # the pair used the vector, so its rows exist.
             assert found is not None
-            start, rows = found
-            ipc_rows = np.where(rows.active[t - start :], _rows_view(levels, per_node), 0.0)
+            start, rows_from = found
+            ipc_rows = np.where(rows_from.active[t - start :], _rows_view(levels, per_node), 0.0)
             held = ipc_memo[pair] = (t, ipc_rows, np.add.reduce(ipc_rows, axis=-1).tolist())
         start, ipc_rows, sums = held
-        ipc, ipc_sums = ipc_rows[t - start], sums[t - start]
-    mean_ipc: List[float] = []
+        ipc, ipc_sums = ipc_rows[t - start : t - start + ticks], sums[t - start : t - start + ticks]
+    mean_ipc: List[List[float]] = []
+    for j, tick_n_active in enumerate(rows.n_active[row:end]):
+        tick_sums = ipc_sums[j]
+        means: List[float] = []
+        for s, k in enumerate(tick_n_active):
+            if k == n:
+                means.append(tick_sums[s] / n)
+            elif k:
+                # Zeros in the row would regroup the pairwise sum: reduce over
+                # the active cores alone, as a socket stepped alone does.
+                means.append(float(ipc[j, s][active[j, s]].mean()))
+            else:
+                means.append(0.0)
+        mean_ipc.append(means)
+    step = CoreStep(
+        rows.utils[row:end],
+        rows.freqs_ghz[row:end],
+        ipc,
+        mean_ipc,
+        rows.power_w[row:end],
+        rows.mean_freq_ghz[row:end],
+    )
     for s, cpu in enumerate(cpus):
-        k = n_active[s]
-        if k == n:
-            socket_ipc = ipc_sums[s] / n
-        elif k:
-            # Zeros in the row would regroup the pairwise sum: reduce over
-            # the active cores alone, as a socket stepped alone does.
-            socket_ipc = float(ipc[s][active[s]].mean())
-        else:
-            socket_ipc = 0.0
-        mean_ipc.append(socket_ipc)
-        cpu._utils = utils[s]
-        cpu._freqs = freqs[s]
-        cpu._ipc = ipc[s]
-        cpu._mean_ipc = socket_ipc
-        cpu._power_w = power_w[s]
-        cpu._pos += 1
-    return CoreStep(utils, freqs, ipc, mean_ipc, power_w, mean_freq_ghz)
+        cpu._step = step
+        cpu._row = s
+        cpu._pos += ticks
+    return step

@@ -23,7 +23,6 @@ from repro.hw.gpu import GPUGroup
 from repro.hw.memory import MemoryServiceResult, MemorySubsystem
 from repro.hw.power import PowerBreakdown
 from repro.hw.uncore import UncoreModel
-from repro.units import ordered_sum
 
 if TYPE_CHECKING:  # imported for typing only; avoids an hw <-> workloads cycle
     from repro.workloads.base import Segment
@@ -32,10 +31,16 @@ __all__ = ["NodeTickState", "HeterogeneousNode", "NodeBatch"]
 
 
 class NodeTickState(NamedTuple):
-    """Everything observable about the node after one tick.
+    """Everything observable about the node after one step.
+
+    A step spans ``ticks`` ticks under one set of inputs (a single tick is
+    the span of one). The unprefixed fields describe the span's last tick,
+    so a reader that only looks at them sees the latest tick. The ``tick_``
+    fields hold one value per tick of the span, the last equal to the
+    unprefixed field; everything else is the same on every tick of a span.
 
     A named tuple rather than a frozen dataclass: a batch builds one per
-    node per tick, and a tuple is built several times faster.
+    node per step, and a tuple is built several times faster.
     """
 
     time_s: float
@@ -49,6 +54,12 @@ class NodeTickState(NamedTuple):
     mean_core_freq_ghz: float
     gpu_sm_clock_ghz: float
     served_fraction: float
+    ticks: int
+    tick_time_s: Sequence[float]
+    tick_core_w: Sequence[float]
+    tick_package_w: Sequence[float]
+    tick_mean_ipc: Sequence[float]
+    tick_mean_core_freq_ghz: Sequence[float]
 
 
 class _TickPhysics(NamedTuple):
@@ -124,10 +135,11 @@ class HeterogeneousNode:
         # The node steps as a batch of one, which rejects sockets that are
         # not all one part.
         self._alone = NodeBatch((self,))
-        # Per-core state in global core order; each step replaces these.
-        self._core_utils = np.concatenate([cpu.core_utils for cpu in self._cpus])
-        self._core_freqs_ghz = np.concatenate([cpu.core_freqs_ghz for cpu in self._cpus])
-        self._core_ipc = np.concatenate([cpu.core_ipc for cpu in self._cpus])
+        # Per-core state in global core order, one row per tick of the
+        # latest step; each step replaces these.
+        self._tick_utils = np.concatenate([cpu.core_utils for cpu in self._cpus])[None]
+        self._tick_freqs_ghz = np.concatenate([cpu.core_freqs_ghz for cpu in self._cpus])[None]
+        self._tick_ipc = np.concatenate([cpu.core_ipc for cpu in self._cpus])[None]
         self.memory = memory
         self.gpus = gpus
         self.tdp_w_per_socket = float(tdp_w_per_socket)
@@ -203,27 +215,50 @@ class HeterogeneousNode:
         Each step replaces the array: a reference taken before a step keeps
         that tick's values.
         """
-        return self._core_utils
+        return self._tick_utils[-1]
 
     @property
     def core_freqs_ghz(self) -> np.ndarray:
         """Every core's frequency after the latest step, ``(n_cores,)``."""
-        return self._core_freqs_ghz
+        return self._tick_freqs_ghz[-1]
 
     @property
     def core_ipc(self) -> np.ndarray:
         """Every core's IPC after the latest step, ``(n_cores,)``."""
-        return self._core_ipc
+        return self._tick_ipc[-1]
+
+    @property
+    def tick_core_utils(self) -> np.ndarray:
+        """Every core's utilisation on each tick of the latest step,
+        ``(ticks, n_cores)``; never written."""
+        return self._tick_utils
+
+    @property
+    def tick_core_freqs_ghz(self) -> np.ndarray:
+        """Every core's frequency on each tick of the latest step."""
+        return self._tick_freqs_ghz
+
+    @property
+    def tick_core_ipc(self) -> np.ndarray:
+        """Every core's IPC on each tick of the latest step."""
+        return self._tick_ipc
+
+    @property
+    def max_span_ticks(self) -> int:
+        """The most ticks one step of this node can span: its core block's
+        length when stepped alone (a batch's block is no longer)."""
+        return self._alone._block.ticks
 
     # ------------------------------------------------------------------
     # Simulation step
     # ------------------------------------------------------------------
     def step(self, dt_s: float, segment: Optional["Segment"]) -> NodeTickState:
-        """Advance the node by ``dt_s`` under the given workload segment.
+        """Advance the node by one tick of ``dt_s`` under the given workload
+        segment.
 
         Passing ``segment=None`` models an idle node (no application), used
         by the Table 2 overhead experiments. The node steps as a
-        :class:`NodeBatch` of one.
+        :class:`NodeBatch` of one, for a span of one tick.
         """
         return self._alone.step(dt_s, (segment,))[0]
 
@@ -291,20 +326,21 @@ class HeterogeneousNode:
 
 
 class NodeBatch:
-    """Nodes of one part, stepped together one tick at a time.
+    """Nodes of one part, stepped together a span of ticks at a time.
 
-    Each tick runs every node's scalar physics in node order: the uncore
+    Each step runs every node's scalar physics in node order: the uncore
     slew, then memory service, stall factor, uncore ratio, uncore, DRAM and
     GPU power, which it reuses from the node's last recomputed tick while the
     segment and the sockets' uncore frequencies repeat; after the cores, the
-    power breakdown and the tick state. The cores of all nodes step in
-    one :func:`~repro.hw.cpu.step_cores` call over the ``(Σ sockets,
-    n_cores)`` stack, node after node, so the batch pays each NumPy call once
-    per tick rather than once per node, and derives their jitter-driven
-    state a :class:`~repro.hw.cpu.CoreBlock` of ticks at a time. Each
-    socket draws from its own stream, and every reduction runs along one
-    socket's row, so each node ends every tick bit-identical to the same
-    node stepped alone (DESIGN.md §6n, §6o).
+    per-tick power, means and times, the power breakdown and the state. The
+    cores of all nodes step in one :func:`~repro.hw.cpu.step_cores` call
+    over the ``(Σ sockets, n_cores)`` stack, node after node, so the batch
+    pays each NumPy call once per step rather than once per node, and
+    derives their jitter-driven state a :class:`~repro.hw.cpu.CoreBlock` of
+    ticks at a time. A step spans several ticks only while every node's
+    inputs repeat (DESIGN.md §6q). Each socket draws from its own stream,
+    and every reduction runs along one socket's row, so each node ends every
+    tick bit-identical to the same node stepped alone (DESIGN.md §6n, §6o).
 
     Parameters
     ----------
@@ -331,11 +367,18 @@ class NodeBatch:
         _check_identical_parts(self._cpus)
         self._block = CoreBlock(self._cpus)
 
-    def step(self, dt_s: float, segments: Sequence[Optional["Segment"]]) -> List[NodeTickState]:
-        """Advance every node by ``dt_s``; ``segments[i]`` drives node ``i``.
+    def step(
+        self, dt_s: float, segments: Sequence[Optional["Segment"]], ticks: int = 1
+    ) -> List[NodeTickState]:
+        """Advance every node by a span of ticks of ``dt_s``; ``segments[i]``
+        drives node ``i``.
 
-        A ``None`` segment idles its node. Returns the nodes' tick states in
-        node order.
+        The span is ``ticks`` ticks when every node's tick reuses its last
+        recomputed physics with every socket's uncore settled (effective
+        equal to target, no pending target), so its later ticks repeat the
+        first's inputs; it is cut short where the core block ends, and is
+        one tick otherwise. Each state's ``ticks`` says how many. A ``None``
+        segment idles its node. Returns the nodes' states in node order.
         """
         if dt_s <= 0:
             raise HardwareError(f"dt must be positive, got {dt_s!r}")
@@ -346,10 +389,11 @@ class NodeBatch:
         utils: List[float] = []
         stalls: List[float] = []
         ratios: List[float] = []
-        ticks: List[_TickPhysics] = []
+        spans: List[_TickPhysics] = []
         for node, segment in zip(self.nodes, segments):
-            node._time_s += dt_s
-            # Each socket's slew returns its new effective frequency.
+            # Each socket's slew returns its new effective frequency. A
+            # settled socket with nothing pending keeps it, so the slew of a
+            # span's first tick is the slew of all of them.
             effective = [unc.step(dt_s) for _, unc in node.sockets]
             target = [unc.target_ghz for _, unc in node.sockets]
             physics = node._physics
@@ -360,46 +404,76 @@ class NodeBatch:
                 or physics.target_ghz != target
             ):
                 physics = node._physics = node._derive_physics(segment, effective, target)
+                ticks = 1
+            elif ticks > 1 and (
+                effective != target
+                or any(unc.pending_target_ghz is not None for _, unc in node.sockets)
+            ):
+                ticks = 1
             utils.append(physics.cpu_util)
             stalls.append(physics.stall)
             ratios.append(physics.uncore_ratio)
-            ticks.append(physics)
+            spans.append(physics)
 
-        cores = step_cores(self._block, utils, stalls, ratios)
+        cores = step_cores(self._block, utils, stalls, ratios, ticks)
+        tick_power_w = cores.tick_power_w
+        ticks = len(tick_power_w)
         n_nodes = len(self.nodes)
-        node_utils = cores.utils.reshape(n_nodes, -1)
-        node_freqs = cores.freqs_ghz.reshape(n_nodes, -1)
-        node_ipc = cores.ipc.reshape(n_nodes, -1)
+        node_utils = cores.tick_utils.reshape(ticks, n_nodes, -1)
+        node_freqs = cores.tick_freqs_ghz.reshape(ticks, n_nodes, -1)
+        node_ipc = cores.tick_ipc.reshape(ticks, n_nodes, -1)
         per_node = self._per_node
         states: List[NodeTickState] = []
-        for i, (node, physics) in enumerate(zip(self.nodes, ticks)):
-            node._core_utils = node_utils[i]
-            node._core_freqs_ghz = node_freqs[i]
-            node._core_ipc = node_ipc[i]
+        for i, (node, physics) in enumerate(zip(self.nodes, spans)):
+            node._tick_utils = node_utils[:, i]
+            node._tick_freqs_ghz = node_freqs[:, i]
+            node._tick_ipc = node_ipc[:, i]
             first = i * per_node
-            core_w = 0.0
-            for socket_w in cores.power_w[first : first + per_node]:
-                core_w += socket_w
+            last = first + per_node
+            uncore_w = physics.uncore_w
+            monitor_w = node.monitor_power_w
+            time_s = node._time_s
+            # One (time, core, package, mean IPC, mean frequency) per tick.
+            per_tick = []
+            for power_w, mean_ipc, mean_freq in zip(
+                tick_power_w, cores.tick_mean_ipc, cores.tick_mean_freq_ghz
+            ):
+                time_s += dt_s
+                core_w = 0.0
+                for socket_w in power_w[first:last]:
+                    core_w += socket_w
+                per_tick.append(
+                    (
+                        time_s,
+                        core_w,
+                        # PowerBreakdown.package_w's sum, in its order.
+                        core_w + uncore_w + monitor_w,
+                        _socket_mean(mean_ipc[first:last]),
+                        _socket_mean(mean_freq[first:last]),
+                    )
+                )
+            node._time_s = time_s
+            times, core_ws, packages, ipcs, freqs = zip(*per_tick)
             svc = physics.service
-            power = PowerBreakdown(
-                core_w=core_w,
-                uncore_w=physics.uncore_w,
-                dram_w=physics.dram_w,
-                gpu_w=physics.gpu_w,
-                monitor_w=node.monitor_power_w,
-            )
+            # Positional: a named tuple binds keywords several times slower.
             state = NodeTickState(
-                time_s=node._time_s,
-                demand_gbps=physics.demand_gbps,
-                delivered_gbps=svc.delivered_gbps,
-                stretch=svc.stretch,
-                power=power,
-                uncore_target_ghz=physics.uncore_target_ghz,
-                uncore_effective_ghz=physics.uncore_effective_ghz,
-                mean_ipc=_socket_mean(cores.mean_ipc[first : first + per_node]),
-                mean_core_freq_ghz=_socket_mean(cores.mean_freq_ghz[first : first + per_node]),
-                gpu_sm_clock_ghz=physics.gpu_sm_clock_ghz,
-                served_fraction=svc.served_fraction,
+                time_s,
+                physics.demand_gbps,
+                svc.delivered_gbps,
+                svc.stretch,
+                PowerBreakdown(core_w, uncore_w, physics.dram_w, physics.gpu_w, monitor_w),
+                physics.uncore_target_ghz,
+                physics.uncore_effective_ghz,
+                ipcs[-1],
+                freqs[-1],
+                physics.gpu_sm_clock_ghz,
+                svc.served_fraction,
+                ticks,
+                times,
+                core_ws,
+                packages,
+                ipcs,
+                freqs,
             )
             node._last_state = state
             states.append(state)
@@ -425,10 +499,14 @@ def _check_identical_parts(cpus: Sequence[CPUCoreModel]) -> None:
 def _socket_mean(values: Sequence[float]) -> float:
     """``float(np.mean(values))`` for a few per-socket floats, without NumPy.
 
-    Below eight terms NumPy's pairwise sum adds in order from 0.0, so
-    :func:`~repro.units.ordered_sum` gives the same double.
+    Below eight terms NumPy's pairwise sum adds in order from 0.0, so the
+    ordered sum of :func:`~repro.units.ordered_sum`, inlined here (a node
+    step takes two means a tick), gives the same double.
     """
     n = len(values)
     if n >= 8:
         return float(np.mean(values))
-    return ordered_sum(values) / n
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total / n

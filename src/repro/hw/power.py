@@ -21,7 +21,7 @@ from repro.errors import PowerModelError
 __all__ = ["PowerBreakdown"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerBreakdown:
     """Instantaneous power of every domain, in watts.
 
@@ -47,19 +47,20 @@ class PowerBreakdown:
     gpu_w: float
     monitor_w: float = 0.0
 
-    def __post_init__(self) -> None:
-        # One chained test per tick; the loop only names the culprit.
-        if (
-            self.core_w < 0
-            or self.uncore_w < 0
-            or self.dram_w < 0
-            or self.gpu_w < 0
-            or self.monitor_w < 0
-        ):
-            for field_name in ("core_w", "uncore_w", "dram_w", "gpu_w", "monitor_w"):
-                v = getattr(self, field_name)
+    def __init__(
+        self, core_w: float, uncore_w: float, dram_w: float, gpu_w: float, monitor_w: float = 0.0
+    ) -> None:
+        # A node step builds one per node: one chained test, and the fields
+        # set in one update past the frozen __setattr__, instead of one
+        # object.__setattr__ call per field. The loop only names the culprit.
+        if core_w < 0 or uncore_w < 0 or dram_w < 0 or gpu_w < 0 or monitor_w < 0:
+            values = (core_w, uncore_w, dram_w, gpu_w, monitor_w)
+            for field_name, v in zip(("core_w", "uncore_w", "dram_w", "gpu_w", "monitor_w"), values):
                 if v < 0:
                     raise PowerModelError(f"{field_name} must be non-negative, got {v!r}")
+        self.__dict__.update(
+            core_w=core_w, uncore_w=uncore_w, dram_w=dram_w, gpu_w=gpu_w, monitor_w=monitor_w
+        )
 
     @property
     def package_w(self) -> float:

@@ -64,8 +64,19 @@ class Span:
         return 0.0 if self.end_s is None else self.end_s - self.start_s
 
 
+def _coerce_attrs(attrs: Dict[str, object]) -> Dict[str, object]:
+    """``attrs`` normalised for export (see :func:`_coerce_attr`)."""
+    return {k: _coerce_attr(v) for k, v in attrs.items()}
+
+
 class SpanTracer:
-    """Records nested spans with caller-supplied simulated timestamps."""
+    """Records nested spans with caller-supplied simulated timestamps.
+
+    A decision cycle records a handful of spans, so each call is kept to a
+    positional :class:`Span`, a set lookup for the name and one C-level pass
+    over the attribute types (attributes that are all of plain types are
+    kept as passed).
+    """
 
     __slots__ = ("spans", "_stack", "_next_id", "_names")
 
@@ -77,26 +88,34 @@ class SpanTracer:
         # Names already validated; a run reuses a handful of them.
         self._names: Set[str] = set()
 
-    def _check_name(self, name: str) -> None:
-        if name not in self._names:
-            self._names.add(validate_metric_name(name))
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def begin(self, name: str, start_s: float, category: str = "span", **attrs: object) -> int:
-        """Open a span at simulated time ``start_s``; returns its id."""
-        self._check_name(name)
+    def _record(
+        self, name: str, start_s: float, end_s: Optional[float], category: str, attrs
+    ) -> Span:
+        if name not in self._names:
+            self._names.add(validate_metric_name(name))
+        stack = self._stack
+        if not all(map(_PLAIN_TYPES.__contains__, map(type, attrs.values()))):
+            attrs = _coerce_attrs(attrs)
         span = Span(
-            span_id=self._next_id,
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            name=name,
-            category=category,
-            start_s=start_s,
-            attrs={k: _coerce_attr(v) for k, v in attrs.items()},
+            self._next_id,
+            stack[-1].span_id if stack else None,
+            name,
+            category,
+            start_s,
+            end_s,
+            True,
+            attrs,
         )
         self._next_id += 1
         self.spans.append(span)
+        return span
+
+    def begin(self, name: str, start_s: float, category: str = "span", **attrs: object) -> int:
+        """Open a span at simulated time ``start_s``; returns its id."""
+        span = self._record(name, start_s, None, category, attrs)
         self._stack.append(span)
         return span.span_id
 
@@ -106,45 +125,32 @@ class SpanTracer:
         Any children still open above it on the stack are closed at the
         same timestamp (an exception unwound past them).
         """
-        span = self._pop_to(span_id)
-        while self._stack and self._stack[-1] is not span:
-            orphan = self._stack.pop()
-            orphan.end_s = end_s
-        self._stack.pop()
-        span.end_s = end_s
-        for k, v in attrs.items():
-            span.attrs[k] = _coerce_attr(v)
-        return span
+        return self._close(span_id, end_s, True, attrs)
 
     def abort(self, span_id: int, end_s: float, **attrs: object) -> Span:
         """Close ``span_id`` marking it (and unwound children) failed."""
+        return self._close(span_id, end_s, False, attrs)
+
+    def _close(self, span_id: int, end_s: float, ok: bool, attrs) -> Span:
         span = self._pop_to(span_id)
-        while self._stack and self._stack[-1] is not span:
-            orphan = self._stack.pop()
+        stack = self._stack
+        while stack[-1] is not span:
+            orphan = stack.pop()
             orphan.end_s = end_s
-            orphan.ok = False
-        self._stack.pop()
+            if not ok:
+                orphan.ok = False
+        stack.pop()
         span.end_s = end_s
-        span.ok = False
-        for k, v in attrs.items():
-            span.attrs[k] = _coerce_attr(v)
+        if not ok:
+            span.ok = False
+        if not all(map(_PLAIN_TYPES.__contains__, map(type, attrs.values()))):
+            attrs = _coerce_attrs(attrs)
+        span.attrs.update(attrs)
         return span
 
     def instant(self, name: str, time_s: float, category: str = "span", **attrs: object) -> Span:
         """Record a zero-duration span at ``time_s``."""
-        self._check_name(name)
-        span = Span(
-            span_id=self._next_id,
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            name=name,
-            category=category,
-            start_s=time_s,
-            end_s=time_s,
-            attrs={k: _coerce_attr(v) for k, v in attrs.items()},
-        )
-        self._next_id += 1
-        self.spans.append(span)
-        return span
+        return self._record(name, time_s, time_s, category, attrs)
 
     def finish(self, end_s: float) -> None:
         """Close every still-open span (end of run)."""

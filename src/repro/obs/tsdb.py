@@ -44,8 +44,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import floor
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from math import floor, isfinite
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObsError
 from repro.obs.registry import validate_metric_name
@@ -281,6 +281,31 @@ class Series:
 
     def _non_finite(self, t_s: float, value: float) -> ObsError:
         return ObsError(f"series {self.name!r}: non-finite sample ({t_s!r}, {value!r})")
+
+    @staticmethod
+    def record_column(column: Sequence["Series"], t_s: float, values: Iterable[float]) -> None:
+        """Append one sample at ``t_s`` to each series of ``column``:
+        ``column[i]`` gets ``values[i]``.
+
+        The same samples, errors and messages as :meth:`record` on each
+        pair in order, but the time's own checks (finite, not before 0) run
+        once for the column; each series still checks its order and fold
+        watermark. A fleet scrape records one value per node this way.
+        """
+        if column and not (isfinite(t_s) and t_s >= 0.0):
+            # A time no series takes: the first series raises record's error.
+            column[0].record(t_s, next(iter(values)))
+        for series, value in zip(column, values):
+            value = float(value)
+            if not isfinite(value):
+                raise series._non_finite(t_s, value)
+            times = series._times
+            if (times and t_s < times[-1]) or t_s < series._covered[0]:
+                series.record(t_s, value)  # raises record's ordering error
+            times.append(t_s)
+            series._values.append(value)
+            if len(times) > series.capacity:
+                series._compact()
 
     # ------------------------------------------------------------------
     # Compaction (canonical: depends only on contents + watermarks)

@@ -36,7 +36,7 @@ bit-identical and reported overheads are unchanged (guarded by tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 from repro.errors import SupervisionError, TelemetryError
@@ -44,6 +44,7 @@ from repro.faults.incidents import Incident, IncidentLog
 from repro.runtime.daemon import MonitorDaemon
 from repro.sim.observers import DegradedStateObserver, TickObserver
 from repro.telemetry.sampling import AccessMeter
+from repro.units import require_finite
 
 __all__ = ["SupervisorConfig", "SupervisedDaemon"]
 
@@ -81,6 +82,15 @@ class SupervisorConfig:
     deadline_factor: float = 3.0
 
     def __post_init__(self) -> None:
+        # Every range check below is a comparison, which NaN passes.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is not None:
+                require_finite(
+                    value,
+                    error=lambda _, name=spec.name: SupervisionError(f"{name} must not be NaN"),
+                    allow_inf=True,
+                )
         if self.max_retries < 0:
             raise SupervisionError(f"max_retries must be >= 0, got {self.max_retries!r}")
         if self.backoff_base_s < 0 or self.backoff_factor < 1.0:

@@ -68,7 +68,7 @@ class SimClock:
         if not isinstance(ticks, int) or ticks <= 0:
             raise ClockError(f"can only advance by a positive integer tick count, got {ticks!r}")
         self._tick += ticks
-        return self.now
+        return self._tick * self._dt
 
     def ticks_until(self, when_s: float) -> int:
         """Number of whole ticks from now until simulated time ``when_s``.
@@ -83,6 +83,29 @@ class SimClock:
         if ticks * self._dt < remaining - 1e-12:
             ticks += 1
         return ticks
+
+    def ticks_before(self, when_s: float, limit: int) -> int:
+        """How many of the next ``limit`` ticks end strictly before ``when_s``.
+
+        Tick ``j`` from now (``j = 0`` first) ends at ``(tick + j + 1) *
+        dt``, the value :meth:`advance` will return, so the count uses the
+        clock's own quantisation and never shifts by float noise. The ends
+        rise with ``j``, so the count is the first ``j`` whose end reaches
+        ``when_s``. A NaN ``when_s`` is reached at once.
+        """
+        tick, dt = self._tick, self._dt
+        if (tick + limit) * dt < when_s:
+            return limit
+        if not (tick + 1) * dt < when_s:
+            return 0
+        # Tick 0 ends before when_s and tick limit - 1 does not: start from
+        # an estimate and settle on the first tick that does not.
+        j = min(max(int(when_s / dt) - tick - 1, 1), limit - 1)
+        while (tick + j) * dt >= when_s:
+            j -= 1
+        while (tick + j + 1) * dt < when_s:
+            j += 1
+        return j
 
     def align(self, period_s: float) -> float:
         """Return the first time ``>= now`` that is an integer multiple of

@@ -1,21 +1,24 @@
 """The engine core: clock + physics step + observer dispatch.
 
-Each tick the engine:
+Each step the engine:
 
 1. asks the workload execution for the active segment (or idle),
-2. steps the node (uncore slew → memory service → DVFS → power),
-3. advances workload progress by ``dt / stretch`` nominal seconds (the
-   roofline stretch is where an underfed uncore costs runtime),
-4. dispatches every :class:`~repro.sim.observers.TickObserver` in order
+2. bounds the step's span: how many ticks every observer, the horizon and
+   the workload's segment allow to pass as one (DESIGN.md §6q),
+3. steps the node (uncore slew → memory service → DVFS → power) by that
+   span, or by one tick when the node's inputs do not repeat,
+4. advances workload progress by ``dt / stretch`` nominal seconds per tick
+   (the roofline stretch is where an underfed uncore costs runtime),
+5. dispatches every :class:`~repro.sim.observers.TickObserver` in order
    (telemetry advancement, trace-channel capture, scheduled-runtime
    firing all live here as observers),
-5. flushes the shared trace row through the recorder's columnar
-   :meth:`~repro.sim.trace.TraceRecorder.record_row` fast path.
+6. appends the step's trace rows through the recorder's
+   :meth:`~repro.sim.trace.TraceRecorder.record_rows`.
 
-:func:`lockstep` runs several started engines one tick at a time together,
-stepping their nodes as one :class:`~repro.hw.node.NodeBatch`;
-:meth:`SimulationEngine.run` is the lockstep of one engine, so there is one
-tick loop.
+A single tick is the span of one, so there is one stepping path.
+:func:`lockstep` runs several started engines together, stepping their
+nodes as one :class:`~repro.hw.node.NodeBatch`; :meth:`SimulationEngine.run`
+is the lockstep of one engine, so there is one tick loop.
 
 The engine knows nothing about trace channels, telemetry devices or
 governor scheduling — those concerns arrive as observers, composed by the
@@ -100,9 +103,11 @@ class SimulationEngine:
         self.node = node
         self.observers: List[TickObserver] = list(observers)
         self.clock = clock if clock is not None else SimClock()
-        #: Set per run: the channel schema, shared row buffer and recorder
+        #: Set per run: the channel schema, shared row block (one row per
+        #: tick of a step; ``trace_row`` is its first row) and recorder
         #: (observers grab these in ``on_start``).
         self.registry: Optional[ChannelRegistry] = None
+        self.trace_rows: Optional[np.ndarray] = None
         self.trace_row: Optional[np.ndarray] = None
         self.recorder: Optional[TraceRecorder] = None
         #: The started run :func:`lockstep` steps next (``None`` otherwise).
@@ -117,11 +122,12 @@ class SimulationEngine:
     ) -> None:
         """Prepare a run for :func:`lockstep` without stepping it.
 
-        Builds the run's channel schema, recorder and row buffer, then calls
+        Builds the run's channel schema, recorder and row block, then calls
         every observer's ``on_start``. The recorder starts with one row per
         tick up to the horizon (at most 1024 rows, growing past that), so
         runs held live together cost no more memory than the ticks they
-        record. The arguments are :meth:`run`'s.
+        record. The row block holds the longest span the node can step. The
+        arguments are :meth:`run`'s.
         """
         if max_time_s <= 0:
             raise SimulationError(f"max_time_s must be positive, got {max_time_s!r}")
@@ -138,15 +144,19 @@ class SimulationEngine:
         registry.freeze()
         self.registry = registry
         if len(registry):
+            expected = self.clock.ticks_until(horizon) + 1
             recorder: Optional[TraceRecorder] = TraceRecorder(
-                registry.channels, expected_rows=self.clock.ticks_until(horizon) + 1
+                registry.channels, expected_rows=expected
             )
-            row: Optional[np.ndarray] = recorder.row_buffer()
+            rows: Optional[np.ndarray] = recorder.row_block(
+                min(expected, self.node.max_span_ticks)
+            )
         else:
             recorder = None
-            row = None
+            rows = None
         self.recorder = recorder
-        self.trace_row = row
+        self.trace_rows = rows
+        self.trace_row = rows[0] if rows is not None else None
 
         for obs in self.observers:
             obs.on_start(self)
@@ -187,7 +197,17 @@ class _Run:
     """A started engine's loop state, as :func:`lockstep` steps it."""
 
     __slots__ = (
-        "engine", "index", "node", "clock", "execution", "horizon", "hooks", "record_row", "row"
+        "engine",
+        "index",
+        "node",
+        "clock",
+        "execution",
+        "horizon",
+        "hooks",
+        "bounds",
+        "limit",
+        "record",
+        "rows",
     )
 
     def __init__(
@@ -203,9 +223,15 @@ class _Run:
         self.hooks: List[Callable[["NodeTickState", Optional["WorkloadExecution"]], None]] = [
             obs.on_tick for obs in engine.observers
         ]
+        # The observers' span hooks; None when some observer has none, which
+        # steps every tick of the run alone.
+        bounds = [getattr(obs, "quiet_ticks", None) for obs in engine.observers]
+        self.bounds: Optional[List[Callable[[int], int]]] = None if None in bounds else bounds
         recorder = engine.recorder
-        self.record_row = recorder.record_row if recorder is not None else None
-        self.row = engine.trace_row
+        self.record = recorder.record_rows if recorder is not None else None
+        self.rows = engine.trace_rows
+        #: The longest span the run's row block holds.
+        self.limit = len(self.rows) if self.rows is not None else engine.node.max_span_ticks
 
     def end(self, runtime_s: float) -> EngineResult:
         """Close the run at ``runtime_s``: build its result, call ``on_finish``."""
@@ -221,18 +247,50 @@ class _Run:
         return result
 
 
-def lockstep(engines: Sequence[SimulationEngine]) -> Iterator[Tuple[int, EngineResult]]:
-    """Run started engines one tick at a time together.
+def _span(live: List[_Run], dt: float) -> int:
+    """How many ticks the live runs' next step may span, at least 1.
 
-    Each tick, every live run in input order first checks whether it has
+    Every live run has its observers' span hooks. The span is the smallest
+    of each run's bounds: its row block, every span hook, the ticks until
+    its horizon and, for a workload, the ticks before the advance that
+    would roll its segment. That last bound assumes the stretch of the
+    node's previous tick; the node batch steps a span only when that tick's
+    physics repeats, and steps one tick otherwise.
+    """
+    limit = live[0].limit
+    for run in live:
+        bounds = run.bounds
+        assert bounds is not None
+        for bound in bounds:
+            limit = bound(limit)
+            if limit == 1:
+                return 1
+        # The tick whose end reaches the horizon is the run's last one.
+        limit = min(limit, run.limit, run.clock.ticks_before(run.horizon, limit) + 1)
+        execution = run.execution
+        if execution is not None:
+            previous = run.node.last_state
+            if previous is None:
+                return 1
+            limit = execution.quiet_ticks(dt / previous.stretch, limit)
+        if limit == 1:
+            return 1
+    return limit
+
+
+def lockstep(engines: Sequence[SimulationEngine]) -> Iterator[Tuple[int, EngineResult]]:
+    """Run started engines together, one step at a time.
+
+    Each step, every live run in input order first checks whether it has
     reached its horizon or completed its workload. A run that has leaves
     the lockstep: its observers' ``on_finish`` runs, ``(its index in
     engines, its result)`` is yielded, and its node draws nothing more.
     The other runs' nodes step as one :class:`~repro.hw.node.NodeBatch`,
-    then each run in turn advances its workload by ``dt / stretch``,
-    dispatches its observers, records its row and advances its clock.
-    Runs share nothing but the batch, so each run's trace is bit-identical
-    to the same engine run alone (DESIGN.md §6n).
+    for the shortest span any run allows (DESIGN.md §6q), then each run in
+    turn advances its workload by ``dt / stretch`` per tick, dispatches its
+    observers, records its rows and advances its clock. Runs share nothing
+    but the batch, so each run's trace is bit-identical to the same engine
+    run alone (DESIGN.md §6n).
 
     Every engine must have been :meth:`~SimulationEngine.start`-ed, and all
     must share one tick width; both are checked before this returns. The
@@ -261,8 +319,11 @@ def _step_runs(live: List[_Run]) -> Iterator[Tuple[int, EngineResult]]:
     # The sim layer imports repro.hw for typing only, so the node class
     # builds the batch.
     batch = live[0].node.batch([run.node for run in live])
-    # A run's end condition is tested at the top of a tick; the first tick
-    # tests every run, and later ones only after some run's tick ended on
+    # Whether every live run has its observers' span hooks; a run without
+    # them steps the batch one tick at a time.
+    hooked = all(run.bounds is not None for run in live)
+    # A run's end condition is tested at the top of a step; the first step
+    # tests every run, and later ones only after some run's step ended on
     # its horizon or on its workload's completion.
     due = True
     while True:
@@ -282,15 +343,17 @@ def _step_runs(live: List[_Run]) -> Iterator[Tuple[int, EngineResult]]:
             if len(staying) != len(live):
                 live = staying
                 batch = live[0].node.batch([run.node for run in live])
+                hooked = all(run.bounds is not None for run in live)
             due = False
         segments = [run.execution.current() if run.execution is not None else None for run in live]
-        for run, state in zip(live, batch.step(dt, segments)):
+        for run, state in zip(live, batch.step(dt, segments, _span(live, dt) if hooked else 1)):
+            ticks = state.ticks
             execution = run.execution
             if execution is not None:
-                execution.advance(dt / state.stretch)
+                execution.advance(dt / state.stretch, ticks)
             for hook in run.hooks:
                 hook(state, execution)
-            if run.record_row is not None:
-                run.record_row(state.time_s, run.row)
-            if run.clock.advance() >= run.horizon or (execution is not None and execution.done):
+            if run.record is not None:
+                run.record(state.tick_time_s, run.rows)
+            if run.clock.advance(ticks) >= run.horizon or (execution is not None and execution.done):
                 due = True

@@ -7,27 +7,36 @@ capture, scheduled-runtime (governor daemon) firing — is an observer
 implementing the three-hook :class:`TickObserver` protocol:
 
 * ``on_start(engine)`` — once, before the first tick; the engine's clock,
-  registry, row buffer and recorder are available.
-* ``on_tick(state, execution)`` — every tick, after the physics step and
+  registry, row block and recorder are available.
+* ``on_tick(state, execution)`` — every step, after the physics step and
   workload advancement; ``state`` is the node's
   :class:`~repro.hw.node.NodeTickState`, ``execution`` the in-flight
   :class:`~repro.workloads.base.WorkloadExecution` (or ``None`` when idle).
 * ``on_finish(result)`` — once, after the horizon or completion.
 
-Observers are dispatched **in list order** each tick; the standard stack
+Observers are dispatched **in list order** each step; the standard stack
 orders telemetry before trace capture before runtime firing, which is the
 exact sequencing of the pre-refactor monolithic loop.
 
+A step is a span of ``state.ticks`` ticks (DESIGN.md §6q). An observer that
+can take a span in one call implements the span hook ``quiet_ticks(limit)``:
+how many of the next ``limit`` ticks, at least 1, it can take as one step.
+Its ``on_tick`` then accounts for every tick of the span (the state's
+``tick_`` columns, :attr:`~repro.workloads.base.WorkloadExecution.tick_progress`).
+An observer without the hook bounds every step of its run to one tick, so
+it sees each tick alone, as before.
+
 An observer that records trace channels additionally implements
 ``declare_channels(registry)`` (detected by the engine via ``hasattr``) and
-writes its columns into the engine's shared row buffer during ``on_tick``;
-the engine flushes the completed row through the recorder's columnar
-:meth:`~repro.sim.trace.TraceRecorder.record_row` fast path.
+writes its columns into the first ``state.ticks`` rows of the engine's
+shared row block (``engine.trace_rows``; ``engine.trace_row`` is its first
+row) during ``on_tick``; the engine appends the completed rows through the
+recorder's :meth:`~repro.sim.trace.TraceRecorder.record_rows`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -64,7 +73,7 @@ class TickObserver(Protocol):
         """Called once before the first tick."""
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
-        """Called every tick after the physics step."""
+        """Called every step after the physics step."""
 
     def on_finish(self, result: "EngineResult") -> None:
         """Called once after the run ends."""
@@ -97,7 +106,7 @@ class BaseTickObserver:
 
 
 class TelemetryObserver(BaseTickObserver):
-    """Advances a node's telemetry hub by one tick, every tick.
+    """Advances a node's telemetry hub by every tick of each step.
 
     Governors read the hub's accumulators; this observer must therefore be
     ordered *before* :class:`RuntimeObserver` so a firing daemon sees
@@ -112,6 +121,14 @@ class TelemetryObserver(BaseTickObserver):
         if self.hub.node is not engine.node:
             raise SimulationError("telemetry hub is bound to a different node")
         self._dt = engine.clock.dt
+
+    @property
+    def quiet_ticks(self) -> Optional[Callable[[int], int]]:
+        """The span hook: the hub's own, which knows what its devices fold.
+        None while the hub advances tick by tick, so a run that starts with
+        a fault injector or a guard steps every tick alone."""
+        hub = self.hub
+        return None if hub.tick_by_tick else hub.quiet_ticks
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
         self.hub.on_tick(self._dt)
@@ -150,37 +167,59 @@ class NodeStateObserver(BaseTickObserver):
     )
 
     def __init__(self) -> None:
-        self._row: np.ndarray = np.empty(0)
+        self._rows: List[np.ndarray] = []
         self._sl: slice = slice(0, 0)
 
     def declare_channels(self, registry: ChannelRegistry) -> None:
         self._sl = registry.declare("node", self.CHANNELS).slice
 
     def on_start(self, engine: "SimulationEngine") -> None:
-        self._row = engine.trace_row
+        # One view per row of the engine's row block: a 1-D row takes a
+        # slice assignment fastest.
+        self._rows = list(engine.trace_rows)
+
+    def quiet_ticks(self, limit: int) -> int:
+        return limit
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
+        # Everything but the tick_ columns is the same on every tick.
+        demand, delivered, stretch = state.demand_gbps, state.delivered_gbps, state.stretch
+        target, effective = state.uncore_target_ghz, state.uncore_effective_ghz
+        sm_clock, served = state.gpu_sm_clock_ghz, state.served_fraction
         power = state.power
-        self._row[self._sl] = (
-            state.demand_gbps,
-            state.delivered_gbps,
-            state.stretch,
-            state.uncore_target_ghz,
-            state.uncore_effective_ghz,
-            power.core_w,
-            power.uncore_w,
-            power.dram_w,
-            power.gpu_w,
-            power.monitor_w,
-            power.package_w,
-            power.cpu_w,
-            power.total_w,
-            state.mean_ipc,
-            state.mean_core_freq_ghz,
-            state.gpu_sm_clock_ghz,
-            state.served_fraction,
-            execution.progress if execution is not None else 0.0,
-        )
+        uncore_w, dram_w, gpu_w, monitor_w = power.uncore_w, power.dram_w, power.gpu_w, power.monitor_w
+        progress = execution.tick_progress if execution is not None else (0.0,) * state.ticks
+        sl = self._sl
+        for row, core_w, package_w, mean_ipc, mean_freq, done in zip(
+            self._rows,
+            state.tick_core_w,
+            state.tick_package_w,
+            state.tick_mean_ipc,
+            state.tick_mean_core_freq_ghz,
+            progress,
+        ):
+            # PowerBreakdown's cpu_w and total_w sums, in their order.
+            cpu_w = package_w + dram_w
+            row[sl] = (
+                demand,
+                delivered,
+                stretch,
+                target,
+                effective,
+                core_w,
+                uncore_w,
+                dram_w,
+                gpu_w,
+                monitor_w,
+                package_w,
+                cpu_w,
+                cpu_w + gpu_w,
+                mean_ipc,
+                mean_freq,
+                sm_clock,
+                served,
+                done,
+            )
 
 
 def core_freq_channels(node: "HeterogeneousNode") -> List[str]:
@@ -205,14 +244,14 @@ class CoreFrequencyObserver(BaseTickObserver):
     core per socket) instead of the old hardcoded ``core0..core3`` capture
     of socket 0 — dual-socket presets now record both sockets, and nodes
     with fewer than four cores no longer duplicate the last core's value
-    into phantom channels. Capture is one slice assignment per tick from
-    the node's per-core frequencies, which are in channel order.
+    into phantom channels. Capture is one block assignment per step from
+    the node's per-tick core frequencies, which are in channel order.
     """
 
     def __init__(self, node: "HeterogeneousNode") -> None:
         self.node = node
         self._names = tuple(core_freq_channels(node))
-        self._row: np.ndarray = np.empty(0)
+        self._rows: np.ndarray = np.empty((0, 0))
         self._start = 0
         self._stop = 0
 
@@ -228,10 +267,13 @@ class CoreFrequencyObserver(BaseTickObserver):
     def on_start(self, engine: "SimulationEngine") -> None:
         if self.node is not engine.node:
             raise SimulationError("core-frequency observer is bound to a different node")
-        self._row = engine.trace_row
+        self._rows = engine.trace_rows[:, self._start : self._stop]
+
+    def quiet_ticks(self, limit: int) -> int:
+        return limit
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
-        self._row[self._start : self._stop] = self.node.core_freqs_ghz
+        self._rows[: state.ticks] = self.node.tick_core_freqs_ghz
 
 
 class DegradedSource(Protocol):
@@ -272,20 +314,25 @@ class DegradedStateObserver(BaseTickObserver):
 
     def __init__(self, source: DegradedSource) -> None:
         self.source = source
-        self._row: np.ndarray = np.empty(0)
+        self._rows: List[np.ndarray] = []
         self._sl: slice = slice(0, 0)
 
     def declare_channels(self, registry: ChannelRegistry) -> None:
         self._sl = registry.declare("supervision", self.CHANNELS).slice
 
     def on_start(self, engine: "SimulationEngine") -> None:
-        self._row = engine.trace_row
+        self._rows = list(engine.trace_rows)
+
+    def quiet_ticks(self, limit: int) -> int:
+        # Health changes only when a runtime fires (a span ends before one)
+        # or a fault injector or guard logs (their runs step tick by tick).
+        return limit
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
-        self._row[self._sl] = (
-            1.0 if self.source.degraded else 0.0,
-            float(self.source.incident_count),
-        )
+        values = (1.0 if self.source.degraded else 0.0, float(self.source.incident_count))
+        sl = self._sl
+        for row in self._rows[: state.ticks]:
+            row[sl] = values
 
 
 class RuntimeObserver(BaseTickObserver):
@@ -300,25 +347,45 @@ class RuntimeObserver(BaseTickObserver):
     ticks never shift by float noise. A runtime that does not advance its
     schedule past its own firing time would spin forever, so that is
     detected and raised.
+
+    Its span hook counts the ticks before the next firing by the same
+    boundaries (:meth:`~repro.sim.clock.SimClock.ticks_before`), so a span
+    holds no firing tick: every firing tick is stepped alone, and a span
+    that reaches one is refused.
     """
 
     def __init__(self, runtimes: Sequence[ScheduledRuntime] = ()) -> None:
         self.runtimes: List[ScheduledRuntime] = list(runtimes)
         self._clock: Optional["SimClock"] = None
+        self._dt = 0.0
 
     def on_start(self, engine: "SimulationEngine") -> None:
         self._clock = engine.clock
+        self._dt = engine.clock.dt
         for rt in self.runtimes:
             rt.start(engine.clock.now)
+
+    def quiet_ticks(self, limit: int) -> int:
+        clock = self._clock
+        if clock is None:  # pragma: no cover - engine always calls on_start
+            raise SimulationError("RuntimeObserver.quiet_ticks before on_start")
+        for rt in self.runtimes:
+            limit = min(limit, clock.ticks_before(rt.next_fire_s(), limit))
+        return max(1, limit)
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
         clock = self._clock
         if clock is None:  # pragma: no cover - engine always calls on_start
             raise SimulationError("RuntimeObserver.on_tick before on_start")
-        now = (clock.tick + 1) * clock.dt
+        ticks = state.ticks
+        now = (clock.tick + ticks) * self._dt
         for rt in self.runtimes:
             while rt.next_fire_s() <= now:
                 due = rt.next_fire_s()
+                if ticks > 1:
+                    raise SimulationError(
+                        f"runtime {rt!r} fell due at {due!r} inside a {ticks}-tick span"
+                    )
                 rt.invoke(due)
                 if rt.next_fire_s() <= due:
                     raise SimulationError(

@@ -3,15 +3,16 @@
 The simulation engine records one sample per tick for a configurable set of
 channels (delivered memory throughput, uncore frequency, power domains, ...).
 :class:`TraceRecorder` keeps the hot path cheap: samples land in one
-pre-grown 2-D buffer (``channel x tick``), and the positional
-:meth:`TraceRecorder.record_row` writes a whole tick with a single
-vectorised column assignment — no per-tick dict construction or
+pre-grown 2-D buffer (``tick x channel``), and the positional
+:meth:`TraceRecorder.record_rows` appends a step's block of ticks with a
+single vectorised assignment — no per-tick dict construction or
 per-channel schema checks. Results are exposed as immutable
 :class:`TimeSeries` views for the analysis layer.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -161,9 +162,9 @@ class TraceRecorder:
 
     Notes
     -----
-    :meth:`record_row` is the one recording path: one vectorised column
-    write per tick, no dict construction, and the row length is the
-    schema check.
+    :meth:`record_rows` is the one recording path: one vectorised block
+    write per step of ticks, no dict construction, and the row length is
+    the schema check. :meth:`record_row` is that path for one row.
     """
 
     def __init__(self, channels: Iterable[str], *, expected_rows: int = _INITIAL_CAPACITY) -> None:
@@ -178,8 +179,11 @@ class TraceRecorder:
         self._n_channels = len(self._channels)
         self._capacity = min(expected_rows, _INITIAL_CAPACITY)
         self._n = 0
+        # The latest sample's timestamp, as a Python float.
+        self._last_time = -math.inf
         self._times = np.empty(self._capacity)
-        self._buf = np.empty((self._n_channels, self._capacity))
+        # One row per tick, so a step's rows append as one contiguous block.
+        self._buf = np.empty((self._capacity, self._n_channels))
 
     @property
     def channels(self) -> Tuple[str, ...]:
@@ -189,26 +193,69 @@ class TraceRecorder:
     def __len__(self) -> int:
         return self._n
 
-    def row_buffer(self) -> np.ndarray:
-        """A zeroed scratch row shaped for :meth:`record_row`.
+    def row_block(self, rows: int) -> np.ndarray:
+        """A zeroed scratch block of ``rows`` rows shaped for
+        :meth:`record_rows`, ``(rows, channels)``.
 
-        Callers fill it in place each tick (observers write their declared
-        columns) and hand it back to :meth:`record_row`, which copies it —
-        the same buffer can be reused for every tick.
+        Callers fill its first rows in place each step (observers write
+        their declared columns) and hand it back to :meth:`record_rows`,
+        which copies them — the same block can be reused for every step.
         """
-        return np.zeros(self._n_channels)
+        return np.zeros((rows, self._n_channels))
+
+    def row_buffer(self) -> np.ndarray:
+        """A zeroed scratch row shaped for :meth:`record_row`: a
+        :meth:`row_block` of one row."""
+        return self.row_block(1)[0]
 
     def _grow(self) -> None:
         self._capacity *= 2
         new_times = np.empty(self._capacity)
         new_times[: self._n] = self._times[: self._n]
         self._times = new_times
-        new_buf = np.empty((self._n_channels, self._capacity))
-        new_buf[:, : self._n] = self._buf[:, : self._n]
+        new_buf = np.empty((self._capacity, self._n_channels))
+        new_buf[: self._n] = self._buf[: self._n]
         self._buf = new_buf
 
+    def record_rows(self, times_s: Sequence[float], rows: np.ndarray) -> None:
+        """Append one sample per entry of ``times_s`` from the first rows of
+        ``rows``.
+
+        Parameters
+        ----------
+        times_s:
+            Sample timestamps, each exceeding the one before (and the
+            previous sample's).
+        rows:
+            ``(at least len(times_s), len(self.channels))`` values in
+            channel order (typically the reused block from
+            :meth:`row_block`). The rows are copied, so the caller may
+            overwrite them next step.
+        """
+        start = self._n
+        ticks = len(times_s)
+        stop = start + ticks
+        if rows.shape[1] != self._n_channels:
+            raise SimulationError(
+                f"row has {rows.shape[1]} values, schema has {self._n_channels} channels"
+            )
+        if len(rows) < ticks:
+            raise SimulationError(f"{len(rows)} rows for {ticks} timestamps")
+        previous = self._last_time
+        for time_s in times_s:
+            if time_s <= previous:
+                raise SimulationError(f"non-increasing timestamp {time_s!r} after {previous!r}")
+            previous = time_s
+        while stop > self._capacity:
+            self._grow()
+        self._times[start:stop] = times_s
+        self._buf[start:stop] = rows[:ticks]
+        self._last_time = previous
+        self._n = stop
+
     def record_row(self, time_s: float, row: Union[Sequence[float], np.ndarray]) -> None:
-        """Append one sample from a positional row.
+        """Append one sample from a positional row: :meth:`record_rows` of
+        one row.
 
         Parameters
         ----------
@@ -219,20 +266,7 @@ class TraceRecorder:
             (typically the reused array from :meth:`row_buffer`). The row
             is copied, so the caller may overwrite it next tick.
         """
-        n = self._n
-        if n and time_s <= self._times[n - 1]:
-            raise SimulationError(
-                f"non-increasing timestamp {time_s!r} after {self._times[n - 1]!r}"
-            )
-        if len(row) != self._n_channels:
-            raise SimulationError(
-                f"row has {len(row)} values, schema has {self._n_channels} channels"
-            )
-        if n == self._capacity:
-            self._grow()
-        self._times[n] = time_s
-        self._buf[:, n] = row
-        self._n = n + 1
+        self.record_rows((time_s,), np.asarray(row, dtype=float).reshape(1, -1))
 
     def series(self, channel: str) -> TimeSeries:
         """Return channel ``channel`` as an immutable :class:`TimeSeries`."""
@@ -240,13 +274,22 @@ class TraceRecorder:
             raise SimulationError(f"unknown channel {channel!r}; have {sorted(self._channels)}")
         return TimeSeries(
             self._times[: self._n].copy(),
-            self._buf[self._index[channel], : self._n].copy(),
+            self._buf[: self._n, self._index[channel]].copy(),
             channel,
         )
 
     def as_dict(self) -> Dict[str, TimeSeries]:
-        """Return every channel as a ``name -> TimeSeries`` mapping."""
-        return {c: self.series(c) for c in self._channels}
+        """Return every channel as a ``name -> TimeSeries`` mapping.
+
+        The channels are copied out of the tick-major buffer in one
+        transposing copy; each series is a read-only row of it.
+        """
+        n = self._n
+        columns = self._buf[:n].T.copy()
+        return {
+            c: TimeSeries(self._times[:n].copy(), columns[i], c)
+            for i, c in enumerate(self._channels)
+        }
 
     def last(self, channel: str) -> Optional[float]:
         """Most recent value of ``channel``, or ``None`` if empty."""
@@ -254,4 +297,4 @@ class TraceRecorder:
             return None
         if channel not in self._index:
             raise SimulationError(f"unknown channel {channel!r}")
-        return float(self._buf[self._index[channel], self._n - 1])
+        return float(self._buf[self._n - 1, self._index[channel]])

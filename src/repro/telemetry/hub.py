@@ -1,9 +1,9 @@
 """TelemetryHub: one object bundling every telemetry device for a node.
 
-The simulation engine advances the hub once per tick; runtimes receive the
-hub and use whichever interfaces their design calls for (MAGUS: PCM + the
-uncore control path; UPS: per-core MSR reads + RAPL + control path; the
-vendor default: RAPL only).
+The simulation engine advances the hub once per node step, by every tick
+the step spanned; runtimes receive the hub and use whichever interfaces
+their design calls for (MAGUS: PCM + the uncore control path; UPS: per-core
+MSR reads + RAPL + control path; the vendor default: RAPL only).
 
 The hub also provides the **vendor-neutral actuation path**: on Intel the
 uncore limit is programmed through MSR ``0x620``, on AMD through HSMP
@@ -111,8 +111,21 @@ class TelemetryHub:
         guard.bind(self)
         self.guard = guard
 
+    @property
+    def tick_by_tick(self) -> bool:
+        """Whether the hub must advance one tick per step: a fault injector
+        or a guard is installed (their clocks and fault windows advance
+        tick by tick)."""
+        return self.fault_injector is not None or self.guard is not None
+
+    def quiet_ticks(self, limit: int) -> int:
+        """How many of the next ``limit`` ticks the hub can take as one
+        step: 1 while :attr:`tick_by_tick`, else ``limit``."""
+        return 1 if self.tick_by_tick else limit
+
     def on_tick(self, dt_s: float) -> None:
-        """Advance every device's accumulators by one tick."""
+        """Advance every device's accumulators by the node's latest step:
+        each device folds every tick of it (``node.last_state.ticks``)."""
         if self.fault_injector is not None:
             # Campaign time advances first so faults scheduled at this
             # tick's boundary are active for the accesses that follow.

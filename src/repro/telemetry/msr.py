@@ -133,12 +133,12 @@ class MSRDevice:
 
     Notes
     -----
-    The fixed counters advance by every tick passed to :meth:`on_tick`,
-    which the simulation engine calls every tick: instructions accumulate
-    at ``ipc × core_freq``, cycles at ``core_freq`` (unhalted, so idle cores
-    barely advance). A tick is queued and folded into the counters when
-    something needs them (:meth:`flush`), so every read sees exactly the
-    values a per-tick advance would have left.
+    The fixed counters advance by every tick of each node step passed to
+    :meth:`on_tick`, which the simulation engine calls every step:
+    instructions accumulate at ``ipc × core_freq``, cycles at ``core_freq``
+    (unhalted, so idle cores barely advance). A step's ticks are queued and
+    folded into the counters when something needs them (:meth:`flush`), so
+    every read sees exactly the values a per-tick advance would have left.
     """
 
     def __init__(self, node: HeterogeneousNode, costs: TelemetryCosts):
@@ -147,10 +147,11 @@ class MSRDevice:
         n = node.n_cores
         self._instructions = np.zeros(n, dtype=np.uint64)
         self._cycles = np.zeros(n, dtype=np.uint64)
-        # Ticks not yet folded into the counters: each tick's (frequency,
-        # utilisation, IPC) arrays, which the node never writes again, all
-        # of width ``_queued_dt``.
+        # Ticks not yet folded into the counters: each step's (frequency,
+        # utilisation, IPC) arrays, ``(ticks, n_cores)``, which the node
+        # never writes again, all ticks of width ``_queued_dt``.
         self._queue: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._queued_ticks = 0
         self._queued_dt = 0.0
         # Shadow values of 0x620 per socket, so reads return exactly what
         # was last written (including min-ratio bits nobody touched).
@@ -165,20 +166,21 @@ class MSRDevice:
     # Engine-facing
     # ------------------------------------------------------------------
     def on_tick(self, dt_s: float) -> None:
-        """Advance every core's fixed counters by one tick of the node's
-        latest state.
+        """Advance every core's fixed counters by each tick of the node's
+        latest step.
 
-        The tick is queued; :meth:`flush` folds it in once 16 ticks are
-        queued, before a tick of another width, and whenever the counters
-        are read or shifted.
+        The step's ticks are queued; :meth:`flush` folds them in once 16
+        ticks are queued, before a tick of another width, and whenever the
+        counters are read or shifted.
         """
         if dt_s != self._queued_dt:
             self.flush()
             self._queued_dt = dt_s
         node = self.node
-        queue = self._queue
-        queue.append((node.core_freqs_ghz, node.core_utils, node.core_ipc))
-        if len(queue) >= _FOLD_TICKS:
+        freqs = node.tick_core_freqs_ghz
+        self._queue.append((freqs, node.tick_core_utils, node.tick_core_ipc))
+        self._queued_ticks += len(freqs)
+        if self._queued_ticks >= _FOLD_TICKS:
             self.flush()
 
     def flush(self) -> None:
@@ -187,15 +189,17 @@ class MSRDevice:
         Each tick's advance is the same float products, truncated to uint64,
         as one tick folded alone. The advances add in uint64, which wraps
         modulo 2^64, a multiple of 2^48, so masking the sum to 48 bits is
-        the counters' own modulo-2^48 wrap: the fold is exact. Run ends
+        the counters' own modulo-2^48 wrap: the fold is exact, however the
+        ticks were grouped into steps and queue entries. Run ends
         flush (:meth:`~repro.telemetry.hub.TelemetryHub.on_finish`), so an
         ended run's device holds no queued arrays.
         """
         queue = self._queue
         if not queue:
             return
-        freqs, utils, ipc = (np.array(column) for column in zip(*queue))
+        freqs, utils, ipc = (np.concatenate(column) for column in zip(*queue))
         self._queue = []
+        self._queued_ticks = 0
         dt_s = self._queued_dt
         freq_hz = freqs * 1e9
         # Unhalted cycles: idle cores are mostly in C-states.

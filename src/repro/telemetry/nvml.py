@@ -31,12 +31,17 @@ class NVMLDevice:
         self._energy_j = 0.0
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate GPU board energy for one tick."""
+        """Integrate GPU board energy over each tick of the node's latest
+        step (GPU power is the same on every tick of a step)."""
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
         state = self.node.last_state
         if state is not None:
-            self._energy_j += state.power.gpu_w * dt_s
+            tick_j = state.power.gpu_w * dt_s
+            energy_j = self._energy_j
+            for _ in state.tick_time_s:
+                energy_j += tick_j
+            self._energy_j = energy_j
 
     @property
     def device_count(self) -> int:

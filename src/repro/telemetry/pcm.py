@@ -56,17 +56,29 @@ class PCMCounters:
         self._history.append((0.0, 0.0))
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate the node's delivered traffic for one tick."""
+        """Integrate the node's delivered traffic over each tick of its
+        latest step, one history snapshot per tick."""
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
         state = self.node.last_state
-        delivered = state.delivered_gbps if state is not None else 0.0
-        self._bytes_total += delivered * _BYTES_PER_GB * dt_s
-        self._time_s += dt_s
-        self._history.append((self._time_s, self._bytes_total))
-        horizon = self._time_s - _HISTORY_SPAN_S
-        while len(self._history) > 2 and self._history[0][0] < horizon:
-            self._history.popleft()
+        # Delivery is the same on every tick of a step: so is each tick's
+        # increment, and the running sums add it tick by tick.
+        if state is None:  # before the node's first step: one tick of nothing
+            increment, ticks = 0.0, (dt_s,)
+        else:
+            increment, ticks = state.delivered_gbps * _BYTES_PER_GB * dt_s, state.tick_time_s
+        total, time_s = self._bytes_total, self._time_s
+        history = self._history
+        for _ in ticks:
+            total += increment
+            time_s += dt_s
+            history.append((time_s, total))
+        self._bytes_total, self._time_s = total, time_s
+        # Pruning once to the last snapshot's horizon leaves what pruning
+        # after every snapshot would: the horizons only rise.
+        horizon = time_s - _HISTORY_SPAN_S
+        while len(history) > 2 and history[0][0] < horizon:
+            history.popleft()
 
     @property
     def bytes_total(self) -> float:

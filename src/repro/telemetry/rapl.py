@@ -49,14 +49,21 @@ class RAPLCounters:
         self._energy_j: Dict[str, float] = {RAPL_PKG: 0.0, RAPL_DRAM: 0.0}
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate the node's current power draw for one tick."""
+        """Integrate the node's power draw over each tick of its latest step."""
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
         state = self.node.last_state
         if state is None:
             return
-        self._energy_j[RAPL_PKG] += state.power.package_w * dt_s
-        self._energy_j[RAPL_DRAM] += state.power.dram_w * dt_s
+        energy = self._energy_j
+        # Running sums, tick by tick in the loop's order; DRAM power is the
+        # same on every tick of a step.
+        package_j, dram_j = energy[RAPL_PKG], energy[RAPL_DRAM]
+        dram_tick_j = state.power.dram_w * dt_s
+        for package_w in state.tick_package_w:
+            package_j += package_w * dt_s
+            dram_j += dram_tick_j
+        energy[RAPL_PKG], energy[RAPL_DRAM] = package_j, dram_j
 
     def energy_j(self, domain: str, meter: Optional[AccessMeter] = None) -> float:
         """Cumulative energy of a domain in joules (non-wrapping view)."""

@@ -21,6 +21,10 @@ from repro.units import ordered_sum
 
 __all__ = ["Segment", "Workload", "WorkloadExecution"]
 
+#: A segment ends once the nominal time consumed in it is within this of its
+#: duration (float residue of many small advances).
+_END_SLACK_S = 1e-12
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -145,10 +149,12 @@ class Workload:
 class WorkloadExecution:
     """A mutable cursor tracking progress through a workload.
 
-    The engine calls :meth:`current` each tick to learn the active demand and
-    :meth:`advance` with the amount of *nominal* time that elapsed (wall time
-    divided by the stretch factor). When a tick spans a segment boundary the
-    cursor rolls into the next segment, consuming the remainder.
+    The engine calls :meth:`current` each step to learn the active demand and
+    :meth:`advance` with the amount of *nominal* time that elapsed per tick
+    (wall time divided by the stretch factor) and the step's tick count.
+    When a tick spans a segment boundary the cursor rolls into the next
+    segment, consuming the remainder. :meth:`quiet_ticks` says how many
+    ticks can pass before one would roll.
     """
 
     def __init__(self, workload: Workload):
@@ -159,6 +165,8 @@ class WorkloadExecution:
         # The workload is immutable: size it once, not on every tick.
         self._n_segments = len(workload.segments)
         self._nominal_total_s = workload.nominal_duration_s
+        #: :attr:`progress` after each tick of the latest :meth:`advance`.
+        self.tick_progress: List[float] = [0.0]
 
     @property
     def done(self) -> bool:
@@ -189,30 +197,68 @@ class WorkloadExecution:
         WorkloadError
             If the workload has already completed.
         """
-        if self.done:
+        if self._index >= self._n_segments:
             raise WorkloadError(f"workload {self.workload.name!r} already complete")
         return self.workload.segments[self._index]
 
-    def advance(self, nominal_dt: float) -> None:
-        """Consume ``nominal_dt`` seconds of nominal work.
+    def advance(self, nominal_dt: float, ticks: int = 1) -> None:
+        """Consume ``nominal_dt`` seconds of nominal work in each of ``ticks``
+        ticks, one tick after another.
 
         Rolls over segment boundaries; any nominal time left after the final
-        segment is discarded (the application has exited).
+        segment is discarded (the application has exited). Records the
+        progress after each tick in :attr:`tick_progress`.
         """
         if nominal_dt < 0:
             raise WorkloadError(f"cannot advance by negative time {nominal_dt!r}")
-        remaining = nominal_dt
+        if ticks < 1:
+            raise WorkloadError(f"cannot advance by {ticks!r} ticks")
         segments = self.workload.segments
-        while remaining > 0 and self._index < len(segments):
-            seg = segments[self._index]
-            left_in_seg = seg.duration_s - self._consumed_in_segment
-            step = min(remaining, left_in_seg)
-            self._consumed_in_segment += step
-            self._nominal_done += step
-            remaining -= step
-            if self._consumed_in_segment >= seg.duration_s - 1e-12:
-                self._index += 1
-                self._consumed_in_segment = 0.0
+        n_segments = self._n_segments
+        index = self._index
+        consumed = self._consumed_in_segment
+        done = self._nominal_done
+        progress: List[float] = []
+        while ticks:
+            ticks -= 1
+            remaining = nominal_dt
+            while remaining > 0 and index < n_segments:
+                seg = segments[index]
+                left_in_seg = seg.duration_s - consumed
+                step = min(remaining, left_in_seg)
+                consumed += step
+                done += step
+                remaining -= step
+                if consumed >= seg.duration_s - _END_SLACK_S:
+                    index += 1
+                    consumed = 0.0
+            progress.append(1.0 if index >= n_segments else min(1.0, done / self._nominal_total_s))
+        self._index = index
+        self._consumed_in_segment = consumed
+        self._nominal_done = done
+        self.tick_progress = progress
+
+    def quiet_ticks(self, nominal_dt: float, limit: int) -> int:
+        """How many of the next ``limit`` advances of ``nominal_dt`` stay in
+        the current segment, at least 1.
+
+        Replays :meth:`advance`'s own arithmetic on the segment's consumed
+        time and stops before the advance that would roll the segment, so a
+        span of that many ticks never crosses a segment boundary.
+        """
+        if self.done:
+            return 1
+        if not nominal_dt > 0:
+            return limit  # an advance of nothing never rolls
+        duration = self.workload.segments[self._index].duration_s
+        consumed = self._consumed_in_segment
+        quiet = 0
+        while quiet < limit:
+            consumed += min(nominal_dt, duration - consumed)
+            if consumed >= duration - _END_SLACK_S:
+                break
+            quiet += 1
+        return max(1, quiet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,6 +14,8 @@ Covers the three layers separately and together:
   same seed reproduces the incident log exactly.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -274,6 +276,16 @@ class TestSupervisorConfig:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(SupervisionError):
             SupervisorConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [spec.name for spec in dataclasses.fields(SupervisorConfig)])
+    def test_nan_rejected(self, field):
+        # NaN passes every range check, so it must be refused by name.
+        with pytest.raises(SupervisionError, match=f"{field} must not be NaN"):
+            SupervisorConfig(**{field: float("nan")})
+
+    def test_an_infinite_backoff_is_still_a_range_error(self):
+        with pytest.raises(SupervisionError, match="backoff_base_s >= 0"):
+            SupervisorConfig(backoff_base_s=-float("inf"))
 
 
 class TestSupervisedCycle:

@@ -16,6 +16,8 @@ Covers the guard layer by layer and end to end:
   (≥ 90 % acute coverage, zero false positives either leg).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,12 @@ class TestGuardConfig:
     def test_invalid_tunables_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             GuardConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [spec.name for spec in dataclasses.fields(GuardConfig)])
+    def test_nan_rejected(self, field):
+        # NaN passes every range check, so it must be refused by name.
+        with pytest.raises(ConfigError, match=f"{field} must not be NaN"):
+            GuardConfig(**{field: float("nan")})
 
 
 class TestGuardBounds:

@@ -112,6 +112,53 @@ class TestSeriesBasics:
             db.series("repro.ts.test.value", {"9bad": "x"})
 
 
+class TestRecordColumn:
+    def _column(self, n):
+        return [small_series(labels=(("node", str(i)),)) for i in range(n)]
+
+    def test_a_column_append_is_one_record_per_series(self):
+        rng = random.Random(7)
+        by_column, by_record = self._column(5), self._column(5)
+        t = 0.0
+        for _ in range(200):
+            t += rng.choice([0.0, 0.1, 0.37, 1.3])
+            values = [rng.uniform(-5.0, 5.0) for _ in range(5)]
+            Series.record_column(by_column, t, values)
+            for series, value in zip(by_record, values):
+                series.record(t, value)
+        for a, b in zip(by_column, by_record):
+            assert a._times == b._times and a._values == b._values
+            assert [[(w, bk.state()) for w, bk in sorted(lv.items())] for lv in a._levels] == [
+                [(w, bk.state()) for w, bk in sorted(lv.items())] for lv in b._levels
+            ]
+            assert a._covered == b._covered
+
+    @pytest.mark.parametrize(
+        "t_s,values",
+        [
+            (math.nan, [1.0, 2.0]),
+            (math.inf, [1.0, 2.0]),
+            (-1.0, [1.0, 2.0]),
+            (3.0, [1.0, math.nan]),
+            (3.0, [math.inf, 1.0]),
+            (0.5, [1.0, 2.0]),
+        ],
+    )
+    def test_a_column_append_raises_what_record_raises(self, t_s, values):
+        column, single = self._column(2), self._column(2)
+        for series in column + single:
+            series.record(1.0, 0.0)
+        with pytest.raises(ObsError) as raised:
+            Series.record_column(column, t_s, values)
+        with pytest.raises(ObsError) as expected:
+            for series, value in zip(single, values):
+                series.record(t_s, value)
+        assert str(raised.value) == str(expected.value)
+
+    def test_an_empty_column_records_nothing(self):
+        Series.record_column([], math.nan, [])
+
+
 class TestDownsampling:
     def test_buckets_preserve_window_stats_at_boundaries(self):
         # capacity 4, level-0 width 2.0s: recording past each window
