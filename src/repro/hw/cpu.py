@@ -77,11 +77,6 @@ class CoreStep(NamedTuple):
     tick_mean_freq_ghz: List[List[float]]
 
     @property
-    def ticks(self) -> int:
-        """How many ticks the step spanned."""
-        return len(self.tick_power_w)
-
-    @property
     def utils(self) -> np.ndarray:
         """The last tick's per-core utilisation, one row per socket."""
         return self.tick_utils[-1]
@@ -376,8 +371,8 @@ def step_cores(
     """Advance a block's stack of identical sockets by a span of ticks.
 
     The span holds ``ticks`` ticks under one operating point, or as many as
-    the block has left if that is fewer; the returned
-    :attr:`CoreStep.ticks` says how many. The three operating-point
+    the block has left if that is fewer; the returned :class:`CoreStep`
+    has one ``tick_`` entry per tick stepped. The three operating-point
     arguments carry one value per node of the stack. Utilisation,
     frequency, activity and power come from the block's rows for this
     utilisation vector, and the IPC from its rows for this vector and these

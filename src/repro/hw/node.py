@@ -374,10 +374,10 @@ class NodeBatch:
         drives node ``i``.
 
         The span is ``ticks`` ticks when every node's tick reuses its last
-        recomputed physics with every socket's uncore settled (effective
-        equal to target, no pending target), so its later ticks repeat the
-        first's inputs; it is cut short where the core block ends, and is
-        one tick otherwise. Each state's ``ticks`` says how many. A ``None``
+        recomputed physics (which a slewing socket never does) and no socket
+        has a pending target, so its later ticks repeat the first's inputs;
+        it is cut short where the core block ends, and is one tick
+        otherwise. Each state's ``ticks`` says how many. A ``None``
         segment idles its node. Returns the nodes' states in node order.
         """
         if dt_s <= 0:
@@ -392,7 +392,9 @@ class NodeBatch:
         spans: List[_TickPhysics] = []
         for node, segment in zip(self.nodes, segments):
             # Each socket's slew returns its new effective frequency. A
-            # settled socket with nothing pending keeps it, so the slew of a
+            # slewing socket moves it every tick, so its tick never matches
+            # the last recomputed one; a matching socket is settled and,
+            # with nothing pending, keeps its frequency: the slew of a
             # span's first tick is the slew of all of them.
             effective = [unc.step(dt_s) for _, unc in node.sockets]
             target = [unc.target_ghz for _, unc in node.sockets]
@@ -405,10 +407,8 @@ class NodeBatch:
             ):
                 physics = node._physics = node._derive_physics(segment, effective, target)
                 ticks = 1
-            elif ticks > 1 and (
-                effective != target
-                or any(unc.pending_target_ghz is not None for _, unc in node.sockets)
-            ):
+            elif ticks > 1 and any(unc.pending_target_ghz is not None for _, unc in node.sockets):
+                # A switch latency still running changes the target later.
                 ticks = 1
             utils.append(physics.cpu_util)
             stalls.append(physics.stall)

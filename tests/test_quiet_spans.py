@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.backends.latency import LatencyModel, LatencyParams
 from repro.errors import SimulationError, WorkloadError
 from repro.faults.plan import standard_campaign
 from repro.hw.node import NodeBatch
@@ -84,14 +85,18 @@ def _device_counters(run: BuiltRun) -> Dict[str, bytes]:
     return counters
 
 
-def _matrix_run(preset: str, governor: str, options, *, tick_by_tick: bool):
+def _matrix_run(
+    preset: str, governor: str, options, *, tick_by_tick: bool, workload="srad", horizon_s=4.0,
+    latency=None,
+):
     run = build_run(
         preset,
-        get_workload("srad", seed=1),
+        get_workload(workload, seed=1),
         make_governor(governor, **options),
         seed=1,
         dt_s=0.01,
-        max_time_s=4.0,
+        max_time_s=horizon_s,
+        actuation_latency=latency,
     )
     if tick_by_tick:
         run.engine.observers.append(_TickByTick())
@@ -122,6 +127,25 @@ class TestSpansMatchTheTickByTickRun:
         spans.clear()
         reference, reference_devices = _matrix_run(preset, governor, options, tick_by_tick=True)
         assert set(spans) == {1}
+        _assert_same_channels(spanned, reference)
+        assert spanned_devices == reference_devices
+
+    @pytest.mark.parametrize("preset", ("intel_a100", "amd_mi210"))
+    @pytest.mark.parametrize("median_s", (2e-3, 3e-2))
+    def test_switch_latency_runs(self, preset, median_s):
+        # A switch latency longer than a tick leaves a target pending across
+        # ticks whose frequencies still repeat: no span may start then.
+        runs = [
+            _matrix_run(
+                preset, "magus", {}, tick_by_tick=flag, workload="unet", horizon_s=8.0,
+                latency=LatencyModel(
+                    LatencyParams(median_s=median_s, sigma=0.5, floor_s=1e-4, ceil_s=0.08), seed=1
+                ),
+            )
+            for flag in (False, True)
+        ]
+        (spanned, spanned_devices), (reference, reference_devices) = runs
+        assert sum(1 for d in spanned.decisions if d.target_ghz is not None) > 5
         _assert_same_channels(spanned, reference)
         assert spanned_devices == reference_devices
 
