@@ -281,7 +281,7 @@ class TestQueuedTicks:
             node = preset.build_node(RngStreams(2))
             hub = TelemetryHub(node, preset.telemetry)
             hub.msr = device(node, preset.telemetry)
-            # Tick 37 is five ticks past a 16-tick fold.
+            # Tick 37 falls inside a fold's queue, not on a fold boundary.
             injector = FaultInjector(FaultPlan([FaultSpec("msr", "wrap", start_s=0.365)]))
             hub.install_fault_injector(injector)
             seg = Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.6, gpu_util=0.5)
@@ -298,7 +298,7 @@ class TestQueuedTicks:
         workload = get_workload("srad", seed=1)
         run = build_run("intel_a100", workload, make_governor("magus"), seed=1, max_time_s=0.23)
         result = run.engine.run(run.workload, max_time_s=run.max_time_s)
-        assert len(result.recorder) == 23  # 23 % 16 ticks were queued at the end
+        assert len(result.recorder) == 23  # all 23 ticks were queued at the end
         assert run.hub.msr._queue == []
 
 
