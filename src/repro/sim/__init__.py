@@ -6,7 +6,7 @@ models are built on:
 * :class:`~repro.sim.clock.SimClock` — quantised simulated time,
 * :mod:`~repro.sim.rng` — named, seeded random streams,
 * :class:`~repro.sim.trace.TraceRecorder` — append-only columnar
-  time-series traces (positional ``record_row`` fast path),
+  time-series traces (positional ``record_rows`` block append),
 * :class:`~repro.sim.channels.ChannelRegistry` — per-layer trace-channel
   ownership (each observer declares the channels it records),
 * :mod:`~repro.sim.observers` — the :class:`~repro.sim.observers.TickObserver`

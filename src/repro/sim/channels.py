@@ -5,7 +5,7 @@ recorded every value itself, so any layer wanting a new trace column had to
 patch the engine. Now each :class:`~repro.sim.observers.TickObserver` that
 records data declares a contiguous *block* of channels in a
 :class:`ChannelRegistry`; the engine concatenates the blocks into the run's
-recorder schema and hands every observer a shared row buffer to write its
+recorder schema and hands every observer a shared row block to write its
 columns into. The registry is the single source of truth for column order,
 and remembers which observer owns which channel — trace-completeness tests
 and analysis code can interrogate it instead of a constant.
@@ -46,7 +46,7 @@ class ChannelBlock:
 
     @property
     def slice(self) -> slice:
-        """The block's columns as a slice into the shared row buffer."""
+        """The block's columns as a slice into each row of the shared row block."""
         return slice(self.start, self.stop)
 
     def __len__(self) -> int:
@@ -71,7 +71,7 @@ class ChannelRegistry:
         """Reserve a contiguous block of channels for ``owner``.
 
         Returns the :class:`ChannelBlock`, whose :attr:`ChannelBlock.slice`
-        addresses the owner's columns in the shared row buffer.
+        addresses the owner's columns in each row of the shared row block.
         """
         if self._frozen:
             raise SimulationError("channel registry is frozen; declare before the run starts")

@@ -154,7 +154,7 @@ class TraceRecorder:
     Parameters
     ----------
     channels:
-        The channel names, in column order. :meth:`record_row` rows must
+        The channel names, in column order. :meth:`record_rows` rows must
         supply values in exactly this order.
     expected_rows:
         Rows the caller expects to record. Up to 1024 of them are
