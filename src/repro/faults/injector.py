@@ -27,7 +27,8 @@ deterministic — so the same plan replays the same incident log.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import FaultInjectionError, MSRAccessError, TelemetryError
 from repro.faults.incidents import Incident, IncidentLog
@@ -69,7 +70,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, log: Optional[IncidentLog] = None):
         self.plan = plan
         self.log = log if log is not None else IncidentLog()
-        self.now_s = 0.0
         self._remaining: List[float] = [
             float("inf") if spec.count is None else float(spec.count) for spec in plan.specs
         ]
@@ -97,23 +97,55 @@ class FaultInjector:
         if hub.hsmp is not None:
             hub.hsmp = _FaultyHSMPDevice(hub.hsmp, self)
 
+    @property
+    def now_s(self) -> float:
+        """Campaign time: the armed node's time (0.0 before its first step)."""
+        return self._hub.node.time_s if self._hub is not None else 0.0
+
     # ------------------------------------------------------------------
     # Time-driven faults
     # ------------------------------------------------------------------
-    def on_tick(self, dt_s: float) -> None:
-        """Advance campaign time; fire point faults and window entries."""
-        self.now_s += dt_s
+    def on_tick(self) -> None:
+        """Fire the point faults and window entries due at the node's latest
+        tick, which steps alone (:meth:`quiet_ticks`)."""
+        now = self.now_s
         for i, spec in enumerate(self.plan.specs):
-            if spec.kind == "wrap" and not self._fired[i] and self.now_s >= spec.start_s:
+            if spec.kind == "wrap" and not self._fired[i] and now >= spec.start_s:
                 self._fired[i] = True
                 if self._remaining[i] >= 1:
                     self._remaining[i] -= 1
                     self._inject_wrap(spec)
-            elif spec.kind == "freeze" and not self._fired[i] and self._in_window(spec):
+            elif spec.kind == "freeze" and not self._fired[i] and _in_window(spec, now):
                 self._fired[i] = True
                 if self._remaining[i] >= 1:
                     self._remaining[i] -= 1
                     self._log_injection(spec, outcome="silent", detail="counter frozen")
+
+    def quiet_ticks(self, dt_s: float, limit: int) -> int:
+        """How many of the next ``limit`` ticks of ``dt_s`` (at least 1) pass
+        before the next edge tick, the first at or past an unfired wrap's
+        start or a freeze window's start or end, counted by replaying the
+        node's running time ``t + dt_s``. An edge tick steps alone: a wrap
+        reads the counters before the tick folds into them, and a freeze
+        stops PCM on exactly the ticks in its window."""
+        now = self.now_s
+        edge = math.inf
+        for fired, spec in zip(self._fired, self.plan.specs):
+            if spec.kind == "wrap" and not fired:
+                edge = min(edge, spec.start_s)
+            elif spec.kind == "freeze" and spec.end_s > now:
+                # A fired freeze is open until its end; an unfired one opens
+                # (and fires) at its start.
+                edge = min(edge, spec.end_s if fired else spec.start_s)
+        if edge == math.inf:
+            return limit
+        quiet, time_s = 0, now
+        while quiet < limit:
+            time_s += dt_s
+            if time_s >= edge:
+                break
+            quiet += 1
+        return max(1, quiet)
 
     def _inject_wrap(self, spec: FaultSpec) -> None:
         instr, cycles = self._msr.read_all_core_counters(None)
@@ -142,12 +174,13 @@ class FaultInjector:
     ) -> Tuple[Optional[int], Optional[FaultSpec]]:
         """Like :meth:`trip`, but also returns the consumed spec (so
         time-in-window fault shapes such as ``drift`` can be computed)."""
+        now = self.now_s
         for i, spec in enumerate(self.plan.specs):
             if (
                 spec.device == device
                 and spec.kind == kind
                 and self._remaining[i] >= 1
-                and self._in_window(spec)
+                and _in_window(spec, now)
             ):
                 self._remaining[i] -= 1
                 outcome = "silent" if spec.silent else "raised"
@@ -156,9 +189,8 @@ class FaultInjector:
 
     def pcm_frozen(self) -> bool:
         """True while any PCM freeze window is active."""
-        return any(
-            spec.kind == "freeze" and self._in_window(spec) for spec in self.plan.specs
-        )
+        now = self.now_s
+        return any(spec.kind == "freeze" and _in_window(spec, now) for spec in self.plan.specs)
 
     def peak_bw_mbps(self) -> float:
         """The armed node's peak memory bandwidth (spike-fault scale)."""
@@ -169,9 +201,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _in_window(self, spec: FaultSpec) -> bool:
-        return spec.start_s <= self.now_s < spec.end_s
-
     def _log_injection(self, spec: FaultSpec, *, outcome: str, detail: str = "") -> int:
         fault_id = self._next_fault_id
         self._next_fault_id += 1
@@ -198,24 +227,57 @@ class FaultInjector:
         return f"FaultInjector({self.plan.name!r}, t={self.now_s:.2f}s, {len(self.injections)} injected)"
 
 
+def _in_window(spec: FaultSpec, now_s: float) -> bool:
+    return spec.start_s <= now_s < spec.end_s
+
+
 def _fault_error(exc: Exception, fault_id: int) -> Exception:
     """Tag an injected error with its campaign fault id."""
     exc.fault_id = fault_id
     return exc
 
 
-class _FaultyMSRDevice:
-    """MSR proxy: transient read failures, silent sweep corruption
-    (``stuck``/``bias``), and actuation-write failures (raised or silently
-    ignored)."""
+class _Proxy:
+    """A device behind the injector; what it does not override passes
+    through to the device unchanged."""
 
     def __init__(self, inner, injector: FaultInjector):
         self._inner = inner
         self._injector = injector
-        self._last_sweep = None
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+    def _write_dropped(
+        self,
+        what: str,
+        meter: Optional[AccessMeter],
+        charge: Tuple[str, float, float],
+        error: Callable[[int], Exception],
+    ) -> bool:
+        """Trip the actuation write faults for one write of ``what``; either
+        charges ``meter`` one ``(kind, time, energy)`` transaction. A
+        ``write_error`` raises ``error(fault_id)`` with the device untouched
+        (no settling window begins). A ``write_ignored`` returns True: the
+        write is acknowledged, never applied; only a read-back can tell."""
+        for kind in ("write_error", "write_ignored"):
+            fault_id = self._injector.trip("actuation", kind, what)
+            if fault_id is not None:
+                if meter is not None:
+                    meter.charge(*charge)
+                if kind == "write_error":
+                    raise _fault_error(error(fault_id), fault_id)
+                return True
+        return False
+
+
+class _FaultyMSRDevice(_Proxy):
+    """MSR proxy: transient read failures, silent sweep corruption
+    (``stuck``/``bias``), and actuation-write failures (raised or silently
+    ignored)."""
+
+    #: The last sweep returned, which a ``stuck`` fault repeats.
+    _last_sweep = None
 
     def read(self, socket: int, address: int, meter: Optional[AccessMeter] = None, core: int = 0) -> int:
         value = self._inner.read(socket, address, meter, core)
@@ -264,33 +326,13 @@ class _FaultyMSRDevice:
         *,
         delay_s: float = 0.0,
     ) -> None:
-        fault_id = self._injector.trip("actuation", "write_error", f"write 0x{address:X}")
-        if fault_id is not None:
-            # The failed transaction still costs a write; the register is
-            # left untouched (and no settling window ever begins — the
-            # backend charges switch latency only after a successful write).
-            if meter is not None:
-                meter.charge(
-                    "msr_write",
-                    self._inner.costs.msr_write_time_s,
-                    self._inner.costs.msr_write_energy_j,
-                )
-            raise _fault_error(
-                MSRAccessError(address, f"injected write failure [fault #{fault_id}]"),
-                fault_id,
-            )
-        fault_id = self._injector.trip("actuation", "write_ignored", f"write 0x{address:X}")
-        if fault_id is not None:
-            # Acknowledged and charged, never applied: only a register
-            # read-back can tell the write was dropped.
-            if meter is not None:
-                meter.charge(
-                    "msr_write",
-                    self._inner.costs.msr_write_time_s,
-                    self._inner.costs.msr_write_energy_j,
-                )
-            return
-        self._inner.write(socket, address, value, meter, delay_s=delay_s)
+        if not self._write_dropped(
+            f"write 0x{address:X}",
+            meter,
+            self._write_charge(),
+            lambda fault_id: MSRAccessError(address, f"injected write failure [fault #{fault_id}]"),
+        ):
+            self._inner.write(socket, address, value, meter, delay_s=delay_s)
 
     def set_uncore_max_ghz(
         self,
@@ -299,44 +341,27 @@ class _FaultyMSRDevice:
         *,
         delay_s: float = 0.0,
     ) -> None:
-        fault_id = self._injector.trip("actuation", "write_error", "uncore limit write")
-        if fault_id is not None:
-            if meter is not None:
-                meter.charge(
-                    "msr_write",
-                    self._inner.costs.msr_write_time_s,
-                    self._inner.costs.msr_write_energy_j,
-                )
-            raise _fault_error(
-                MSRAccessError(
-                    MSR_UNCORE_RATIO_LIMIT,
-                    f"injected actuation failure [fault #{fault_id}]",
-                ),
-                fault_id,
-            )
-        fault_id = self._injector.trip("actuation", "write_ignored", "uncore limit write")
-        if fault_id is not None:
-            if meter is not None:
-                meter.charge(
-                    "msr_write",
-                    self._inner.costs.msr_write_time_s,
-                    self._inner.costs.msr_write_energy_j,
-                )
-            return
-        self._inner.set_uncore_max_ghz(freq_ghz, meter, delay_s=delay_s)
+        if not self._write_dropped(
+            "uncore limit write",
+            meter,
+            self._write_charge(),
+            lambda fault_id: MSRAccessError(
+                MSR_UNCORE_RATIO_LIMIT, f"injected actuation failure [fault #{fault_id}]"
+            ),
+        ):
+            self._inner.set_uncore_max_ghz(freq_ghz, meter, delay_s=delay_s)
+
+    def _write_charge(self) -> Tuple[str, float, float]:
+        costs = self._inner.costs
+        return ("msr_write", costs.msr_write_time_s, costs.msr_write_energy_j)
 
 
-class _FaultyPCMCounters:
+class _FaultyPCMCounters(_Proxy):
     """PCM proxy: sample dropouts, frozen/stale counters, and silent value
     corruption (``stuck``/``spike``/``drift``)."""
 
-    def __init__(self, inner, injector: FaultInjector):
-        self._inner = inner
-        self._injector = injector
-        self._last_value: Optional[float] = None
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    #: The last value returned, which a ``stuck`` fault repeats.
+    _last_value: Optional[float] = None
 
     def on_tick(self, dt_s: float) -> None:
         if self._injector.pcm_frozen():
@@ -365,17 +390,13 @@ class _FaultyPCMCounters:
         return value
 
 
-class _FaultyRAPLCounters:
+class _FaultyRAPLCounters(_Proxy):
     """RAPL proxy: transient read failures, register-reset glitches, and
     silent value corruption (``stuck``/``spike``/``drift``)."""
 
     def __init__(self, inner, injector: FaultInjector):
-        self._inner = inner
-        self._injector = injector
+        super().__init__(inner, injector)
         self._last_values: dict = {}
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
     def _faulted_read(self, value: float, what: str) -> float:
         fault_id = self._injector.trip("rapl", "read_error", what)
@@ -410,15 +431,8 @@ class _FaultyRAPLCounters:
         return self._faulted_read(self._inner.power_w(domain, meter), f"power {domain}")
 
 
-class _FaultyHSMPDevice:
+class _FaultyHSMPDevice(_Proxy):
     """HSMP proxy: mailbox actuation failures (the AMD §6.6 path)."""
-
-    def __init__(self, inner, injector: FaultInjector):
-        self._inner = inner
-        self._injector = injector
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
     def set_fabric_clock_ghz(
         self,
@@ -427,22 +441,13 @@ class _FaultyHSMPDevice:
         *,
         delay_s: float = 0.0,
     ) -> float:
-        fault_id = self._injector.trip("actuation", "write_error", "fabric P-state request")
-        if fault_id is not None:
-            # One failed mailbox transaction, fabric clock unchanged.
-            if meter is not None:
-                meter.charge("hsmp_mailbox", _MAILBOX_TIME_S, _MAILBOX_ENERGY_J)
-            raise _fault_error(
-                TelemetryError(
-                    f"injected HSMP mailbox failure [fault #{fault_id}]"
-                ),
-                fault_id,
-            )
-        fault_id = self._injector.trip("actuation", "write_ignored", "fabric P-state request")
-        if fault_id is not None:
-            # The mailbox acks the request (and charges one transaction)
-            # but the fabric clock never changes.
-            if meter is not None:
-                meter.charge("hsmp_mailbox", _MAILBOX_TIME_S, _MAILBOX_ENERGY_J)
+        # A fault costs one mailbox transaction; an ignored request is
+        # acked with the requested clock.
+        if self._write_dropped(
+            "fabric P-state request",
+            meter,
+            ("hsmp_mailbox", _MAILBOX_TIME_S, _MAILBOX_ENERGY_J),
+            lambda fault_id: TelemetryError(f"injected HSMP mailbox failure [fault #{fault_id}]"),
+        ):
             return float(freq_ghz)
         return self._inner.set_fabric_clock_ghz(freq_ghz, meter, delay_s=delay_s)

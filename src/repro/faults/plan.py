@@ -92,6 +92,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.sim.rng import spawn_generator
+from repro.units import require_finite
 
 __all__ = [
     "FAULT_KINDS",
@@ -172,6 +173,12 @@ SILENT_KINDS = tuple(
 )
 
 
+def _nan_window(start_s: float, duration_s: float) -> FaultInjectionError:
+    return FaultInjectionError(
+        f"fault window must not be NaN, got start={start_s!r} duration={duration_s!r}"
+    )
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault window.
@@ -231,6 +238,8 @@ class FaultSpec:
                 f"device {self.device!r} has no fault kind {self.kind!r}; "
                 f"known: {FAULT_KINDS[self.device]}"
             )
+        # NaN passes the comparison below, and a NaN window never fires.
+        require_finite(self.start_s, self.duration_s, error=_nan_window, allow_inf=True)
         if self.start_s < 0 or self.duration_s < 0:
             raise FaultInjectionError(
                 f"fault window must be non-negative, got start={self.start_s!r} "

@@ -143,7 +143,7 @@ class TelemetryGuard:
         self.breakers: Dict[str, CircuitBreaker] = {
             device: CircuitBreaker(device, self.config, seed) for device in GUARD_DEVICES
         }
-        self.now_s = 0.0
+        self._hub: Optional["TelemetryHub"] = None
         self.quarantine_count = 0
         self.quarantines_by_device: Dict[str, int] = {d: 0 for d in GUARD_DEVICES}
         #: Validated accesses per device (clean and quarantined alike) —
@@ -160,7 +160,6 @@ class TelemetryGuard:
         self.breaker_steps: List[Tuple[float, str, float]] = [
             (self.now_s, device, breaker.gauge_value) for device, breaker in self.breakers.items()
         ]
-        self._hub: Optional["TelemetryHub"] = None
         self._pcm = _PCMChannel()
         self._msr = _MSRChannel()
         self._rapl_energy: Dict[str, _EnergyChannel] = {}
@@ -177,9 +176,11 @@ class TelemetryGuard:
             raise TelemetryError("guard is already bound to a hub")
         self._hub = hub
 
-    def on_tick(self, dt_s: float) -> None:
-        """Advance the guard's clock (mirrors the hub's sim clock)."""
-        self.now_s += dt_s
+    @property
+    def now_s(self) -> float:
+        """The guard's clock: the bound node's time (0.0 before its first
+        step); breaker probe schedules live on it, not on wall time."""
+        return self._hub.node.time_s if self._hub is not None else 0.0
 
     @property
     def breaker_trip_count(self) -> int:

@@ -318,6 +318,12 @@ class HeterogeneousNode:
         """The most recent tick state (``None`` before the first step)."""
         return self._last_state
 
+    @property
+    def time_s(self) -> float:
+        """The node's running time: its latest tick's ``time_s``, 0.0 before
+        its first step."""
+        return self._time_s
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HeterogeneousNode({self.name!r}, sockets={len(self.sockets)}, "

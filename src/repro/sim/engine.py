@@ -39,6 +39,7 @@ from repro.sim.channels import ChannelRegistry
 from repro.sim.clock import SimClock
 from repro.sim.observers import ScheduledRuntime, TickObserver
 from repro.sim.trace import TraceRecorder
+from repro.units import require_finite
 
 if TYPE_CHECKING:  # typing-only: sim is the bottom layer and must not
     # runtime-import the hardware/workload packages built on it.
@@ -129,6 +130,13 @@ class SimulationEngine:
         record. The row block holds the longest span the node can step. The
         arguments are :meth:`run`'s.
         """
+        # NaN passes the comparison below; only a workload run's safety
+        # factor caps an infinite horizon.
+        require_finite(
+            max_time_s,
+            error=lambda t: SimulationError(f"max_time_s must be finite, got {t!r}"),
+            allow_inf=workload is not None,
+        )
         if max_time_s <= 0:
             raise SimulationError(f"max_time_s must be positive, got {max_time_s!r}")
         execution: Optional["WorkloadExecution"] = workload.execution() if workload is not None else None
@@ -223,10 +231,11 @@ class _Run:
         self.hooks: List[Callable[["NodeTickState", Optional["WorkloadExecution"]], None]] = [
             obs.on_tick for obs in engine.observers
         ]
-        # The observers' span hooks; None when some observer has none, which
-        # steps every tick of the run alone.
-        bounds = [getattr(obs, "quiet_ticks", None) for obs in engine.observers]
-        self.bounds: Optional[List[Callable[[int], int]]] = None if None in bounds else bounds
+        # The observers' span hooks; an observer without one steps every
+        # tick of the run alone.
+        self.bounds: List[Callable[[int], int]] = [
+            getattr(obs, "quiet_ticks", _one_tick) for obs in engine.observers
+        ]
         recorder = engine.recorder
         self.record = recorder.record_rows if recorder is not None else None
         self.rows = engine.trace_rows
@@ -247,21 +256,23 @@ class _Run:
         return result
 
 
+def _one_tick(limit: int) -> int:
+    """The span hook of an observer that has none."""
+    return 1
+
+
 def _span(live: List[_Run], dt: float) -> int:
     """How many ticks the live runs' next step may span, at least 1.
 
-    Every live run has its observers' span hooks. The span is the smallest
-    of each run's bounds: its row block, every span hook, the ticks until
-    its horizon and, for a workload, the ticks before the advance that
-    would roll its segment. That last bound assumes the stretch of the
-    node's previous tick; the node batch steps a span only when that tick's
-    physics repeats, and steps one tick otherwise.
+    The span is the smallest of each run's bounds: its row block, every
+    span hook, the ticks until its horizon and, for a workload, the ticks
+    before the advance that would roll its segment. That last bound assumes
+    the stretch of the node's previous tick; the node batch steps a span
+    only when that tick's physics repeats, and steps one tick otherwise.
     """
     limit = live[0].limit
     for run in live:
-        bounds = run.bounds
-        assert bounds is not None
-        for bound in bounds:
+        for bound in run.bounds:
             limit = bound(limit)
             if limit == 1:
                 return 1
@@ -319,9 +330,6 @@ def _step_runs(live: List[_Run]) -> Iterator[Tuple[int, EngineResult]]:
     # The sim layer imports repro.hw for typing only, so the node class
     # builds the batch.
     batch = live[0].node.batch([run.node for run in live])
-    # Whether every live run has its observers' span hooks; a run without
-    # them steps the batch one tick at a time.
-    hooked = all(run.bounds is not None for run in live)
     # A run's end condition is tested at the top of a step; the first step
     # tests every run, and later ones only after some run's step ended on
     # its horizon or on its workload's completion.
@@ -343,10 +351,9 @@ def _step_runs(live: List[_Run]) -> Iterator[Tuple[int, EngineResult]]:
             if len(staying) != len(live):
                 live = staying
                 batch = live[0].node.batch([run.node for run in live])
-                hooked = all(run.bounds is not None for run in live)
             due = False
         segments = [run.execution.current() if run.execution is not None else None for run in live]
-        for run, state in zip(live, batch.step(dt, segments, _span(live, dt) if hooked else 1)):
+        for run, state in zip(live, batch.step(dt, segments, _span(live, dt))):
             ticks = state.ticks
             execution = run.execution
             if execution is not None:

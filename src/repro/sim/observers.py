@@ -36,7 +36,7 @@ recorder's :meth:`~repro.sim.trace.TraceRecorder.record_rows`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -122,13 +122,9 @@ class TelemetryObserver(BaseTickObserver):
             raise SimulationError("telemetry hub is bound to a different node")
         self._dt = engine.clock.dt
 
-    @property
-    def quiet_ticks(self) -> Optional[Callable[[int], int]]:
-        """The span hook: the hub's own, which knows what its devices fold.
-        None while the hub advances tick by tick, so a run that starts with
-        a fault injector or a guard steps every tick alone."""
-        hub = self.hub
-        return None if hub.tick_by_tick else hub.quiet_ticks
+    def quiet_ticks(self, limit: int) -> int:
+        """The span hook: the hub's, which knows what its devices fold."""
+        return self.hub.quiet_ticks(self._dt, limit)
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
         self.hub.on_tick(self._dt)
@@ -324,8 +320,8 @@ class DegradedStateObserver(BaseTickObserver):
         self._rows = list(engine.trace_rows)
 
     def quiet_ticks(self, limit: int) -> int:
-        # Health changes only when a runtime fires (a span ends before one)
-        # or a fault injector or guard logs (their runs step tick by tick).
+        # Health changes only when a runtime fires or a fault injector logs
+        # a wrap or a freeze; each of those ticks steps alone.
         return limit
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:

@@ -50,24 +50,6 @@ class HSMPDevice:
     def __init__(self, node: HeterogeneousNode, costs: TelemetryCosts):
         self.node = node
         self.costs = costs
-        self._bytes_total = 0.0
-        self._time_s = 0.0
-
-    def on_tick(self, dt_s: float) -> None:
-        """Integrate delivered DDR traffic for the bandwidth queries, over
-        each tick of the node's latest step."""
-        if dt_s <= 0:
-            raise TelemetryError(f"dt must be positive, got {dt_s!r}")
-        state = self.node.last_state
-        if state is None:  # before the node's first step: one tick of nothing
-            increment, ticks = 0.0, (dt_s,)
-        else:
-            increment, ticks = state.delivered_gbps * 1e9 * dt_s, state.tick_time_s
-        total, time_s = self._bytes_total, self._time_s
-        for _ in ticks:
-            total += increment
-            time_s += dt_s
-        self._bytes_total, self._time_s = total, time_s
 
     # ------------------------------------------------------------------
     # Telemetry

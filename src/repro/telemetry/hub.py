@@ -111,35 +111,25 @@ class TelemetryHub:
         guard.bind(self)
         self.guard = guard
 
-    @property
-    def tick_by_tick(self) -> bool:
-        """Whether the hub must advance one tick per step: a fault injector
-        or a guard is installed (their clocks and fault windows advance
-        tick by tick)."""
-        return self.fault_injector is not None or self.guard is not None
-
-    def quiet_ticks(self, limit: int) -> int:
-        """How many of the next ``limit`` ticks the hub can take as one
-        step: 1 while :attr:`tick_by_tick`, else ``limit``."""
-        return 1 if self.tick_by_tick else limit
+    def quiet_ticks(self, dt_s: float, limit: int) -> int:
+        """How many of the next ``limit`` ticks of ``dt_s`` the hub can take
+        as one step: the fault injector's bound, else ``limit``. Every other
+        fault and every guard check happens inside a runtime firing, and a
+        firing tick steps alone."""
+        injector = self.fault_injector
+        return limit if injector is None else injector.quiet_ticks(dt_s, limit)
 
     def on_tick(self, dt_s: float) -> None:
         """Advance every device's accumulators by the node's latest step:
         each device folds every tick of it (``node.last_state.ticks``)."""
         if self.fault_injector is not None:
-            # Campaign time advances first so faults scheduled at this
-            # tick's boundary are active for the accesses that follow.
-            self.fault_injector.on_tick(dt_s)
-        if self.guard is not None:
-            # The guard's clock mirrors campaign time (breaker probe
-            # schedules live on the sim clock, not wall time).
-            self.guard.on_tick(dt_s)
+            # Point faults due at this tick fire first, so a wrap shifts the
+            # counters before the tick folds into them.
+            self.fault_injector.on_tick()
         self.msr.on_tick(dt_s)
         self.pcm.on_tick(dt_s)
         self.rapl.on_tick(dt_s)
         self.nvml.on_tick(dt_s)
-        if self.hsmp is not None:
-            self.hsmp.on_tick(dt_s)
         # The backend ticks last: its settling accounting reads the state
         # the devices (and node step) just established.
         self.backend.on_tick(dt_s)

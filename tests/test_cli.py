@@ -39,6 +39,18 @@ class TestCommands:
         assert main(["run", "--workload", "hpl"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["resilience", "--duration", "nan"], "fault window must not be NaN"),
+            (["latency", "--workload", "sort", "--duration", "nan"], "max_time_s must be finite"),
+            (["overhead", "--duration", "inf"], "max_time_s must be finite"),
+        ],
+    )
+    def test_non_finite_duration_is_clean_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_compare_defaults_to_both_methods(self, capsys):
         assert main(["compare", "--workload", "sort", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -21,6 +21,8 @@ is exact in binary floating point — boundary assertions here are exact
 equality, not tolerance.
 """
 
+import math
+
 import pytest
 
 import repro.faults.plan as plan_mod
@@ -75,6 +77,15 @@ class TestSpecValidation:
     def test_negative_window_rejected(self, start, duration):
         with pytest.raises(FaultInjectionError, match="non-negative"):
             FaultSpec("pcm", "stuck", start, duration)
+
+    @pytest.mark.parametrize("start,duration", [(math.nan, 1.0), (0.5, math.nan)])
+    def test_nan_window_rejected(self, start, duration):
+        # NaN passes the non-negative check, and a NaN window never fires.
+        with pytest.raises(FaultInjectionError, match="must not be NaN"):
+            FaultSpec("pcm", "freeze", start, duration)
+
+    def test_infinite_window_accepted(self):
+        assert FaultSpec("pcm", "stuck", 1.0, math.inf).end_s == math.inf
 
     def test_zero_count_rejected_but_none_is_unlimited(self):
         with pytest.raises(FaultInjectionError, match="count"):

@@ -492,10 +492,11 @@ class TestRAPLValidation:
         assert incident.fault == "frozen_sample"
 
     def test_cross_check_flags_dram_power_inconsistent_with_bandwidth(
-        self, a100_preset
+        self, a100_preset, a100_node, a100_hub
     ):
-        guard = TelemetryGuard(a100_preset)
-        guard.now_s = 0.5
+        # The guard's clock is its node's: step the node to t = 0.5 s.
+        guard = _guarded(a100_hub, a100_preset)
+        _tick(a100_node, a100_hub, 50)
         guard._last_pcm_sample = (0.4, 5000.0)
         expected = guard.bounds.implied_dram_w(
             a100_preset.dram_base_w, a100_preset.dram_w_per_gbps, 5000.0
@@ -507,8 +508,8 @@ class TestRAPLValidation:
         assert verdict is not None and verdict[0] == "inconsistent"
         # Only the DRAM domain is cross-checked.
         assert guard._cross_check(RAPL_PKG, expected * 2.0 + 20.0) is None
-        # A stale bandwidth sample is no evidence.
-        guard.now_s = 5.0
+        # A stale bandwidth sample is no evidence (t = 5.0 s).
+        _tick(a100_node, a100_hub, 450)
         assert guard._cross_check(RAPL_DRAM, expected * 2.0 + 20.0) is None
 
 

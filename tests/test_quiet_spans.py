@@ -1,13 +1,14 @@
 """Quiet spans: a step of several ticks is those ticks stepped one by one.
 
 Between governor decisions a node's inputs repeat, so ``lockstep`` steps
-the ticks before the next runtime firing, segment roll, horizon or core-block
-end as one span (DESIGN.md §6q). An observer without the span hook
-(``quiet_ticks``) bounds every step of its run to one tick, so adding a
-no-op observer gives each run its tick-by-tick reference with no switch.
-These tests compare every channel, the decisions and the device counters
-of the two, bit for bit, over the golden matrix's clean runs and batches of
-1, 2 and 17 runs, and pin each bound on its own.
+the ticks before the next runtime firing, segment roll, horizon, core-block
+end or fault-window edge as one span (DESIGN.md §6q). An observer without
+the span hook (``quiet_ticks``) bounds every step of its run to one tick, so
+adding a no-op observer gives each run its tick-by-tick reference with no
+switch. These tests compare every channel, the decisions, the device
+counters, the incident log and the guard's records of the two, bit for bit,
+over the golden matrix's clean, faulted and guarded runs, the benchmark's
+faulted run and batches of 1, 2 and 17 runs, and pin each bound on its own.
 """
 
 import copy
@@ -20,9 +21,11 @@ import pytest
 
 from repro.backends.latency import LatencyModel, LatencyParams
 from repro.errors import SimulationError, WorkloadError
-from repro.faults.plan import standard_campaign
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec, standard_campaign
 from repro.hw.node import NodeBatch
 from repro.hw.presets import get_preset
+from repro.obs import ObsConfig
 from repro.runtime.session import BuiltRun, RunResult, build_run, make_governor
 from repro.sim.clock import SimClock
 from repro.sim.engine import SimulationEngine, lockstep
@@ -43,6 +46,12 @@ GOVERNORS: Tuple[Tuple[str, Dict[str, float]], ...] = (
     ("ups", {}),
     ("powercap", {"cap_w": 150.0}),
 )
+#: The golden matrix's fault modes, built as tests/data/gen_golden_manifest.py
+#: builds them.
+FAULT_MODES = {
+    "faulted": lambda: {"fault_plan": standard_campaign(1, horizon_s=4.0), "supervise": True},
+    "guarded": lambda: {"guard": True, "actuation_latency": "msr_fast"},
+}
 
 
 class _TickByTick(BaseTickObserver):
@@ -68,26 +77,31 @@ def _counting_steps(monkeypatch) -> List[int]:
 
 
 def _device_counters(run: BuiltRun) -> Dict[str, bytes]:
+    """The devices' counters, the incident log and the guard's records."""
     hub = run.hub
-    instructions, cycles = hub.msr.read_all_core_counters(None)
+    # Read past any fault proxy, so that reading trips no fault.
+    msr, pcm, rapl = (getattr(device, "_inner", device) for device in (hub.msr, hub.pcm, hub.rapl))
+    instructions, cycles = msr.read_all_core_counters(None)
     counters = {
         "msr": instructions.tobytes() + cycles.tobytes(),
-        "pcm_bytes": _b(hub.pcm.bytes_total),
-        "pcm_history": _b([value for entry in hub.pcm._history for value in entry]),
-        "rapl": _b([hub.rapl.energy_j(RAPL_PKG), hub.rapl.energy_j(RAPL_DRAM)]),
+        "pcm_bytes": _b(pcm.bytes_total),
+        "pcm_history": _b([value for entry in pcm._history for value in entry]),
+        "rapl": _b([rapl.energy_j(RAPL_PKG), rapl.energy_j(RAPL_DRAM)]),
         "nvml": _b(hub.nvml.energy_j()),
         "backend": repr(
             (hub.backend.switch_count, hub.backend.settling_ticks, hub.backend.switch_delays_s)
         ).encode(),
+        # Float reprs round-trip, so equal reprs are equal bits.
+        "incidents": repr(list(run.log)).encode(),
     }
-    if hub.hsmp is not None:
-        counters["hsmp"] = _b([hub.hsmp._bytes_total, hub.hsmp._time_s])
+    if run.guard is not None:
+        counters["guard"] = repr((run.guard.quarantine_events, run.guard.breaker_steps)).encode()
     return counters
 
 
 def _matrix_run(
     preset: str, governor: str, options, *, tick_by_tick: bool, workload="srad", horizon_s=4.0,
-    latency=None,
+    **kwargs,
 ):
     run = build_run(
         preset,
@@ -96,12 +110,28 @@ def _matrix_run(
         seed=1,
         dt_s=0.01,
         max_time_s=horizon_s,
-        actuation_latency=latency,
+        **kwargs,
     )
     if tick_by_tick:
         run.engine.observers.append(_TickByTick())
     result = run.finish(run.engine.run(run.workload, max_time_s=run.max_time_s))
     return result, _device_counters(run)
+
+
+def _benchmark_faulted_run(*, tick_by_tick: bool):
+    """The benchmark's ``faulted_ups_max1550`` run (benchmarks/suite/workloads.py)."""
+    return _matrix_run(
+        "intel_max1550",
+        "ups",
+        {},
+        tick_by_tick=tick_by_tick,
+        horizon_s=600.0,
+        actuation_latency="msr_fast",
+        fault_plan=standard_campaign(1),
+        supervise=True,
+        guard=True,
+        obs=ObsConfig(enabled=True, metrics=True, spans=True, tsdb=True),
+    )
 
 
 def _assert_same_channels(spanned: RunResult, reference: RunResult) -> None:
@@ -130,6 +160,33 @@ class TestSpansMatchTheTickByTickRun:
         _assert_same_channels(spanned, reference)
         assert spanned_devices == reference_devices
 
+    @pytest.mark.parametrize("mode", FAULT_MODES)
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("governor,options", GOVERNORS, ids=[g for g, _ in GOVERNORS])
+    def test_golden_matrix_faulted_and_guarded_runs(
+        self, preset, governor, options, mode, monkeypatch
+    ):
+        spans = _counting_steps(monkeypatch)
+        spanned, spanned_devices = _matrix_run(
+            preset, governor, options, tick_by_tick=False, **FAULT_MODES[mode]()
+        )
+        assert max(spans) > 1
+        reference, reference_devices = _matrix_run(
+            preset, governor, options, tick_by_tick=True, **FAULT_MODES[mode]()
+        )
+        if mode == "faulted":
+            assert reference.incidents
+        _assert_same_channels(spanned, reference)
+        assert spanned_devices == reference_devices
+
+    def test_the_benchmarks_faulted_run(self):
+        (spanned, spanned_devices), (reference, reference_devices) = (
+            _benchmark_faulted_run(tick_by_tick=flag) for flag in (False, True)
+        )
+        assert reference.guard_quarantines > 0 and reference.failsafe_count > 0
+        _assert_same_run(spanned, reference)
+        assert spanned_devices == reference_devices
+
     @pytest.mark.parametrize("preset", ("intel_a100", "amd_mi210"))
     @pytest.mark.parametrize("median_s", (2e-3, 3e-2))
     def test_switch_latency_runs(self, preset, median_s):
@@ -138,7 +195,7 @@ class TestSpansMatchTheTickByTickRun:
         runs = [
             _matrix_run(
                 preset, "magus", {}, tick_by_tick=flag, workload="unet", horizon_s=8.0,
-                latency=LatencyModel(
+                actuation_latency=LatencyModel(
                     LatencyParams(median_s=median_s, sigma=0.5, floor_s=1e-4, ceil_s=0.08), seed=1
                 ),
             )
@@ -182,24 +239,12 @@ class TestCoverage:
         assert sum(spans) == ticks
         assert spans.count(1) <= 0.15 * ticks
 
-    def test_a_fault_injector_or_guard_steps_every_tick_alone(self, monkeypatch):
+    def test_the_benchmarks_faulted_run_steps_few_ticks_alone(self, monkeypatch):
         spans = _counting_steps(monkeypatch)
-        for kwargs in (
-            {"fault_plan": standard_campaign(1, horizon_s=2.0), "supervise": True},
-            {"guard": True},
-        ):
-            spans.clear()
-            run = build_run(
-                "intel_a100",
-                get_workload("srad", seed=1),
-                make_governor("magus"),
-                seed=1,
-                max_time_s=2.0,
-                **kwargs,
-            )
-            run.engine.run(run.workload, max_time_s=run.max_time_s)
-            assert set(spans) == {1}
-            assert len(spans) == 200
+        result, _ = _benchmark_faulted_run(tick_by_tick=False)
+        ticks = len(result.traces["demand_gbps"])
+        assert sum(spans) == ticks
+        assert spans.count(1) <= 0.15 * ticks
 
 
 class TestBounds:
@@ -255,6 +300,35 @@ class TestBounds:
             )
         with pytest.raises(WorkloadError, match="ticks"):
             folded.advance(0.01, 0)
+
+    def test_each_fault_edge_tick_steps_alone(self, a100_node, a100_hub):
+        # Quarter-second ticks are exact in binary: the wrap fires on the
+        # tick ending at 1.0 s, the freeze opens on 2.0 s and closes on 3.0 s.
+        injector = FaultInjector(
+            FaultPlan((FaultSpec("msr", "wrap", 1.0, 0.0), FaultSpec("pcm", "freeze", 2.0, 1.0)))
+        )
+        a100_hub.install_fault_injector(injector)
+        segment = Segment(10.0, 5.0, mem_intensity=0.5, cpu_util=0.5, gpu_util=0.5)
+        bounds = []
+        for _ in range(14):
+            bounds.append(a100_hub.quiet_ticks(0.25, 64))
+            a100_node.step(0.25, segment)
+            a100_hub.on_tick(0.25)
+        # Bounds from t = 0, 0.25, ..., 3.25 s. The 1 at 0.75, 1.75 and
+        # 2.75 s steps an edge tick alone (at 0.5, 1.5 and 2.5 s one quiet
+        # tick is left before it); a fired wrap no longer bounds, and past
+        # the freeze's end nothing does.
+        assert bounds == [3, 2, 1, 1, 3, 2, 1, 1, 3, 2, 1, 1, 64, 64]
+        assert [(i.fault, i.time_s) for i in injector.injections] == [("wrap", 1.0), ("freeze", 2.0)]
+
+    def test_a_fault_due_at_the_first_tick_steps_it_alone(self, a100_preset, a100_node):
+        # Before the first step the clock reads 0.0: a wrap or a freeze
+        # starting then fires on the first tick.
+        for spec in (FaultSpec("msr", "wrap", 0.0), FaultSpec("pcm", "freeze", 0.0)):
+            hub = TelemetryHub(a100_node, a100_preset.telemetry)
+            assert hub.quiet_ticks(0.01, 64) == 64  # no injector, no bound
+            hub.install_fault_injector(FaultInjector(FaultPlan((spec,))))
+            assert hub.quiet_ticks(0.01, 64) == 1
 
     def test_a_span_that_reaches_a_firing_is_refused(self, a100_node, a100_hub):
         class _Due:

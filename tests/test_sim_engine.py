@@ -1,6 +1,7 @@
 """SimulationEngine: tick loop, horizons, daemon scheduling, trace schema."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -93,6 +94,20 @@ class TestRun:
         engine = make_engine(a100_node, a100_hub)
         with pytest.raises(SimulationError):
             engine.run(None, max_time_s=0.0)
+
+    @pytest.mark.parametrize("workload", [None, "tiny"])
+    def test_nan_horizon_rejected(self, a100_node, a100_hub, tiny_workload, workload):
+        engine = make_engine(a100_node, a100_hub)
+        with pytest.raises(SimulationError, match="max_time_s must be finite"):
+            engine.run(tiny_workload if workload else None, max_time_s=math.nan)
+
+    def test_infinite_horizon_only_for_a_workload_run(self, a100_node, a100_hub, tiny_workload):
+        engine = make_engine(a100_node, a100_hub)
+        with pytest.raises(SimulationError, match="max_time_s must be finite"):
+            engine.run(None, max_time_s=math.inf)
+        # The safety factor caps a workload run's horizon.
+        result = engine.run(tiny_workload, max_time_s=math.inf, safety_factor=2.0)
+        assert result.horizon_s == 2.0 * tiny_workload.nominal_duration_s
 
     def test_mismatched_hub_rejected(self, a100_preset, a100_node, a100_hub):
         other = a100_preset.build_node()
