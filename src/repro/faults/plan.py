@@ -179,6 +179,10 @@ def _nan_window(start_s: float, duration_s: float) -> FaultInjectionError:
     )
 
 
+def _infinite_start(start_s: float) -> FaultInjectionError:
+    return FaultInjectionError(f"fault window must start at a finite time, got start={start_s!r}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault window.
@@ -238,8 +242,11 @@ class FaultSpec:
                 f"device {self.device!r} has no fault kind {self.kind!r}; "
                 f"known: {FAULT_KINDS[self.device]}"
             )
-        # NaN passes the comparison below, and a NaN window never fires.
+        # NaN passes the comparison below, and a NaN window never fires; nor
+        # does one that opens at infinity. An infinite duration is an
+        # open-ended window.
         require_finite(self.start_s, self.duration_s, error=_nan_window, allow_inf=True)
+        require_finite(self.start_s, error=_infinite_start)
         if self.start_s < 0 or self.duration_s < 0:
             raise FaultInjectionError(
                 f"fault window must be non-negative, got start={self.start_s!r} "

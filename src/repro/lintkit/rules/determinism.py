@@ -75,7 +75,7 @@ class DeterminismRule(Rule):
                 yield from self._check_module(mod)
 
     def _check_module(self, mod: ModuleInfo) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
+        for node in mod.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func)

@@ -48,7 +48,7 @@ class GuardBypassRule(Rule):
         for mod in project.modules.values():
             if mod.top_dir not in _SCOPED_DIRS:
                 continue
-            for node in ast.walk(mod.tree):
+            for node in mod.nodes:
                 if not isinstance(node, ast.Attribute) or node.attr not in _DEVICE_ATTRS:
                     continue
                 if last_segment(node.value) != "hub":

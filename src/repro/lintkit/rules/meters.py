@@ -68,7 +68,7 @@ class MeterExceptionRule(Rule):
         for mod in project.modules.values():
             if mod.top_dir not in _SCOPED_DIRS:
                 continue
-            for node in ast.walk(mod.tree):
+            for node in mod.nodes:
                 if not isinstance(node, ast.ExceptHandler):
                     continue
                 if _is_broad(node) and not _handles_visibly(node):

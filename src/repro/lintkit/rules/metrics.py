@@ -125,7 +125,7 @@ class MetricNameRule(Rule):
             yield from self._check_module(mod)
 
     def _check_module(self, mod: ModuleInfo) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
+        for node in mod.nodes:
             if not isinstance(node, ast.Call):
                 continue
             method = last_segment(node.func)

@@ -66,7 +66,7 @@ class MSRSafetyRule(Rule):
         accessors_exempt = mod.pkg_path in _ACCESSOR_FILES or mod.pkg_path.startswith(
             _ACCESSOR_DIR
         )
-        for node in ast.walk(mod.tree):
+        for node in mod.nodes:
             if (
                 not literals_exempt
                 and isinstance(node, ast.Constant)

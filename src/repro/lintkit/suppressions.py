@@ -30,6 +30,9 @@ _DIRECTIVE = re.compile(
 #: Sentinel code meaning "every rule".
 _ALL = "ALL"
 
+#: Every directive names this; a source without it has none to tokenize.
+_MARKER = "repro-lint"
+
 
 @dataclass
 class SuppressionIndex:
@@ -60,9 +63,13 @@ def _parse_codes(raw: str) -> Set[str]:
 def scan_suppressions(source: str) -> SuppressionIndex:
     """Tokenize ``source`` and build its :class:`SuppressionIndex`.
 
-    Unreadable files (tokenizer errors on malformed input) yield an empty
-    index — the parser will report the real problem as a violation.
+    A source that never names the directive marker yields an empty index
+    without being tokenized.  Unreadable files (tokenizer errors on
+    malformed input) yield an empty index too — the parser will report
+    the real problem as a violation.
     """
+    if _MARKER not in source:
+        return SuppressionIndex()
     file_level: Set[str] = set()
     by_line: Dict[int, Set[str]] = {}
     try:

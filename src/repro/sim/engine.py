@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 
+def _bad_safety_factor(factor: float) -> SimulationError:
+    return SimulationError(f"safety_factor must be finite and positive, got {factor!r}")
+
+
 @dataclass
 class EngineResult:
     """Outcome of one simulated run.
@@ -139,6 +143,9 @@ class SimulationEngine:
         )
         if max_time_s <= 0:
             raise SimulationError(f"max_time_s must be positive, got {max_time_s!r}")
+        require_finite(safety_factor, error=_bad_safety_factor)
+        if safety_factor <= 0:
+            raise _bad_safety_factor(safety_factor)
         execution: Optional["WorkloadExecution"] = workload.execution() if workload is not None else None
         horizon = max_time_s
         if workload is not None:
@@ -194,7 +201,7 @@ class SimulationEngine:
             ``safety_factor × nominal duration``; a run hitting that cap
             signals a governor pathologically starving the workload, which
             is surfaced via ``completed=False`` rather than an exception so
-            experiments can report it.
+            experiments can report it. It must be finite and positive.
         """
         self.start(workload, max_time_s=max_time_s, safety_factor=safety_factor)
         ((_, result),) = lockstep([self])

@@ -25,7 +25,6 @@ from typing import List, Optional
 
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
-from repro.hw.presets import TelemetryCosts
 from repro.telemetry.sampling import AccessMeter
 
 __all__ = ["HSMPDevice"]
@@ -43,13 +42,10 @@ class HSMPDevice:
     node:
         The node; must have been built from an AMD preset (coarse fabric
         bins), though the device itself only needs the generic uncore API.
-    costs:
-        Preset cost model (used for the PCM-equivalent aggregation window).
     """
 
-    def __init__(self, node: HeterogeneousNode, costs: TelemetryCosts):
+    def __init__(self, node: HeterogeneousNode):
         self.node = node
-        self.costs = costs
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -73,7 +73,7 @@ class TelemetryHub:
         self.pcm = PCMCounters(node, costs)
         self.rapl = RAPLCounters(node, costs)
         self.nvml = NVMLDevice(node)
-        self.hsmp: Optional[HSMPDevice] = HSMPDevice(node, costs) if vendor == "amd" else None
+        self.hsmp: Optional[HSMPDevice] = HSMPDevice(node) if vendor == "amd" else None
         #: The actuation path every uncore write routes through.
         self.backend = SimBackend(self, latency)
         #: Installed fault injector, if any (see :meth:`install_fault_injector`).

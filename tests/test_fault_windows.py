@@ -87,6 +87,16 @@ class TestSpecValidation:
     def test_infinite_window_accepted(self):
         assert FaultSpec("pcm", "stuck", 1.0, math.inf).end_s == math.inf
 
+    @pytest.mark.parametrize("start", [math.inf, -math.inf])
+    def test_infinite_start_rejected(self, start):
+        # A window that opens at infinity never fires.
+        with pytest.raises(FaultInjectionError, match="must start at a finite time"):
+            FaultSpec("pcm", "stuck", start, 1.0)
+
+    def test_campaign_over_an_infinite_horizon_rejected(self):
+        with pytest.raises(FaultInjectionError, match="must start at a finite time"):
+            standard_campaign(1, horizon_s=math.inf)
+
     def test_zero_count_rejected_but_none_is_unlimited(self):
         with pytest.raises(FaultInjectionError, match="count"):
             FaultSpec("pcm", "stuck", 0.0, count=0)

@@ -256,6 +256,24 @@ class TestSuppressions:
         idx = scan_suppressions('s = "# repro-lint: disable-file=all"\n')
         assert not idx.is_suppressed("RL001", 1)
 
+    def test_source_without_the_marker_is_not_tokenized(self, monkeypatch):
+        import repro.lintkit.suppressions as suppressions
+
+        tokenized = []
+        real = suppressions.tokenize.generate_tokens
+
+        def counting(readline):
+            tokenized.append(readline)
+            return real(readline)
+
+        monkeypatch.setattr(suppressions.tokenize, "generate_tokens", counting)
+        plain = scan_suppressions("x = 1  # an ordinary comment\n")
+        assert tokenized == []
+        assert plain.file_level == frozenset() and plain.by_line == {}
+        idx = scan_suppressions("x = 1  # repro-lint: disable=RL001\n")
+        assert len(tokenized) == 1
+        assert idx.is_suppressed("RL001", 1)
+
 
 class TestEngineAndBaseline:
     def test_syntax_error_reports_rl000(self, tmp_path):

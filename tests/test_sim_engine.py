@@ -109,6 +109,14 @@ class TestRun:
         result = engine.run(tiny_workload, max_time_s=math.inf, safety_factor=2.0)
         assert result.horizon_s == 2.0 * tiny_workload.nominal_duration_s
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_safety_factor_rejected(self, a100_node, a100_hub, tiny_workload, factor):
+        # NaN dropped the cap, zero ended the run at once, and a negative
+        # factor returned a negative runtime.
+        engine = make_engine(a100_node, a100_hub)
+        with pytest.raises(SimulationError, match="safety_factor must be finite and positive"):
+            engine.run(tiny_workload, max_time_s=30.0, safety_factor=factor)
+
     def test_mismatched_hub_rejected(self, a100_preset, a100_node, a100_hub):
         other = a100_preset.build_node()
         with pytest.raises(SimulationError, match="different node"):
