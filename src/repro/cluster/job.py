@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ExperimentError
+from repro.units import require_finite
 
 __all__ = ["ClusterJob"]
 
@@ -43,6 +44,21 @@ class ClusterJob:
     def __post_init__(self) -> None:
         if not self.name:
             raise ExperimentError("job name must be non-empty")
+        # NaN passes every range check below, and a job that starts at
+        # infinity never runs. An infinite max_time_s stays legal, as it is
+        # for a single workload run.
+        require_finite(
+            self.start_time_s,
+            error=lambda t: ExperimentError(
+                f"job {self.name!r}: start time must be finite, got {t!r}"
+            ),
+        )
+        if self.max_time_s is not None:
+            require_finite(
+                self.max_time_s,
+                error=lambda _: ExperimentError(f"job {self.name!r}: max_time_s must not be NaN"),
+                allow_inf=True,
+            )
         if self.start_time_s < 0:
             raise ExperimentError(f"job {self.name!r}: negative start time {self.start_time_s!r}")
         if self.gpu_count < 1:

@@ -11,9 +11,10 @@ for rendering.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_flowchart", "flowchart_to_dot", "COMPONENTS"]
 
@@ -35,8 +36,11 @@ def build_flowchart() -> "nx.DiGraph":
 
     Nodes carry ``impl`` (dotted path of the implementing class) and
     ``phase`` (the paper's colour-coding: monitor / phase1 / phase2 /
-    actuation / substrate).
+    actuation / substrate).  networkx (the ``analysis`` extra) is imported
+    here, so importing :mod:`repro` does not need it.
     """
+    import networkx as nx
+
     g = nx.DiGraph(name="MAGUS (paper Fig. 3)")
     phase_of = {
         "application": "substrate",

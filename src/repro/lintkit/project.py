@@ -50,6 +50,7 @@ __all__ = [
     "ProjectStats",
     "build_project",
     "HEADER",
+    "SITE_KINDS",
     "OUTSIDE",
     "OWN",
 ]
@@ -95,6 +96,20 @@ class FunctionInfo:
         return self.node.name
 
 
+#: ``(node, fn, reach)`` as :meth:`Project.iter_frames` yields it.
+Site = Tuple[ast.AST, Optional[FunctionInfo], str]
+
+#: The node kinds whose frame walk :meth:`Project.link` keeps in
+#: :attr:`ModuleInfo.sites`: the calls it resolves and RL008 and RL009
+#: check, and the arithmetic, comparisons, assignments and returns RL010
+#: checks.  Over ``src/repro`` and the two lint fixture trees they are
+#: about a tenth of the frame nodes and cost about 1 MB; keeping every
+#: frame node would cost about 8.6 MB.
+SITE_KINDS = (
+    ast.Call, ast.BinOp, ast.AugAssign, ast.Compare, ast.Assign, ast.AnnAssign, ast.Return
+)
+
+
 @dataclass
 class ClassInfo:
     """One class definition and its method table."""
@@ -138,6 +153,10 @@ class ModuleInfo:
     assigned_globals: Set[str] = field(default_factory=set)
     #: The subset of :attr:`assigned_globals` bound to mutable containers.
     mutable_globals: Set[str] = field(default_factory=set)
+    #: Every :data:`SITE_KINDS` node of the frame walk with its frame, in
+    #: :meth:`Project.iter_frames` order; kept by :meth:`Project.link`, so
+    #: the interprocedural rules read the module's one frame walk.
+    sites: List[Site] = field(default_factory=list)
 
     @property
     def top_dir(self) -> str:
@@ -178,7 +197,11 @@ class ModuleInfo:
 
 
 class OwnSites(NamedTuple):
-    """What the dataflow engine reads of one frame, in :func:`iter_own_nodes` order."""
+    """What the dataflow engine reads of one frame, in :func:`iter_own_nodes` order.
+
+    A function's are collected by the one walk of its own nodes when it
+    is indexed; a module body's by :meth:`Project.link`'s frame walk.
+    """
 
     #: ``(target names, value)`` of each assignment that binds simple names.
     assignments: Tuple[Tuple[Tuple[str, ...], ast.expr], ...]
@@ -267,50 +290,6 @@ def _import_map(nodes: Sequence[ast.AST], module_name: str, is_package: bool) ->
     return mapping
 
 
-class _LocalNames(ast.NodeVisitor):
-    """Collect every name bound inside one function body (not nested defs)."""
-
-    def __init__(self) -> None:
-        self.names: Set[str] = set()
-
-    def collect(self, fn: FunctionNode) -> FrozenSet[str]:
-        args = fn.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            self.names.add(arg.arg)
-        if args.vararg is not None:
-            self.names.add(args.vararg.arg)
-        if args.kwarg is not None:
-            self.names.add(args.kwarg.arg)
-        for stmt in fn.body:
-            self.visit(stmt)
-        return frozenset(self.names)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.names.add(node.name)  # the binding, not the nested body
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.names.add(node.name)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            self.names.add(node.id)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        pass  # global names are not locals
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.names.add(alias.asname or alias.name.split(".")[0])
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            if alias.name != "*":
-                self.names.add(alias.asname or alias.name)
-
-
 def _children(node: ast.AST) -> List[ast.AST]:
     """:func:`ast.iter_child_nodes` as a list, without its two generator layers."""
     children: List[ast.AST] = []
@@ -336,6 +315,21 @@ def _name_assignment(node: ast.AST) -> Optional[Tuple[Tuple[str, ...], ast.expr]
     return None
 
 
+def _add_own_site(
+    node: ast.AST,
+    assignments: List[Tuple[Tuple[str, ...], ast.expr]],
+    returns: List[ast.expr],
+) -> None:
+    """Append ``node`` to its frame's :class:`OwnSites` lists if it is a site."""
+    assignment = _name_assignment(node)
+    if assignment is not None:
+        assignments.append(assignment)
+    elif isinstance(node, ast.Return) and node.value is not None:
+        # ``return None`` guards carry no information either way.
+        if not (isinstance(node.value, ast.Constant) and node.value.value is None):
+            returns.append(node.value)
+
+
 def iter_own_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
     """Every node under ``body`` that is not inside a nested def/class."""
     stack: List[ast.AST] = list(body)
@@ -347,6 +341,61 @@ def iter_own_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(_children(node))
 
 
+class _OwnWalk(NamedTuple):
+    """What the project reads of one function's own nodes (see :func:`_walk_own`)."""
+
+    #: Every name bound inside the function: parameters, assignment and
+    #: ``del`` targets, imports, and the names of nested defs and classes.
+    local_names: FrozenSet[str]
+    #: Directly nested function definitions, in walk order.
+    nested: List[FunctionNode]
+    sites: OwnSites
+    #: Each name that an own ``Assign`` binds as its single target -> that
+    #: value if it is a call, or ``None`` if it is not or the name is rebound.
+    candidates: Dict[str, Optional[ast.Call]]
+
+
+def _walk_own(fn: FunctionNode) -> _OwnWalk:
+    """Walk ``fn``'s own nodes once, in :func:`iter_own_nodes` order.
+
+    A nested def or class binds its name here; its body is not walked.
+    """
+    args = fn.args
+    names = {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+    names.update(arg.arg for arg in (args.vararg, args.kwarg) if arg is not None)
+    nested: List[FunctionNode] = []
+    assignments: List[Tuple[Tuple[str, ...], ast.expr]] = []
+    returns: List[ast.expr] = []
+    candidates: Dict[str, Optional[ast.Call]] = {}
+    stack: List[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, (ast.Store, ast.Del)):
+                names.add(node.id)
+            continue  # its one child is its context
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            if not isinstance(node, ast.ClassDef):
+                nested.append(node)
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+        else:
+            _add_own_site(node, assignments, returns)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    call = node.value if isinstance(node.value, ast.Call) else None
+                    candidates[target.id] = None if target.id in candidates else call
+        stack.extend(_children(node))
+    return _OwnWalk(
+        frozenset(names), nested, OwnSites(tuple(assignments), tuple(returns)), candidates
+    )
+
+
 class Project:
     """The parsed whole-program model: modules, symbols, call graph."""
 
@@ -356,6 +405,9 @@ class Project:
         self.classes: Dict[str, ClassInfo] = {}
         #: Caller qualname -> resolved callee qualnames.
         self.call_graph: Dict[str, Set[str]] = {}
+        #: Function qualname -> its single-assignment locals' values
+        #: (:attr:`_OwnWalk.candidates`), resolved after linking.
+        self._candidates: Dict[str, Dict[str, Optional[ast.Call]]] = {}
         #: Function qualname -> locally constructed variable types (cached
         #: at link time; rules and the dataflow engine re-resolve calls).
         self._instance_cache: Dict[str, Dict[str, ClassInfo]] = {}
@@ -455,7 +507,7 @@ class Project:
             a.arg
             for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
         )
-        locals_ = _LocalNames().collect(node)
+        own = _walk_own(node)
         info = FunctionInfo(
             qualname=qualname,
             module=mod.name,
@@ -464,42 +516,43 @@ class Project:
             parent=parent,
             params=params,
             enclosing_locals=enclosing,
-            local_names=locals_,
+            local_names=own.local_names,
         )
         self.functions[qualname] = info
+        self._sites[id(node)] = own.sites
+        self._candidates[qualname] = own.candidates
         # Nested definitions: indexed with closure context, bodies excluded
-        # from the parent's own statement walks.
-        nested_enclosing = enclosing | locals_
-        for child in self._nested_defs(node):
+        # from the parent's own walk.
+        nested_enclosing = enclosing | own.local_names
+        for child in own.nested:
             self._add_function(
                 mod, child, class_name=None, parent=qualname, enclosing=nested_enclosing
             )
         return info
 
-    @staticmethod
-    def _nested_defs(fn: FunctionNode) -> Iterator[FunctionNode]:
-        """Directly nested function definitions (one level; recursion handles deeper)."""
-        stack: List[ast.AST] = list(fn.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-                continue
-            if isinstance(node, ast.ClassDef):
-                continue
-            stack.extend(_children(node))
-
     def link(self) -> None:
         """Build the call graph once every module is indexed.
 
-        A function's edges come from every call its frame evaluates
-        (lambda bodies, and the decorators and defaults of nested defs,
-        included); module-level calls start no edge.
+        Each module is frame-walked here once.  A function's edges come
+        from every call its frame evaluates (lambda bodies, and the
+        decorators and defaults of nested defs, included); module-level
+        calls start no edge.  The walk's :data:`SITE_KINDS` nodes are kept
+        in :attr:`ModuleInfo.sites` for the rules, and the module body's
+        own nodes give its :class:`OwnSites`.
         """
         self._by_node = {id(fn.node): fn for fn in self.functions.values()}
         self.call_graph = {qualname: set() for qualname in self.functions}
         for mod in self.modules.values():
-            for node, fn, _ in self.iter_frames(mod):
+            sites: List[Site] = []
+            assignments: List[Tuple[Tuple[str, ...], ast.expr]] = []
+            returns: List[ast.expr] = []
+            for site in self.iter_frames(mod):
+                node, fn, reach = site
+                if fn is None and reach == OWN:
+                    _add_own_site(node, assignments, returns)
+                if not isinstance(node, SITE_KINDS):
+                    continue
+                sites.append(site)
                 if fn is None or not isinstance(node, ast.Call):
                     continue
                 callee = self.resolve_call(mod, fn, node, self.instance_types_for(fn))
@@ -508,6 +561,8 @@ class Project:
                     self._edges += 1
                 else:
                     self._unresolved += 1
+            mod.sites = sites
+            self._sites[id(mod.tree)] = OwnSites(tuple(assignments), tuple(returns))
 
     def iter_frames(
         self, mod: ModuleInfo
@@ -521,8 +576,12 @@ class Project:
         decorators and defaults of top-level defs, and the bodies of defs
         the symbol table does not index are :data:`OUTSIDE`.  The calls a
         frame evaluates are those not :data:`OUTSIDE`; the dataflow engine
-        solves facts for the :data:`OWN` nodes.  One walk thus serves a
-        rule that must see every node and its interprocedural twin.
+        solves facts for the :data:`OWN` nodes.  An indexed function's
+        :data:`OWN` nodes come in :func:`iter_own_nodes` order, and so do
+        the module body's.  :meth:`link` makes this walk once per module
+        and keeps its :data:`SITE_KINDS` nodes in :attr:`ModuleInfo.sites`,
+        so a rule that must see every such node and its interprocedural
+        twin reads that list instead of walking again.
         """
         stack: List[Tuple[ast.AST, Optional[FunctionInfo], str]] = [(mod.tree, None, OWN)]
         while stack:
@@ -633,48 +692,24 @@ class Project:
         if cached is not None:
             return cached
         mod = self.modules[fn.module]
-        assigned: Dict[str, Optional[ClassInfo]] = {}
-        for node in iter_own_nodes(fn.node.body):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            cls: Optional[ClassInfo] = None
-            if isinstance(node.value, ast.Call):
-                dotted = dotted_name(node.value.func)
-                if dotted is not None:
-                    symbol = self._symbol_for(mod, fn, dotted)
-                    if isinstance(symbol, ClassInfo):
-                        cls = symbol
-            if target.id in assigned:
-                assigned[target.id] = None  # rebound: ambiguous
-            else:
-                assigned[target.id] = cls
-        result = {name: cls for name, cls in assigned.items() if cls is not None}
+        result: Dict[str, ClassInfo] = {}
+        for name, call in self._candidates[fn.qualname].items():
+            dotted = dotted_name(call.func) if call is not None else None
+            if dotted is not None:
+                symbol = self._symbol_for(mod, fn, dotted)
+                if isinstance(symbol, ClassInfo):
+                    result[name] = symbol
         self._instance_cache[fn.qualname] = result
         return result
 
     def own_sites(self, frame: Union[FunctionNode, ast.Module]) -> OwnSites:
         """The assignments and returns among the own nodes of ``frame``'s body.
 
-        Walked on first use and kept, so every dataflow domain and every
-        env pass reads one walk per frame.
+        Collected once for every indexed function (when it is indexed)
+        and every module body (when the project is linked), so every
+        dataflow domain and every env pass reads those walks.
         """
-        sites = self._sites.get(id(frame))
-        if sites is None:
-            assignments: List[Tuple[Tuple[str, ...], ast.expr]] = []
-            returns: List[ast.expr] = []
-            for node in iter_own_nodes(frame.body):
-                assignment = _name_assignment(node)
-                if assignment is not None:
-                    assignments.append(assignment)
-                elif isinstance(node, ast.Return) and node.value is not None:
-                    # ``return None`` guards carry no information either way.
-                    if not (isinstance(node.value, ast.Constant) and node.value.value is None):
-                        returns.append(node.value)
-            sites = self._sites[id(frame)] = OwnSites(tuple(assignments), tuple(returns))
-        return sites
+        return self._sites[id(frame)]
 
     def _symbol_for(
         self, mod: ModuleInfo, fn: Optional[FunctionInfo], dotted: str

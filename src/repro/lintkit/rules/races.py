@@ -125,7 +125,7 @@ class ParallelSharedStateRule(Rule):
         pool handing tasks to its executor, not workers.
         """
         nested: Optional[Set[str]] = None
-        for node, fn, reach in project.iter_frames(mod):
+        for node, fn, reach in mod.sites:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             task = node.args[0]

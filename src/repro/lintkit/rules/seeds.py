@@ -126,7 +126,7 @@ class SeedProvenanceRule(Rule):
                 continue
             # Every call a function or the module body (a module-global
             # generator) evaluates.
-            for node, fn, reach in project.iter_frames(mod):
+            for node, fn, reach in mod.sites:
                 if reach == OUTSIDE or not isinstance(node, ast.Call):
                     continue
                 env = analysis.function_env(fn) if fn is not None else analysis.module_env(mod)

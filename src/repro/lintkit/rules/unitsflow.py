@@ -69,9 +69,6 @@ _PASSTHROUGH = frozenset({"abs", "float", "int", "round", "min", "max", "sum"})
 
 _RL003 = "RL003"
 
-#: The node types either code inspects.
-_CHECKED = (ast.BinOp, ast.AugAssign, ast.Compare, ast.Call, ast.Assign, ast.AnnAssign, ast.Return)
-
 
 class _UnitsDomain(Domain):
     """Dimension lattice: the unit suffix string, or unknown."""
@@ -132,9 +129,8 @@ class UnitsFlowRule(Rule):
     def check(self, project: Project) -> Iterator[Violation]:
         analysis = DataflowAnalysis(project, _UnitsDomain())
         for mod in project.modules.values():
-            for node, fn, reach in project.iter_frames(mod):
-                if not isinstance(node, _CHECKED):
-                    continue
+            # The kept sites are exactly the node kinds either code inspects.
+            for node, fn, reach in mod.sites:
                 # RL010 reads facts only where the frame's own walk solved them.
                 env: Optional[Env] = None
                 if reach == OWN:

@@ -50,6 +50,9 @@ class TestCommands:
                 ["resilience", "--duration", "inf", "--governor", "magus"],
                 "fault window must start at a finite time",
             ),
+            # A non-finite job start once died in the fleet's aggregation.
+            (["fleet", "--job", "sort@nan", "--job", "bfs@0"], "start time must be finite"),
+            (["coordinate", "--job", "sort@inf", "--job", "bfs@0"], "start time must be finite"),
         ],
     )
     def test_non_finite_duration_is_clean_error(self, capsys, argv, message):

@@ -53,6 +53,20 @@ class TestJobValidation:
         with pytest.raises(ExperimentError):
             ClusterJob("a", "bfs", gpu_count=0)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_rejected(self, start):
+        # A NaN start once passed the range check and a fleet then died in
+        # its aggregation, after every job had been simulated.
+        with pytest.raises(ExperimentError, match="start time must be finite"):
+            ClusterJob("a", "bfs", start)
+
+    def test_nan_max_time_rejected(self):
+        with pytest.raises(ExperimentError, match="max_time_s must not be NaN"):
+            ClusterJob("a", "bfs", max_time_s=float("nan"))
+
+    def test_infinite_max_time_accepted(self):
+        assert ClusterJob("a", "bfs", max_time_s=float("inf")).max_time_s == float("inf")
+
 
 class TestSimulatorValidation:
     def test_empty_schedule_rejected(self):

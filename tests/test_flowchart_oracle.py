@@ -1,8 +1,11 @@
 """Fig. 3 flowchart graph and the oracle governor."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import networkx as nx
 import pytest
 
 from repro.core.flowchart import COMPONENTS, build_flowchart, flowchart_to_dot
@@ -10,13 +13,31 @@ from repro.errors import GovernorError
 from repro.governors.oracle import OracleGovernor
 from repro.runtime.session import make_governor, run_application
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_repro_imports_without_networkx():
+    # networkx is the optional ``analysis`` extra: only building the graph needs it.
+    code = 'import sys; sys.modules["networkx"] = None; import repro, repro.cli'
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
 
 class TestFlowchart:
     @pytest.fixture(scope="class")
-    def graph(self):
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @pytest.fixture(scope="class")
+    def graph(self, nx):
         return build_flowchart()
 
-    def test_every_component_implemented(self, graph):
+    def test_every_component_implemented(self):
         # Fig. 3's boxes must point at real classes — the architecture
         # diagram is checked against the code.
         for node, impl in COMPONENTS.items():
@@ -24,7 +45,7 @@ class TestFlowchart:
             module = importlib.import_module(module_path)
             assert hasattr(module, attr), f"{node}: {impl} does not exist"
 
-    def test_closed_control_loop(self, graph):
+    def test_closed_control_loop(self, graph, nx):
         # The decision path closes a loop through the hardware: decision ->
         # MSR -> uncore -> application -> PCM -> monitor -> predictor -> decision.
         cycle = nx.find_cycle(graph)

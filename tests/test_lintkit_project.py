@@ -31,9 +31,9 @@ from repro.lintkit import (
     rule_catalogue,
     save_baseline,
 )
-from repro.lintkit.core import Violation
+from repro.lintkit.core import Violation, dotted_name
 from repro.lintkit.dataflow import _MAX_ENV_PASSES, _MAX_SUMMARY_PASSES, DataflowAnalysis
-from repro.lintkit.project import iter_own_nodes
+from repro.lintkit.project import ClassInfo, FunctionInfo, OwnSites, Project, iter_own_nodes
 from repro.lintkit.rules.seeds import _TaintDomain
 from repro.lintkit.rules.unitsflow import _UnitsDomain
 
@@ -354,6 +354,327 @@ class TestDataflowSolve:
         assert solved == first_pass + [caller]
         assert analysis.function_env(project.functions[caller]) == {"power": "w"}
         assert analysis.summaries[caller] == "w"
+
+
+class _LocalNames(ast.NodeVisitor):
+    """Every name bound inside one function body (not nested defs), by visitor."""
+
+    def __init__(self):
+        self.names = set()
+
+    def collect(self, fn):
+        args = fn.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            self.names.add(arg.arg)
+        if args.vararg is not None:
+            self.names.add(args.vararg.arg)
+        if args.kwarg is not None:
+            self.names.add(args.kwarg.arg)
+        for stmt in fn.body:
+            self.visit(stmt)
+        return frozenset(self.names)
+
+    def visit_FunctionDef(self, node):
+        self.names.add(node.name)
+
+    def visit_AsyncFunctionDef(self, node):
+        self.names.add(node.name)
+
+    def visit_ClassDef(self, node):
+        self.names.add(node.name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, (ast.Store, ast.Del)):
+            self.names.add(node.id)
+
+    def visit_Global(self, node):
+        pass
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            self.names.add(alias.asname or alias.name.split(".")[0])
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            if alias.name != "*":
+                self.names.add(alias.asname or alias.name)
+
+
+def _nested_defs(fn):
+    """Directly nested function definitions, by their own stack walk."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            continue
+        if isinstance(node, ast.ClassDef):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+#: The node kinds the interprocedural rules read, spelled out here so the
+#: reference does not share the project's list.
+KEPT_KINDS = (
+    ast.Call, ast.BinOp, ast.AugAssign, ast.Compare, ast.Assign, ast.AnnAssign, ast.Return
+)
+
+
+class ReferenceProject(Project):
+    """The project as separate walks build it: a visitor for the local
+    names, a walk for the nested defs, one per function for its own sites
+    and one for its instance types, and a frame walk per consumer."""
+
+    def _add_function(self, mod, node, *, class_name, parent, enclosing):
+        if parent is not None:
+            qualname = f"{parent}.{node.name}"
+        elif class_name is not None:
+            qualname = f"{mod.name}.{class_name}.{node.name}"
+        else:
+            qualname = f"{mod.name}.{node.name}"
+        args = node.args
+        params = tuple(a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs])
+        local_names = _LocalNames().collect(node)
+        info = FunctionInfo(
+            qualname=qualname,
+            module=mod.name,
+            node=node,
+            class_name=class_name,
+            parent=parent,
+            params=params,
+            enclosing_locals=enclosing,
+            local_names=local_names,
+        )
+        self.functions[qualname] = info
+        for child in _nested_defs(node):
+            self._add_function(
+                mod, child, class_name=None, parent=qualname, enclosing=enclosing | local_names
+            )
+        return info
+
+    def link(self):
+        self._by_node = {id(fn.node): fn for fn in self.functions.values()}
+        self.call_graph = {qualname: set() for qualname in self.functions}
+        for mod in self.modules.values():
+            for node, fn, _ in self.iter_frames(mod):
+                if fn is None or not isinstance(node, ast.Call):
+                    continue
+                callee = self.resolve_call(mod, fn, node, self.instance_types_for(fn))
+                if callee is not None:
+                    self.call_graph[fn.qualname].add(callee)
+                    self._edges += 1
+                else:
+                    self._unresolved += 1
+
+    def instance_types_for(self, fn):
+        cached = self._instance_cache.get(fn.qualname)
+        if cached is not None:
+            return cached
+        mod = self.modules[fn.module]
+        assigned = {}
+        for node in iter_own_nodes(fn.node.body):
+            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+                continue
+            target = node.targets[0]
+            if not isinstance(target, ast.Name):
+                continue
+            cls = None
+            if isinstance(node.value, ast.Call):
+                dotted = dotted_name(node.value.func)
+                if dotted is not None:
+                    symbol = self._symbol_for(mod, fn, dotted)
+                    if isinstance(symbol, ClassInfo):
+                        cls = symbol
+            assigned[target.id] = None if target.id in assigned else cls
+        result = {name: cls for name, cls in assigned.items() if cls is not None}
+        self._instance_cache[fn.qualname] = result
+        return result
+
+    def own_sites(self, frame):
+        assignments, returns = [], []
+        for node in iter_own_nodes(frame.body):
+            target_value = _assignment(node)
+            if target_value is not None:
+                targets, value = target_value
+                assignments.append((tuple(targets), value))
+            elif isinstance(node, ast.Return) and node.value is not None:
+                if not (isinstance(node.value, ast.Constant) and node.value.value is None):
+                    returns.append(node.value)
+        return OwnSites(tuple(assignments), tuple(returns))
+
+    def kept_sites(self, mod):
+        return [site for site in self.iter_frames(mod) if isinstance(site[0], KEPT_KINDS)]
+
+
+def reference_of(project):
+    """A :class:`ReferenceProject` over the same parsed trees as ``project``."""
+    reference = ReferenceProject()
+    for mod in project.modules.values():
+        reference.add_module(mod.path, mod.pkg_path, mod.source, mod.tree)
+    reference.link()
+    return reference
+
+
+def _framed(sites):
+    return [(node, fn.qualname if fn is not None else None, reach) for node, fn, reach in sites]
+
+
+#: Frames the benchmark trees may not exercise: nested defs side by side and
+#: under control flow, a nested class with its own assignments and methods, a
+#: rebound local, redefinitions, imports, ``del``, walrus targets, lambdas,
+#: and the decorators and defaults of nested defs.
+EDGE_FRAMES = {
+    "cluster/shapes.py": """\
+class Planner:
+    def plan(self):
+        return 1
+
+
+class Other(Planner):
+    pass
+""",
+    "cluster/frames.py": """\
+import functools
+
+from repro.cluster.shapes import Other, Planner
+
+TOTAL = len([n := 3, n + 1])
+
+
+def outer(seed, *rest, scale=Planner(), **extra):
+    import math
+    from os import path as p, sep
+    first = Planner()
+    again = Planner()
+    again = Other()
+    kept: int = 4
+    del kept
+    (value := math.floor(seed))
+
+    @functools.lru_cache(maxsize=Planner().plan())
+    def left(x=first.plan()):
+        return x + 1
+
+    class Inner:
+        hidden = Planner()
+        shadow = hidden.plan()
+
+        def method(self):
+            inner_only = 1
+            return inner_only
+
+    if seed:
+        def right():
+            return first.plan()
+    else:
+        def right():
+            return again.plan()
+    for item in rest:
+        def middle(item=item):
+            return item
+    handler = lambda q: (q := q + 1)
+    right()
+    return first.plan() + again.plan() + value if seed else None
+
+
+class Holder:
+    @property
+    def size(self):
+        return 1
+
+    @size.setter
+    def size(self, value):
+        box = Planner()
+        box.plan()
+
+    def shadowed(self):
+        return None
+
+    def shadowed(self):
+        global TOTAL
+        TOTAL += 1
+        return TOTAL
+""",
+}
+
+
+def build_edge_tree(root):
+    """Write :data:`EDGE_FRAMES` under ``root`` and build its linked project."""
+    for rel, text in EDGE_FRAMES.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return build_project(collect_files([str(root)]), root=root)
+
+
+class TestOneWalk:
+    """One frame walk per module and one own-node walk per function serve
+    exactly what the separate walks of :class:`ReferenceProject` served."""
+
+    @pytest.fixture(scope="class", params=[*sorted(LINT_TREES), "edge_frames"])
+    def pair(self, request, tmp_path_factory):
+        if request.param == "edge_frames":
+            project = build_edge_tree(tmp_path_factory.mktemp("edge_frames"))
+        else:
+            project = linked_tree(request.param)
+        return project, reference_of(project)
+
+    def test_functions_in_definition_order(self, pair):
+        project, reference = pair
+        assert list(project.functions) == list(reference.functions)
+
+    def test_local_and_enclosing_names(self, pair):
+        project, reference = pair
+        for qualname, fn in project.functions.items():
+            expected = reference.functions[qualname]
+            assert fn.local_names == expected.local_names, qualname
+            assert fn.enclosing_locals == expected.enclosing_locals, qualname
+
+    def test_own_sites_of_every_function_and_module(self, pair):
+        project, reference = pair
+        for qualname, fn in project.functions.items():
+            assert project.own_sites(fn.node) == reference.own_sites(fn.node), qualname
+        for name, mod in project.modules.items():
+            assert project.own_sites(mod.tree) == reference.own_sites(mod.tree), name
+
+    def test_instance_types_of_every_function(self, pair):
+        project, reference = pair
+        for qualname, fn in project.functions.items():
+            got = {k: v.qualname for k, v in project.instance_types_for(fn).items()}
+            expected = reference.instance_types_for(reference.functions[qualname])
+            assert got == {k: v.qualname for k, v in expected.items()}, qualname
+
+    def test_call_graph_and_stats(self, pair):
+        project, reference = pair
+        assert project.call_graph == reference.call_graph
+        assert project.stats() == reference.stats()
+
+    def test_kept_sites_in_frame_walk_order(self, pair):
+        project, reference = pair
+        for name, mod in project.modules.items():
+            expected = reference.kept_sites(reference.modules[name])
+            assert _framed(mod.sites) == _framed(expected), name
+
+    def test_edge_frames_are_exercised(self, tmp_path):
+        # The edge tree holds each case the reference must agree on.
+        project = build_edge_tree(tmp_path)
+        outer = "repro.cluster.frames.outer"
+        nested = [q for q in project.functions if q.startswith(f"{outer}.")]
+        # Nested defs register in walk order, which is not source order.
+        assert nested == [f"{outer}.middle", f"{outer}.right", f"{outer}.left"]
+        locals_ = project.functions[outer].local_names
+        assert {"Inner", "left", "right", "middle", "handler", "math", "p", "sep"} <= locals_
+        assert {"kept", "value", "first", "again", "item", "q"} <= locals_
+        assert not {"hidden", "shadow", "inner_only", "method"} & locals_
+        # ``again`` is rebound, so only ``first`` has a known type.
+        types = project.instance_types_for(project.functions[outer])
+        assert {k: v.qualname for k, v in types.items()} == {
+            "first": "repro.cluster.shapes.Planner"
+        }
+        # ``return ... if seed else None`` is a value; the nested returns are not outer's.
+        assert len(project.own_sites(project.functions[outer].node).returns) == 1
+        # The later definition of a redefined method wins, as in the call graph.
+        shadowed = project.functions["repro.cluster.frames.Holder.shadowed"]
+        assert len(project.own_sites(shadowed.node).returns) == 1
 
 
 class TestLintProjectEngine:
