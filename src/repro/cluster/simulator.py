@@ -3,8 +3,8 @@
 Each job runs on its own node (the paper's systems are single-application
 nodes) under the chosen governor; job runs are independent, so the fleet
 executes them through the process pool, in tasks of up to
-:data:`JOBS_PER_TASK` jobs whose nodes step in lockstep as one
-:class:`~repro.hw.node.NodeBatch`. Aggregation happens on a common
+:data:`JOBS_PER_TASK` jobs that run one after another, each alone on its
+own quiet spans (DESIGN.md §6n). Aggregation happens on a common
 cluster-time grid: before its job starts and after it completes, a node
 contributes its idle power; during the job, its simulated total power
 profile (shifted by the start time).
@@ -42,8 +42,7 @@ from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tsdb import TimeSeriesDB, merge_tsdbs
 from repro.parallel.pool import default_workers, map_parallel
-from repro.runtime.session import BuiltRun, RunResult, build_run, make_governor, run_application
-from repro.sim.engine import lockstep
+from repro.runtime.session import RunResult, make_governor, run_application
 from repro.units import ordered_sum, require_finite
 
 __all__ = [
@@ -62,9 +61,10 @@ GRID_S = 0.5
 #: Default per-job simulation horizon (matches ``run_application``).
 _DEFAULT_JOB_HORIZON_S = 600.0
 
-#: Most jobs per pool task. A task steps its jobs' nodes as one NodeBatch,
-#: whose per-node cost stops falling past about 16 nodes (DESIGN.md §6n);
-#: fleets with fewer jobs than this per worker split into smaller tasks.
+#: Most jobs per pool task. A task runs its jobs one after another and
+#: ships their slimmed outcomes back together, so the cap bounds what one
+#: task holds and returns; fleets with fewer jobs than this per worker split
+#: into smaller tasks, so every worker gets one (DESIGN.md §6n).
 JOBS_PER_TASK = 16
 
 
@@ -96,8 +96,11 @@ def _run_job(
     obs: bool = False,
     tsdb: bool = False,
 ) -> List[JobOutcome]:
-    """Pool task: simulate ``jobs`` in lockstep and slim each run as it ends.
+    """Pool task: simulate ``jobs`` one after another, slimming each run.
 
+    Each job is built, run alone on its own quiet spans (DESIGN.md §6n,
+    §6q), finished and slimmed before the next job starts, so the task
+    holds one live run and the ended runs' outcomes, never two full runs.
     Fleet aggregation only consumes the total-power trace, so jobs run
     with ``per_core_channels=False``: the engine's channel registry skips
     the per-core block entirely (on an 80-core node that is ~80 % of the
@@ -105,43 +108,28 @@ def _run_job(
     With ``obs`` each job collects its metrics registry (spans stay off —
     a fleet of span lists would dwarf the power traces being shipped
     back); the fleet rolls the per-job registries up into per-node and
-    fleet totals. Every run is bit-identical to the same job run alone.
-    A run is dropped as soon as it is slimmed, so the task holds its live
-    runs and the ended runs' outcomes, not every full run.
+    fleet totals. Every run is the same job's :func:`run_application`.
     """
     obs_config = (
         ObsConfig(enabled=True, metrics=obs, spans=False, tsdb=tsdb) if (obs or tsdb) else None
     )
-    runs = {
-        index: _start_job(preset_name, job, governor_name, dt_s, obs_config)
-        for index, job in enumerate(jobs)
-    }
-    done: Dict[int, JobOutcome] = {}
-    for index, result in lockstep([run.engine for run in runs.values()]):
-        done[index] = _slim(jobs[index], governor_name, runs.pop(index).finish(result))
-    return [done[index] for index in range(len(jobs))]
-
-
-def _start_job(
-    preset_name: str,
-    job: ClusterJob,
-    governor_name: str,
-    dt_s: float,
-    obs_config: Optional[ObsConfig],
-) -> BuiltRun:
-    """Build one job's run and start its engine."""
-    run = build_run(
-        preset_name,
-        job.workload,
-        make_governor(governor_name),
-        seed=job.seed,
-        dt_s=dt_s,
-        max_time_s=job.max_time_s if job.max_time_s is not None else _DEFAULT_JOB_HORIZON_S,
-        per_core_channels=False,
-        obs=obs_config,
-    )
-    run.engine.start(run.workload, max_time_s=run.max_time_s)
-    return run
+    return [
+        _slim(
+            job,
+            governor_name,
+            run_application(
+                preset_name,
+                job.workload,
+                make_governor(governor_name),
+                seed=job.seed,
+                dt_s=dt_s,
+                max_time_s=job.max_time_s if job.max_time_s is not None else _DEFAULT_JOB_HORIZON_S,
+                per_core_channels=False,
+                obs=obs_config,
+            ),
+        )
+        for job in jobs
+    ]
 
 
 def _slim(job: ClusterJob, governor_name: str, result: RunResult) -> JobOutcome:
@@ -448,8 +436,8 @@ class ClusterSimulator:
         """Run every job under ``governor_name`` and aggregate.
 
         Job simulations are independent and run through the process pool
-        in tasks of consecutive jobs, each stepping its jobs in lockstep. A
-        task takes ``ceil(jobs / workers)`` jobs, at most
+        in tasks of consecutive jobs, each running its jobs one after
+        another. A task takes ``ceil(jobs / workers)`` jobs, at most
         :data:`JOBS_PER_TASK`, so a fleet of a few jobs still uses every
         worker (``workers`` is ``n_workers``, or
         :func:`~repro.parallel.pool.default_workers` when that is ``None``).

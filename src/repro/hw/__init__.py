@@ -16,7 +16,7 @@ from repro.hw.cpu import CPUCoreModel, CPUPowerParams
 from repro.hw.memory import MemorySubsystem, MemoryServiceResult
 from repro.hw.gpu import GPUGroup, GPUModel
 from repro.hw.power import PowerBreakdown
-from repro.hw.node import HeterogeneousNode, NodeBatch, NodeTickState
+from repro.hw.node import HeterogeneousNode, NodeTickState
 from repro.hw.presets import (
     SystemPreset,
     intel_a100,
@@ -38,7 +38,6 @@ __all__ = [
     "GPUGroup",
     "PowerBreakdown",
     "HeterogeneousNode",
-    "NodeBatch",
     "NodeTickState",
     "SystemPreset",
     "intel_a100",

@@ -18,9 +18,8 @@ reproduction:
   unmet and, mildly, with uncore frequency itself (higher LLC latency).
 
 :func:`step_cores` advances a stack of identical sockets at once: socket
-``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node (or a
-:class:`~repro.hw.node.NodeBatch` of nodes) pays each NumPy call once per
-tick rather than once per socket. What depends only on utilisation and the
+``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node pays each
+NumPy call once per step rather than once per socket. What depends only on utilisation and the
 jitter (utilisation, frequency, activity and power per core) is derived a
 :class:`CoreBlock` of ticks at a time, and so is the IPC under each IPC
 level, which carries the memory stalls and the uncore ratio; only the mean
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +40,8 @@ from repro.errors import PowerModelError
 
 __all__ = ["CPUPowerParams", "CPUCoreModel", "CoreBlock", "CoreStep", "step_cores", "BLOCK_ROWS"]
 
-#: Socket rows a :class:`CoreBlock` spans: 64 ticks of a 2-socket node, 4
-#: of a 16-node batch, one tick from 128 sockets up.
+#: Socket rows a :class:`CoreBlock` spans: 128 ticks of a 1-socket node, 64
+#: of a 2-socket node, 32 of a 4-socket node.
 BLOCK_ROWS = 128
 
 
@@ -172,7 +171,7 @@ class CPUCoreModel:
         """Advance one tick: :func:`step_cores` on a stack of one socket."""
         if self._lone is None:
             self._lone = CoreBlock((self,))
-        step_cores(self._lone, (socket_util,), (mem_stall_factor,), (uncore_ratio,))
+        step_cores(self._lone, socket_util, mem_stall_factor, uncore_ratio)
 
     def _jitter_rows(self, k: int) -> np.ndarray:
         """The next ``k`` jitter rows of the stream, ``(k, n_cores)``, read-only.
@@ -238,31 +237,30 @@ class _Rows(NamedTuple):
 class CoreBlock:
     """A socket stack's jitter-driven core state, a block of ticks at a time.
 
-    The stack holds the sockets of one or more nodes, node after node, each
-    node with the same number of sockets, all of one part (core count, DVFS
-    range, peak IPC and power coefficients). A block spans ``ticks =
-    max(1, BLOCK_ROWS // sockets)`` ticks. It starts by taking each
+    The stack holds a node's sockets (or one socket stepped alone), all of
+    one part (core count, DVFS range, peak IPC and power coefficients). A
+    block spans ``ticks = max(1, BLOCK_ROWS // sockets)`` ticks. It starts by taking each
     socket's next ``ticks`` jitter rows (drawing any the socket has not
     drawn yet) into a ``(ticks, sockets, n_cores)`` stack. Each tick steps
     every socket one row through its stream.
 
-    Rows are derived per utilisation vector (one value per node): the first
-    time a vector is used in a block, :func:`step_cores` derives the current
-    tick's row alone; the second time, every remaining row of the block at
-    once, which later ticks with that vector only index. A span of several
-    ticks derives the remaining rows on any use. IPC rows and their sums
-    follow the same rule per utilisation vector and IPC levels (one level
-    per node). The vector and levels of a block's last tick count as used
-    once in the next block. A fresh vector every tick therefore costs one
-    row per tick, as a block of one tick would. A span never runs past the
+    Rows are derived per utilisation: the first time a utilisation is used
+    in a block, :func:`step_cores` derives the current tick's row alone; the
+    second time, every remaining row of the block at once, which later ticks
+    with that utilisation only index. A span of several ticks derives the
+    remaining rows on any use. IPC rows and their sums follow the same rule
+    per utilisation and IPC level. The utilisation and level of a block's
+    last tick count as used once in the next block. A fresh utilisation
+    every tick therefore costs one row per tick, as a block of one tick
+    would. A span never runs past the
     block's last tick. Derived arrays are never written, so each tick's
     views stay valid after the block moves on.
 
     A block is keyed on each socket's stream position at its start. When a
-    socket has been stepped by another block since (another batch, or the
-    socket stepped alone), the block starts over from the positions the
-    sockets have reached, so rows pre-drawn by one batch pass to the next
-    in stream order.
+    socket has been stepped by another block since (the socket stepped
+    alone by :meth:`CPUCoreModel.step`), the block starts over from the
+    positions the sockets have reached, so rows pre-drawn by one block pass
+    to the next in stream order.
     """
 
     __slots__ = ("cpus", "ticks", "_jitter", "_marks", "_t", "_memo", "_ipc", "_last")
@@ -274,14 +272,14 @@ class CoreBlock:
         self._marks: List[int] = []
         # The next tick's index in the block; ``ticks`` before the first.
         self._t = self.ticks
-        # Per utilisation vector: the block tick its rows start at and the
-        # rows from there on, or None once used a first time.
-        self._memo: Dict[tuple, Optional[Tuple[int, _Rows]]] = {}
-        # The same per (utilisation vector, IPC levels): the IPC rows and
-        # their per-socket sums.
-        self._ipc: Dict[Tuple[tuple, tuple], Optional[Tuple[int, np.ndarray, list]]] = {}
-        # The last tick's (utilisation vector, IPC levels).
-        self._last: Optional[Tuple[tuple, tuple]] = None
+        # Per utilisation key: the block tick its rows start at and the rows
+        # from there on, or None once used a first time.
+        self._memo: Dict[object, Optional[Tuple[int, _Rows]]] = {}
+        # The same per (utilisation key, IPC level): the IPC rows and their
+        # per-socket sums.
+        self._ipc: Dict[Tuple[object, float], Optional[Tuple[int, np.ndarray, list]]] = {}
+        # The last tick's (utilisation key, IPC level).
+        self._last: Optional[Tuple[object, float]] = None
 
     def _tick(self) -> int:
         """This tick's index in the block, starting a new block when the
@@ -321,25 +319,12 @@ def _socket_power_w(cpu: CPUCoreModel, utils: np.ndarray, freqs: np.ndarray) -> 
     return p.static_w + np.add.reduce(per_core, axis=-1)
 
 
-def _rows_view(values: Sequence[float], per_node: int) -> Union[float, np.ndarray]:
-    """Per-node values as the stack's rows take them.
-
-    One node's value broadcasts over every row as a Python float; several
-    nodes' become a column with one entry per socket, each node's value
-    repeated across its sockets. Multiplying by a column entry is the same
-    IEEE product as multiplying by the float.
-    """
-    if len(values) == 1:
-        return values[0]
-    return np.repeat(values, per_node)[:, None]
-
-
-def _derive(part: CPUCoreModel, util_rows: Union[float, np.ndarray], jitter: np.ndarray) -> _Rows:
+def _derive(part: CPUCoreModel, util: float, jitter: np.ndarray) -> _Rows:
     """Utilisation, frequency, activity and power of ``jitter``'s rows under
-    one utilisation vector, reduced over the last (core) axis. In-place
-    steps as in :func:`_socket_power_w`."""
+    one utilisation, reduced over the last (core) axis. In-place steps as
+    in :func:`_socket_power_w`."""
     # ``ndarray.clip`` is the ufunc ``np.clip`` dispatches to, called directly.
-    utils = util_rows * part._weights * jitter
+    utils = util * part._weights * jitter
     utils.clip(0.0, 1.0, out=utils)
     # DVFS: frequency tracks utilisation with a mild floor; a lightly
     # loaded core sits near min frequency, a saturated core turbos:
@@ -363,95 +348,87 @@ def _derive(part: CPUCoreModel, util_rows: Union[float, np.ndarray], jitter: np.
 
 def step_cores(
     block: CoreBlock,
-    socket_util: Sequence[float],
-    mem_stall_factor: Sequence[float],
-    uncore_ratio: Sequence[float],
+    socket_util: float,
+    mem_stall_factor: float,
+    uncore_ratio: float,
     ticks: int = 1,
 ) -> CoreStep:
     """Advance a block's stack of identical sockets by a span of ticks.
 
     The span holds ``ticks`` ticks under one operating point, or as many as
     the block has left if that is fewer; the returned :class:`CoreStep`
-    has one ``tick_`` entry per tick stepped. The three operating-point
-    arguments carry one value per node of the stack. Utilisation,
-    frequency, activity and power come from the block's rows for this
-    utilisation vector, and the IPC from its rows for this vector and these
-    IPC levels (see :class:`CoreBlock`); a span of more than one tick takes
-    both from the rows derived for the rest of the block. Every reduction
-    runs along one socket's row, and the mean IPC of a partially active
-    socket is reduced per row. Every socket's model is left holding the
-    step, and reads its row of the span's last tick and its reductions, so
-    its observables read as if it had stepped alone. Earlier arrays are
-    never mutated.
+    has one ``tick_`` entry per tick stepped. Utilisation, frequency,
+    activity and power come from the block's rows for this utilisation,
+    and the IPC from its rows for this utilisation and IPC level (see
+    :class:`CoreBlock`); a span of more than one tick takes both from the
+    rows derived for the rest of the block. Every reduction runs along one
+    socket's row, and the mean IPC of a partially active socket is reduced
+    per row. Every socket's model is left holding the step, and reads its
+    row of the span's last tick and its reductions, so its observables
+    read as if it had stepped alone. Earlier arrays are never mutated.
 
     Parameters
     ----------
     block:
         The stack's :class:`CoreBlock`.
     socket_util:
-        Per node: average utilisation demanded of each of its sockets, in
-        [0, 1].
+        Average utilisation demanded of each socket, in [0, 1].
     mem_stall_factor:
-        Per node: 1.0 when memory demand is fully served, < 1 proportional
-        to the served fraction otherwise — stalls depress IPC.
+        1.0 when memory demand is fully served, < 1 proportional to the
+        served fraction otherwise — stalls depress IPC.
     uncore_ratio:
-        Per node: effective uncore frequency over max; low uncore adds
-        LLC/mesh latency that mildly depresses IPC even when bandwidth
-        suffices.
+        Effective uncore frequency over max; low uncore adds LLC/mesh
+        latency that mildly depresses IPC even when bandwidth suffices.
     ticks:
         The most ticks to step; at least 1.
     """
-    for util in socket_util:
-        if not (0.0 <= util <= 1.0):
-            raise PowerModelError(f"socket_util must be in [0, 1], got {util!r}")
+    if not (0.0 <= socket_util <= 1.0):
+        raise PowerModelError(f"socket_util must be in [0, 1], got {socket_util!r}")
     cpus = block.cpus
     part = cpus[0]
     n = part.n_cores
     t = block._tick()
     ticks = min(ticks, block.ticks - t)
-    per_node = len(cpus) // len(socket_util)
-    key = tuple(socket_util)
-    if 0.0 in key:
-        # -0.0 == 0.0 as a key, but a -0.0 demand keeps its sign in the rows.
-        key += tuple(copysign(1.0, util) for util in key)
+    # -0.0 == 0.0 as a key, but a -0.0 demand keeps its sign in the rows.
+    key = (socket_util, copysign(1.0, socket_util)) if socket_util == 0.0 else socket_util
     memo = block._memo
     found = memo.get(key)
     if found is None and key not in memo and ticks == 1:
         # First use in this block, for one tick: this tick's row alone.
         memo[key] = None
-        rows = _derive(part, _rows_view(socket_util, per_node), block._jitter[t : t + 1])
+        rows = _derive(part, socket_util, block._jitter[t : t + 1])
         row = 0
     else:
         if found is None:
             # Second use, or a span: every remaining row of the block at once.
-            found = memo[key] = (t, _derive(part, _rows_view(socket_util, per_node), block._jitter[t:]))
+            found = memo[key] = (t, _derive(part, socket_util, block._jitter[t:]))
         start, rows = found
         row = t - start
     end = row + ticks
     active = rows.active[row:end]
     block._t = t + ticks
 
-    # Each node's IPC level for its active cores, in Python floats; the
-    # clamps are :func:`~repro.units.clamp`'s ``max(lo, min(hi, x))``.
-    peak = part.peak_ipc
-    levels = [
-        peak * max(0.05, min(1.0, stall)) * (0.88 + 0.12 * max(0.0, min(1.0, ratio)))
-        for stall, ratio in zip(mem_stall_factor, uncore_ratio)
-    ]
-    pair = block._last = (key, tuple(levels))
+    # The IPC level of the active cores, in Python floats; the clamps are
+    # :func:`~repro.units.clamp`'s ``max(lo, min(hi, x))``.
+    level = (
+        part.peak_ipc
+        * max(0.05, min(1.0, mem_stall_factor))
+        * (0.88 + 0.12 * max(0.0, min(1.0, uncore_ratio)))
+    )
+    pair = block._last = (key, level)
     ipc_memo = block._ipc
     held = ipc_memo.get(pair)
     if held is None and pair not in ipc_memo and ticks == 1:
         ipc_memo[pair] = None
-        ipc = np.where(active, _rows_view(levels, per_node), 0.0)
+        ipc = np.where(active, level, 0.0)
         ipc_sums = np.add.reduce(ipc, axis=-1).tolist()
     else:
         if held is None:
-            # A span derived the vector's rows above; otherwise each use of
-            # the pair used the vector, so its rows exist.
+            # A span derived the utilisation's rows above; otherwise each
+            # use of the pair used the utilisation, so its rows exist.
             assert found is not None
             start, rows_from = found
-            ipc_rows = np.where(rows_from.active[t - start :], _rows_view(levels, per_node), 0.0)
+            ipc_rows = np.where(rows_from.active[t - start :], level, 0.0)
             held = ipc_memo[pair] = (t, ipc_rows, np.add.reduce(ipc_rows, axis=-1).tolist())
         start, ipc_rows, sums = held
         ipc, ipc_sums = ipc_rows[t - start : t - start + ticks], sums[t - start : t - start + ticks]

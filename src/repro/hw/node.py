@@ -5,10 +5,10 @@ simulation engine steps it, telemetry devices read it, and governors actuate
 it (through the MSR layer).  It owns no policy — the uncore target is
 whatever was last written, exactly like real hardware.
 
-:class:`NodeBatch` steps several nodes of one part together: their scalar
-physics one node at a time, their cores as one stack. A node stepped alone
-is a batch of one. A node whose inputs repeat its last recomputed tick's
-reuses that tick's scalar physics (:class:`_TickPhysics`).
+A node steps a span of ticks at a time, a single tick being the span of
+one; its sockets' cores step as one stack. A node whose inputs repeat its
+last recomputed tick's reuses that tick's scalar physics
+(:class:`_TickPhysics`).
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from repro.hw.gpu import GPUGroup
 from repro.hw.memory import MemoryServiceResult, MemorySubsystem
 from repro.hw.power import PowerBreakdown
 from repro.hw.uncore import UncoreModel
+from repro.units import require_finite
 
 if TYPE_CHECKING:  # imported for typing only; avoids an hw <-> workloads cycle
     from repro.workloads.base import Segment
 
-__all__ = ["NodeTickState", "HeterogeneousNode", "NodeBatch"]
+__all__ = ["NodeTickState", "HeterogeneousNode"]
 
 
 class NodeTickState(NamedTuple):
@@ -39,8 +40,8 @@ class NodeTickState(NamedTuple):
     fields hold one value per tick of the span, the last equal to the
     unprefixed field; everything else is the same on every tick of a span.
 
-    A named tuple rather than a frozen dataclass: a batch builds one per
-    node per step, and a tuple is built several times faster.
+    A named tuple rather than a frozen dataclass: a node builds one per
+    step, and a tuple is built several times faster.
     """
 
     time_s: float
@@ -68,7 +69,7 @@ class _TickPhysics(NamedTuple):
     The inputs are the segment (matched by identity, so a ``-0.0`` field
     never matches ``0.0``) and each socket's effective and target uncore
     frequency after the slew; everything else these values read is fixed
-    for the node's lifetime. While a tick's inputs equal these, the batch
+    for the node's lifetime. While a tick's inputs equal these, the node
     reuses the values instead of calling the memory, uncore-power and GPU
     models (DESIGN.md §6p).
     """
@@ -132,9 +133,8 @@ class HeterogeneousNode:
         self.cpu_mem_coupling = float(cpu_mem_coupling)
         self.sockets: List[Tuple[CPUCoreModel, UncoreModel]] = list(sockets)
         self._cpus = tuple(cpu for cpu, _ in self.sockets)
-        # The node steps as a batch of one, which rejects sockets that are
-        # not all one part.
-        self._alone = NodeBatch((self,))
+        _check_identical_parts(self._cpus)
+        self._block = CoreBlock(self._cpus)
         # Per-core state in global core order, one row per tick of the
         # latest step; each step replaces these.
         self._tick_utils = np.concatenate([cpu.core_utils for cpu in self._cpus])[None]
@@ -155,7 +155,7 @@ class HeterogeneousNode:
         self.degraded = False
         self._last_state: Optional[NodeTickState] = None
         self._time_s = 0.0
-        # The last recomputed tick's physics; it outlives the node's batches.
+        # The last recomputed tick's physics.
         self._physics: Optional[_TickPhysics] = None
 
     # ------------------------------------------------------------------
@@ -246,21 +246,110 @@ class HeterogeneousNode:
     @property
     def max_span_ticks(self) -> int:
         """The most ticks one step of this node can span: its core block's
-        length when stepped alone (a batch's block is no longer)."""
-        return self._alone._block.ticks
+        length."""
+        return self._block.ticks
 
     # ------------------------------------------------------------------
     # Simulation step
     # ------------------------------------------------------------------
-    def step(self, dt_s: float, segment: Optional["Segment"]) -> NodeTickState:
-        """Advance the node by one tick of ``dt_s`` under the given workload
-        segment.
+    def step(self, dt_s: float, segment: Optional["Segment"], ticks: int = 1) -> NodeTickState:
+        """Advance the node by a span of ticks of ``dt_s`` under the given
+        workload segment.
 
         Passing ``segment=None`` models an idle node (no application), used
-        by the Table 2 overhead experiments. The node steps as a
-        :class:`NodeBatch` of one, for a span of one tick.
+        by the Table 2 overhead experiments. The scalar physics runs first:
+        the uncore slew, then memory service, stall factor, uncore ratio,
+        uncore, DRAM and GPU power, reused from the last recomputed tick
+        while the segment and the sockets' uncore frequencies repeat
+        (DESIGN.md §6p). The sockets' cores then step as one
+        :func:`~repro.hw.cpu.step_cores` stack, their jitter-driven state
+        derived a :class:`~repro.hw.cpu.CoreBlock` of ticks at a time; then
+        come the per-tick power, means and times, the power breakdown and
+        the state.
+
+        The span is ``ticks`` ticks when the tick reuses the last recomputed
+        physics (which a slewing socket never does) and no socket has a
+        pending target, so its later ticks repeat the first's inputs; it is
+        cut short where the core block ends, and is one tick otherwise
+        (DESIGN.md §6q). The state's ``ticks`` says how many.
         """
-        return self._alone.step(dt_s, (segment,))[0]
+        # NaN passes the comparison below; an infinite dt makes every time
+        # infinite or NaN.
+        require_finite(dt_s, error=_non_finite_dt)
+        if dt_s <= 0:
+            raise HardwareError(f"dt must be positive, got {dt_s!r}")
+        # Each socket's slew returns its new effective frequency. A slewing
+        # socket moves it every tick, so its tick never matches the last
+        # recomputed one; a matching socket is settled and, with nothing
+        # pending, keeps its frequency: the slew of a span's first tick is
+        # the slew of all of them.
+        effective = [unc.step(dt_s) for _, unc in self.sockets]
+        target = [unc.target_ghz for _, unc in self.sockets]
+        physics = self._physics
+        if (
+            physics is None
+            or physics.segment is not segment
+            or physics.effective_ghz != effective
+            or physics.target_ghz != target
+        ):
+            physics = self._physics = self._derive_physics(segment, effective, target)
+            ticks = 1
+        elif ticks > 1 and any(unc.pending_target_ghz is not None for _, unc in self.sockets):
+            # A switch latency still running changes the target later.
+            ticks = 1
+
+        cores = step_cores(self._block, physics.cpu_util, physics.stall, physics.uncore_ratio, ticks)
+        tick_power_w = cores.tick_power_w
+        ticks = len(tick_power_w)
+        self._tick_utils = cores.tick_utils.reshape(ticks, -1)
+        self._tick_freqs_ghz = cores.tick_freqs_ghz.reshape(ticks, -1)
+        self._tick_ipc = cores.tick_ipc.reshape(ticks, -1)
+        uncore_w = physics.uncore_w
+        monitor_w = self.monitor_power_w
+        time_s = self._time_s
+        # One (time, core, package, mean IPC, mean frequency) per tick.
+        per_tick = []
+        for power_w, mean_ipc, mean_freq in zip(
+            tick_power_w, cores.tick_mean_ipc, cores.tick_mean_freq_ghz
+        ):
+            time_s += dt_s
+            core_w = 0.0
+            for socket_w in power_w:
+                core_w += socket_w
+            per_tick.append(
+                (
+                    time_s,
+                    core_w,
+                    # PowerBreakdown.package_w's sum, in its order.
+                    core_w + uncore_w + monitor_w,
+                    _socket_mean(mean_ipc),
+                    _socket_mean(mean_freq),
+                )
+            )
+        self._time_s = time_s
+        times, core_ws, packages, ipcs, freqs = zip(*per_tick)
+        svc = physics.service
+        # Positional: a named tuple binds keywords several times slower.
+        state = self._last_state = NodeTickState(
+            time_s,
+            physics.demand_gbps,
+            svc.delivered_gbps,
+            svc.stretch,
+            PowerBreakdown(core_w, uncore_w, physics.dram_w, physics.gpu_w, monitor_w),
+            physics.uncore_target_ghz,
+            physics.uncore_effective_ghz,
+            ipcs[-1],
+            freqs[-1],
+            physics.gpu_sm_clock_ghz,
+            svc.served_fraction,
+            ticks,
+            times,
+            core_ws,
+            packages,
+            ipcs,
+            freqs,
+        )
+        return state
 
     def _derive_physics(
         self,
@@ -305,14 +394,6 @@ class HeterogeneousNode:
             self.gpus.mean_sm_clock_ghz(),
         )
 
-    @staticmethod
-    def batch(nodes: Sequence["HeterogeneousNode"]) -> "NodeBatch":
-        """``nodes`` as one :class:`NodeBatch`.
-
-        For layers that import this module for typing only (the engine).
-        """
-        return NodeBatch(nodes)
-
     @property
     def last_state(self) -> Optional[NodeTickState]:
         """The most recent tick state (``None`` before the first step)."""
@@ -331,159 +412,8 @@ class HeterogeneousNode:
         )
 
 
-class NodeBatch:
-    """Nodes of one part, stepped together a span of ticks at a time.
-
-    Each step runs every node's scalar physics in node order: the uncore
-    slew, then memory service, stall factor, uncore ratio, uncore, DRAM and
-    GPU power, which it reuses from the node's last recomputed tick while the
-    segment and the sockets' uncore frequencies repeat; after the cores, the
-    per-tick power, means and times, the power breakdown and the state. The
-    cores of all nodes step in one :func:`~repro.hw.cpu.step_cores` call
-    over the ``(Σ sockets, n_cores)`` stack, node after node, so the batch
-    pays each NumPy call once per step rather than once per node, and
-    derives their jitter-driven state a :class:`~repro.hw.cpu.CoreBlock` of
-    ticks at a time. A step spans several ticks only while every node's
-    inputs repeat (DESIGN.md §6q). Each socket draws from its own stream,
-    and every reduction runs along one socket's row, so each node ends every
-    tick bit-identical to the same node stepped alone (DESIGN.md §6n, §6o).
-
-    Parameters
-    ----------
-    nodes:
-        Distinct nodes whose sockets are all one part (see
-        :class:`HeterogeneousNode`) and that have the same socket count.
-    """
-
-    def __init__(self, nodes: Sequence[HeterogeneousNode]) -> None:
-        if not nodes:
-            raise HardwareError("a node batch needs at least one node")
-        if len({id(node) for node in nodes}) != len(nodes):
-            raise HardwareError("a node batch cannot hold the same node twice")
-        per_node = len(nodes[0].sockets)
-        for node in nodes:
-            if len(node.sockets) != per_node:
-                raise HardwareError(
-                    f"node {node.name!r} has {len(node.sockets)} sockets, "
-                    f"the batch's first node {per_node}"
-                )
-        self.nodes: Tuple[HeterogeneousNode, ...] = tuple(nodes)
-        self._per_node = per_node
-        self._cpus = tuple(cpu for node in self.nodes for cpu in node._cpus)
-        _check_identical_parts(self._cpus)
-        self._block = CoreBlock(self._cpus)
-
-    def step(
-        self, dt_s: float, segments: Sequence[Optional["Segment"]], ticks: int = 1
-    ) -> List[NodeTickState]:
-        """Advance every node by a span of ticks of ``dt_s``; ``segments[i]``
-        drives node ``i``.
-
-        The span is ``ticks`` ticks when every node's tick reuses its last
-        recomputed physics (which a slewing socket never does) and no socket
-        has a pending target, so its later ticks repeat the first's inputs;
-        it is cut short where the core block ends, and is one tick
-        otherwise. Each state's ``ticks`` says how many. A ``None``
-        segment idles its node. Returns the nodes' states in node order.
-        """
-        if dt_s <= 0:
-            raise HardwareError(f"dt must be positive, got {dt_s!r}")
-        if len(segments) != len(self.nodes):
-            raise HardwareError(
-                f"{len(segments)} segments for a batch of {len(self.nodes)} nodes"
-            )
-        utils: List[float] = []
-        stalls: List[float] = []
-        ratios: List[float] = []
-        spans: List[_TickPhysics] = []
-        for node, segment in zip(self.nodes, segments):
-            # Each socket's slew returns its new effective frequency. A
-            # slewing socket moves it every tick, so its tick never matches
-            # the last recomputed one; a matching socket is settled and,
-            # with nothing pending, keeps its frequency: the slew of a
-            # span's first tick is the slew of all of them.
-            effective = [unc.step(dt_s) for _, unc in node.sockets]
-            target = [unc.target_ghz for _, unc in node.sockets]
-            physics = node._physics
-            if (
-                physics is None
-                or physics.segment is not segment
-                or physics.effective_ghz != effective
-                or physics.target_ghz != target
-            ):
-                physics = node._physics = node._derive_physics(segment, effective, target)
-                ticks = 1
-            elif ticks > 1 and any(unc.pending_target_ghz is not None for _, unc in node.sockets):
-                # A switch latency still running changes the target later.
-                ticks = 1
-            utils.append(physics.cpu_util)
-            stalls.append(physics.stall)
-            ratios.append(physics.uncore_ratio)
-            spans.append(physics)
-
-        cores = step_cores(self._block, utils, stalls, ratios, ticks)
-        tick_power_w = cores.tick_power_w
-        ticks = len(tick_power_w)
-        n_nodes = len(self.nodes)
-        node_utils = cores.tick_utils.reshape(ticks, n_nodes, -1)
-        node_freqs = cores.tick_freqs_ghz.reshape(ticks, n_nodes, -1)
-        node_ipc = cores.tick_ipc.reshape(ticks, n_nodes, -1)
-        per_node = self._per_node
-        states: List[NodeTickState] = []
-        for i, (node, physics) in enumerate(zip(self.nodes, spans)):
-            node._tick_utils = node_utils[:, i]
-            node._tick_freqs_ghz = node_freqs[:, i]
-            node._tick_ipc = node_ipc[:, i]
-            first = i * per_node
-            last = first + per_node
-            uncore_w = physics.uncore_w
-            monitor_w = node.monitor_power_w
-            time_s = node._time_s
-            # One (time, core, package, mean IPC, mean frequency) per tick.
-            per_tick = []
-            for power_w, mean_ipc, mean_freq in zip(
-                tick_power_w, cores.tick_mean_ipc, cores.tick_mean_freq_ghz
-            ):
-                time_s += dt_s
-                core_w = 0.0
-                for socket_w in power_w[first:last]:
-                    core_w += socket_w
-                per_tick.append(
-                    (
-                        time_s,
-                        core_w,
-                        # PowerBreakdown.package_w's sum, in its order.
-                        core_w + uncore_w + monitor_w,
-                        _socket_mean(mean_ipc[first:last]),
-                        _socket_mean(mean_freq[first:last]),
-                    )
-                )
-            node._time_s = time_s
-            times, core_ws, packages, ipcs, freqs = zip(*per_tick)
-            svc = physics.service
-            # Positional: a named tuple binds keywords several times slower.
-            state = NodeTickState(
-                time_s,
-                physics.demand_gbps,
-                svc.delivered_gbps,
-                svc.stretch,
-                PowerBreakdown(core_w, uncore_w, physics.dram_w, physics.gpu_w, monitor_w),
-                physics.uncore_target_ghz,
-                physics.uncore_effective_ghz,
-                ipcs[-1],
-                freqs[-1],
-                physics.gpu_sm_clock_ghz,
-                svc.served_fraction,
-                ticks,
-                times,
-                core_ws,
-                packages,
-                ipcs,
-                freqs,
-            )
-            node._last_state = state
-            states.append(state)
-        return states
+def _non_finite_dt(dt_s: float) -> HardwareError:
+    return HardwareError(f"dt must be finite, got {dt_s!r}")
 
 
 def _check_identical_parts(cpus: Sequence[CPUCoreModel]) -> None:

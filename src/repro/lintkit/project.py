@@ -90,6 +90,9 @@ class FunctionInfo:
     enclosing_locals: FrozenSet[str] = frozenset()
     #: Names bound inside this function (params, assignments, defs).
     local_names: FrozenSet[str] = frozenset()
+    #: Names its own ``global`` and ``nonlocal`` statements declare.
+    declared_global: FrozenSet[str] = frozenset()
+    declared_nonlocal: FrozenSet[str] = frozenset()
 
     @property
     def name(self) -> str:
@@ -347,6 +350,9 @@ class _OwnWalk(NamedTuple):
     #: Every name bound inside the function: parameters, assignment and
     #: ``del`` targets, imports, and the names of nested defs and classes.
     local_names: FrozenSet[str]
+    #: Names its ``global`` and ``nonlocal`` statements declare.
+    declared_global: FrozenSet[str]
+    declared_nonlocal: FrozenSet[str]
     #: Directly nested function definitions, in walk order.
     nested: List[FunctionNode]
     sites: OwnSites
@@ -363,6 +369,8 @@ def _walk_own(fn: FunctionNode) -> _OwnWalk:
     args = fn.args
     names = {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
     names.update(arg.arg for arg in (args.vararg, args.kwarg) if arg is not None)
+    declared_global: Set[str] = set()
+    declared_nonlocal: Set[str] = set()
     nested: List[FunctionNode] = []
     assignments: List[Tuple[Tuple[str, ...], ast.expr]] = []
     returns: List[ast.expr] = []
@@ -383,6 +391,10 @@ def _walk_own(fn: FunctionNode) -> _OwnWalk:
             names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, ast.Nonlocal):
+            declared_nonlocal.update(node.names)
         else:
             _add_own_site(node, assignments, returns)
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -392,7 +404,12 @@ def _walk_own(fn: FunctionNode) -> _OwnWalk:
                     candidates[target.id] = None if target.id in candidates else call
         stack.extend(_children(node))
     return _OwnWalk(
-        frozenset(names), nested, OwnSites(tuple(assignments), tuple(returns)), candidates
+        frozenset(names),
+        frozenset(declared_global),
+        frozenset(declared_nonlocal),
+        nested,
+        OwnSites(tuple(assignments), tuple(returns)),
+        candidates,
     )
 
 
@@ -517,6 +534,8 @@ class Project:
             params=params,
             enclosing_locals=enclosing,
             local_names=own.local_names,
+            declared_global=own.declared_global,
+            declared_nonlocal=own.declared_nonlocal,
         )
         self.functions[qualname] = info
         self._sites[id(node)] = own.sites

@@ -42,7 +42,7 @@ rule only cares about writes.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Optional, Set, Tuple, Type, Union
+from typing import FrozenSet, Iterator, Optional, Set, Tuple
 
 from repro.lintkit.core import Rule, Violation, last_segment
 from repro.lintkit.project import (
@@ -168,8 +168,8 @@ class ParallelSharedStateRule(Rule):
         self, project: Project, fn: FunctionInfo
     ) -> Iterator[Violation]:
         mod = project.modules[fn.module]
-        declared_global = self._declared(fn, ast.Global)
-        declared_nonlocal = self._declared(fn, ast.Nonlocal)
+        declared_global = fn.declared_global
+        declared_nonlocal = fn.declared_nonlocal
         mutable_defaults = _mutable_default_params(fn)
         for node in iter_own_nodes(fn.node.body):
             yield from self._check_bindings(mod, fn, node, declared_global, declared_nonlocal)
@@ -177,16 +177,6 @@ class ParallelSharedStateRule(Rule):
                 mod, fn, node, declared_global, declared_nonlocal, mutable_defaults
             )
             yield from self._check_class_store(project, mod, fn, node)
-
-    @staticmethod
-    def _declared(
-        fn: FunctionInfo, kind: Union[Type[ast.Global], Type[ast.Nonlocal]]
-    ) -> FrozenSet[str]:
-        names: Set[str] = set()
-        for node in iter_own_nodes(fn.node.body):
-            if isinstance(node, kind):
-                names.update(node.names)
-        return frozenset(names)
 
     def _check_bindings(
         self,

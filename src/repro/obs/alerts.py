@@ -56,6 +56,10 @@ SEV_WARN = "warn"
 SEV_PAGE = "page"
 _SEVERITIES = (SEV_WARN, SEV_PAGE)
 
+#: What a rule's check leaves for its detail text: a ``str.format``
+#: template, then the values it formats.
+Facts = Tuple[object, ...]
+
 _OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
@@ -115,13 +119,21 @@ class AlertRule:
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
-    ) -> Tuple[bool, float, str]:
-        """Evaluate on one label-set: (violated, observed value, detail).
+    ) -> Tuple[bool, float, Facts]:
+        """Evaluate on one label-set: (violated, observed value, facts).
 
         ``state`` is this (rule, label-set) pair's private mutable dict,
-        persisted across evaluations (hold timers, EWMA moments).
+        persisted across evaluations (hold timers, EWMA moments). ``facts``
+        are what :meth:`detail` formats: a ``str.format`` template and the
+        values it reads, kept unformatted because most checks flip nothing.
         """
         raise NotImplementedError
+
+    @staticmethod
+    def detail(facts: Facts) -> str:
+        """The detail text of a check's ``facts``; formatted only for a
+        transition."""
+        return facts[0].format(*facts[1:])
 
 
 class ThresholdRule(AlertRule):
@@ -146,19 +158,23 @@ class ThresholdRule(AlertRule):
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
-    ) -> Tuple[bool, float, str]:
+    ) -> Tuple[bool, float, Facts]:
         value = target.value_at(now_s)
         if value is None:
             state.pop("held_since", None)
-            return False, 0.0, "no data"
+            return False, 0.0, ("no data",)
         violated = _OPS[self.op](value, self.threshold)
         if not violated:
             state.pop("held_since", None)
-            return False, value, f"{value:.6g} !{self.op} {self.threshold:.6g}"
+            return False, value, ("{:.6g} !{} {:.6g}", value, self.op, self.threshold)
         held_since = state.setdefault("held_since", now_s)
         if now_s - held_since < self.for_s:
-            return False, value, f"holding since t={held_since:.6g}"
-        return True, value, f"{value:.6g} {self.op} {self.threshold:.6g} for {now_s - held_since:.6g}s"
+            return False, value, ("holding since t={:.6g}", held_since)
+        return (
+            True,
+            value,
+            ("{:.6g} {} {:.6g} for {:.6g}s", value, self.op, self.threshold, now_s - held_since),
+        )
 
 
 class BurnRateRule(AlertRule):
@@ -215,7 +231,7 @@ class BurnRateRule(AlertRule):
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
-    ) -> Tuple[bool, float, str]:
+    ) -> Tuple[bool, float, Facts]:
         t0 = now_s - self.window_s
         # Segments run from the window start to each distinct target
         # sample time inside the window, then to ``now_s``. Each segment
@@ -264,13 +280,17 @@ class BurnRateRule(AlertRule):
             value = values[i]
             i += 1
         if covered_s <= 0.0:
-            return False, 0.0, "no data in window"
+            return False, 0.0, ("no data in window",)
         frac = violating_s / self.window_s
         return (
             frac > self.burn_frac,
             frac,
-            f"violating {frac * 100:.1f}% of {self.window_s:.6g}s window "
-            f"(gate {self.burn_frac * 100:.1f}%)",
+            (
+                "violating {:.1f}% of {:.6g}s window (gate {:.1f}%)",
+                frac * 100,
+                self.window_s,
+                self.burn_frac * 100,
+            ),
         )
 
 
@@ -293,15 +313,15 @@ class AbsenceRule(AlertRule):
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
-    ) -> Tuple[bool, float, str]:
+    ) -> Tuple[bool, float, Facts]:
         latest = target.latest()
         if latest is None:
-            return False, 0.0, "never reported"
+            return False, 0.0, ("never reported",)
         age_s = now_s - latest[0]
         return (
             age_s > self.stale_after_s,
             age_s,
-            f"last sample {age_s:.6g}s ago (stale after {self.stale_after_s:.6g}s)",
+            ("last sample {:.6g}s ago (stale after {:.6g}s)", age_s, self.stale_after_s),
         )
 
 
@@ -336,7 +356,7 @@ class AnomalyRule(AlertRule):
 
     def check(
         self, tsdb: TimeSeriesDB, target: Series, now_s: float, state: Dict[str, float]
-    ) -> Tuple[bool, float, str]:
+    ) -> Tuple[bool, float, Facts]:
         last_seen = state.get("last_seen_s", float("-inf"))
         # Samples newer than the last one scored, none before t=0.
         if last_seen >= 0.0:
@@ -366,8 +386,12 @@ class AnomalyRule(AlertRule):
         return (
             worst_z > self.z_threshold,
             worst_z,
-            f"max |z| {worst_z:.3g} over {len(fresh)} new samples "
-            f"(gate {self.z_threshold:.3g})",
+            (
+                "max |z| {:.3g} over {} new samples (gate {:.3g})",
+                worst_z,
+                len(fresh),
+                self.z_threshold,
+            ),
         )
 
 
@@ -411,11 +435,12 @@ class AlertEngine:
             for target in rule.targets(self.tsdb):
                 key = (rule.name, target.labels)
                 state = self._state.setdefault(key, {})
-                violated, value, detail = rule.check(self.tsdb, target, now_s, state)
+                violated, value, facts = rule.check(self.tsdb, target, now_s, state)
                 was_firing = self._firing.get(key, False)
                 if violated == was_firing:
                     continue
                 self._firing[key] = violated
+                detail = rule.detail(facts)
                 event = AlertEvent(
                     time_s=now_s,
                     rule=rule.name,

@@ -311,10 +311,8 @@ def run_application(
 class BuiltRun:
     """One run as :func:`build_run` assembled it, not yet simulated.
 
-    Start ``engine`` on ``workload`` with ``max_time_s`` (or
-    :meth:`~repro.sim.engine.SimulationEngine.run` it), step it alone or in
-    a :func:`~repro.sim.engine.lockstep` with other runs, and hand its
-    result to :meth:`finish`.
+    :meth:`~repro.sim.engine.SimulationEngine.run` ``engine`` on
+    ``workload`` with ``max_time_s`` and hand its result to :meth:`finish`.
     """
 
     engine: SimulationEngine
@@ -416,8 +414,7 @@ def build_run(
 
     Builds the node, telemetry, daemon and engine of the run without
     simulating it. :func:`run_application` is ``build_run``, then the
-    engine's run, then :meth:`BuiltRun.finish`; fleets build many runs and
-    step them in :func:`~repro.sim.engine.lockstep`.
+    engine's run, then :meth:`BuiltRun.finish`.
     """
     if isinstance(preset, str):
         preset = get_preset(preset)

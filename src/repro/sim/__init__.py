@@ -13,8 +13,8 @@ models are built on:
   protocol and the standard observer stack (telemetry advancement, trace
   capture, scheduled-runtime firing),
 * :class:`~repro.sim.engine.SimulationEngine` — the engine core: clock +
-  physics step + observer dispatch; :func:`~repro.sim.engine.lockstep`
-  steps several started engines together.
+  physics step + observer dispatch, one run loop stepping one node on its
+  quiet spans.
 """
 
 from repro.sim.clock import SimClock
@@ -31,7 +31,7 @@ from repro.sim.observers import (
     core_freq_channels,
     standard_observers,
 )
-from repro.sim.engine import ScheduledRuntime, SimulationEngine, lockstep
+from repro.sim.engine import ScheduledRuntime, SimulationEngine
 
 __all__ = [
     "SimClock",
@@ -50,5 +50,4 @@ __all__ = [
     "standard_observers",
     "ScheduledRuntime",
     "SimulationEngine",
-    "lockstep",
 ]

@@ -9,6 +9,7 @@ integer tick counter plus a fixed tick width ``dt``.  Using integer ticks
 from __future__ import annotations
 
 from repro.errors import ClockError
+from repro.units import require_finite
 
 __all__ = ["SimClock"]
 
@@ -19,7 +20,7 @@ class SimClock:
     Parameters
     ----------
     dt:
-        Tick width in seconds. Must be positive. The default of 10 ms is a
+        Tick width in seconds. Must be finite and positive. The default of 10 ms is a
         good compromise: it is 20× finer than the 0.2 s monitoring interval
         of the runtimes under study while keeping multi-minute simulations
         cheap.
@@ -36,6 +37,9 @@ class SimClock:
     __slots__ = ("_dt", "_tick")
 
     def __init__(self, dt: float = 0.01) -> None:
+        # An infinite width passes the comparison below, and ``now`` would
+        # then read ``0 * inf``, NaN, at tick 0.
+        require_finite(dt, error=lambda d: ClockError(f"tick width must be finite, got {d!r}"))
         if not (dt > 0):
             raise ClockError(f"tick width must be positive, got {dt!r}")
         self._dt = float(dt)

@@ -43,6 +43,13 @@ def make_db(samples_by_series):
     return db
 
 
+def checked(rule, *args):
+    """``rule.check(*args)`` with its detail formatted, as the engine
+    formats it for a transition."""
+    violated, value, facts = rule.check(*args)
+    return violated, value, rule.detail(facts)
+
+
 SERIES = "repro.ts.test.value"
 
 
@@ -136,15 +143,15 @@ class TestThresholdRule:
         rule = ThresholdRule("repro.alert.test", SERIES, ">", 50.0, for_s=3.0)
         target = db.get(SERIES)
         state = {}
-        violated, _, detail = rule.check(db, target, 1.0, state)
+        violated, _, detail = checked(rule, db, target, 1.0, state)
         assert not violated and "holding" in detail
-        violated, _, _ = rule.check(db, target, 4.0, state)
+        violated, _, _ = checked(rule, db, target, 4.0, state)
         assert violated
 
     def test_no_data_before_first_sample(self):
         db = make_db({(SERIES, None): [(5.0, 100.0)]})
         rule = ThresholdRule("repro.alert.test", SERIES, ">", 50.0)
-        violated, _, detail = rule.check(db, db.get(SERIES), 1.0, {})
+        violated, _, detail = checked(rule, db, db.get(SERIES), 1.0, {})
         assert not violated and detail == "no data"
 
 
@@ -157,12 +164,12 @@ class TestBurnRateRule:
         strict = BurnRateRule(
             "repro.alert.test", SERIES, ">", window_s=5.0, burn_frac=0.5, threshold=50.0
         )
-        violated, frac, _ = strict.check(db, target, 10.0, {})
+        violated, frac, _ = checked(strict, db, target, 10.0, {})
         assert not violated and frac == pytest.approx(0.4)
         loose = BurnRateRule(
             "repro.alert.test", SERIES, ">", window_s=5.0, burn_frac=0.3, threshold=50.0
         )
-        violated, frac, _ = loose.check(db, target, 10.0, {})
+        violated, frac, _ = checked(loose, db, target, 10.0, {})
         assert violated and frac == pytest.approx(0.4)
 
     def test_threshold_series_matches_labels(self):
@@ -179,8 +186,8 @@ class TestBurnRateRule:
         )
         starved = db.get(SERIES, {"node": "0"})
         happy = db.get(SERIES, {"node": "1"})
-        assert rule.check(db, starved, 10.0, {})[0]
-        assert not rule.check(db, happy, 10.0, {})[0]
+        assert checked(rule, db, starved, 10.0, {})[0]
+        assert not checked(rule, db, happy, 10.0, {})[0]
 
     def test_threshold_series_labelless_fallback(self):
         cap = "repro.ts.test.cap"
@@ -192,7 +199,7 @@ class TestBurnRateRule:
             "repro.alert.test", SERIES, ">",
             window_s=5.0, burn_frac=0.5, threshold_series=cap,
         )
-        assert rule.check(db, db.get(SERIES, {"node": "2"}), 10.0, {})[0]
+        assert checked(rule, db, db.get(SERIES, {"node": "2"}), 10.0, {})[0]
 
     def test_missing_threshold_series_never_fires(self):
         db = make_db({(SERIES, None): [(float(t), 100.0) for t in range(11)]})
@@ -200,7 +207,7 @@ class TestBurnRateRule:
             "repro.alert.test", SERIES, ">",
             window_s=5.0, burn_frac=0.5, threshold_series="repro.ts.test.cap",
         )
-        violated, _, detail = rule.check(db, db.get(SERIES), 10.0, {})
+        violated, _, detail = checked(rule, db, db.get(SERIES), 10.0, {})
         assert not violated and detail == "no data in window"
 
 
@@ -344,7 +351,7 @@ class TestWalksMatchTheirReferences:
     def test_burn_rate_walk_equals_per_segment_reads(self, case):
         db, target, rule, nows = case
         for now in nows:
-            got = rule.check(db, target, now, {})
+            got = checked(rule, db, target, now, {})
             want = reference_burn_rate(rule, db, target, now)
             assert (got[0], repr(got[1]), got[2]) == (want[0], repr(want[1]), want[2]), now
 
@@ -356,7 +363,7 @@ class TestWalksMatchTheirReferences:
         db = TimeSeriesDB()
         state, ref_state = {}, {}
         for now in nows:
-            got = rule.check(db, target, now, state)
+            got = checked(rule, db, target, now, state)
             want = reference_anomaly(rule, target, now, ref_state)
             assert (got[0], repr(got[1]), got[2]) == (want[0], repr(want[1]), want[2])
             assert state == ref_state
@@ -379,7 +386,7 @@ class TestAbsenceRule:
         db = TimeSeriesDB()
         db.series(SERIES)  # exists but never reported
         rule = AbsenceRule("repro.alert.test", SERIES, stale_after_s=1.0)
-        violated, _, detail = rule.check(db, db.get(SERIES), 100.0, {})
+        violated, _, detail = checked(rule, db, db.get(SERIES), 100.0, {})
         assert not violated and detail == "never reported"
 
 

@@ -12,6 +12,7 @@ from repro.cluster.simulator import JOBS_PER_TASK
 from repro.errors import ExperimentError
 from repro.obs.exporters import render_prometheus
 from repro.obs.tsdb import canonical_state_bytes
+from repro.sim.engine import SimulationEngine
 
 
 def _bits(x: float) -> bytes:
@@ -133,31 +134,33 @@ class TestFleetRun:
             fleet_runs["default"].time_over_budget_s(0.0)
 
     def test_parallel_matches_serial(self):
-        # One worker steps the 17 jobs as tasks of 16 and 1 jobs, two
-        # workers as tasks of 9 and 8: the task widths differ as well.
+        # One worker runs the 17 jobs as tasks of 16 and 1 jobs, two workers
+        # as tasks of 9 and 8, three as tasks of 6, 6 and 5: the task widths
+        # differ as well.
         jobs = [
             ClusterJob(f"j{i:02d}", ("sort", "bfs", "srad")[i % 3], 0.2 * i, seed=i, max_time_s=0.6)
             for i in range(JOBS_PER_TASK + 1)
         ]
         sim = ClusterSimulator("intel_a100", jobs)
         serial = sim.run_fleet("magus", n_workers=1, obs=True, tsdb=True)
-        parallel = sim.run_fleet("magus", n_workers=2, obs=True, tsdb=True)
         assert [o.job for o in serial.outcomes] == jobs
-        assert [o.job for o in parallel.outcomes] == jobs
-        for a, b in zip(serial.outcomes, parallel.outcomes):
-            assert a.power_times_s.tobytes() == b.power_times_s.tobytes()
-            assert a.power_values_w.tobytes() == b.power_values_w.tobytes()
-            assert _bits(a.runtime_s) == _bits(b.runtime_s)
-            assert _bits(a.total_energy_j) == _bits(b.total_energy_j)
-            assert render_prometheus(a.metrics) == render_prometheus(b.metrics)
-            assert canonical_state_bytes(a.tsdb) == canonical_state_bytes(b.tsdb)
-        assert serial.aggregate_power_w.tobytes() == parallel.aggregate_power_w.tobytes()
-        assert render_prometheus(serial.metrics_rollup()) == render_prometheus(
-            parallel.metrics_rollup()
-        )
-        assert canonical_state_bytes(serial.tsdb_rollup()) == canonical_state_bytes(
-            parallel.tsdb_rollup()
-        )
+        for n_workers in (2, 3):
+            parallel = sim.run_fleet("magus", n_workers=n_workers, obs=True, tsdb=True)
+            assert [o.job for o in parallel.outcomes] == jobs
+            for a, b in zip(serial.outcomes, parallel.outcomes):
+                assert a.power_times_s.tobytes() == b.power_times_s.tobytes()
+                assert a.power_values_w.tobytes() == b.power_values_w.tobytes()
+                assert _bits(a.runtime_s) == _bits(b.runtime_s)
+                assert _bits(a.total_energy_j) == _bits(b.total_energy_j)
+                assert render_prometheus(a.metrics) == render_prometheus(b.metrics)
+                assert canonical_state_bytes(a.tsdb) == canonical_state_bytes(b.tsdb)
+            assert serial.aggregate_power_w.tobytes() == parallel.aggregate_power_w.tobytes()
+            assert render_prometheus(serial.metrics_rollup()) == render_prometheus(
+                parallel.metrics_rollup()
+            )
+            assert canonical_state_bytes(serial.tsdb_rollup()) == canonical_state_bytes(
+                parallel.tsdb_rollup()
+            )
 
 
 class _Submitted(Exception):
@@ -206,12 +209,11 @@ class TestTaskSplit:
 
     def test_a_task_drops_each_run_when_it_ends(self, monkeypatch):
         engines = []
-        start = simulator._start_job
+        init = SimulationEngine.__init__
 
-        def tracked_start(*args):
-            run = start(*args)
-            engines.append(weakref.ref(run.engine))
-            return run
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append(weakref.ref(self))
 
         alive_at_slim = []
         slim = simulator._slim
@@ -221,7 +223,7 @@ class TestTaskSplit:
             alive_at_slim.append(sum(engine() is not None for engine in engines))
             return slim(*args)
 
-        monkeypatch.setattr(simulator, "_start_job", tracked_start)
+        monkeypatch.setattr(SimulationEngine, "__init__", tracked_init)
         monkeypatch.setattr(simulator, "_slim", tracked_slim)
         jobs = [ClusterJob(f"j{i}", "srad", max_time_s=0.05 * (i + 1)) for i in range(4)]
         outcomes = simulator._run_job("intel_a100", jobs, "default", 0.01)

@@ -99,7 +99,7 @@ class TestStepCoresMatchesPerSocketFormulas:
         block = CoreBlock(cpus)
         for tick in range(25):
             stall, ratio = 1.0 - 0.03 * tick, 0.4 + 0.02 * tick
-            out = step_cores(block, [socket_util], [stall], [ratio])
+            out = step_cores(block, socket_util, stall, ratio)
             for s, (cpu, ref) in enumerate(zip(cpus, refs)):
                 ref.step(socket_util, stall, ratio)
                 _assert_socket_matches(cpu, ref)
@@ -121,7 +121,7 @@ class TestStepCoresMatchesPerSocketFormulas:
         mixed_ticks = 0
         for socket_util in (1e-3 / refs[0]._weights[0], 0.002, 1.0):
             for _ in range(60):
-                out = step_cores(block, [socket_util], [1.0], [1.0])
+                out = step_cores(block, socket_util, 1.0, 1.0)
                 kinds = []
                 for cpu, ref in zip(cpus, refs):
                     ref.step(socket_util, 1.0, 1.0)
@@ -138,7 +138,7 @@ class TestStepCoresMatchesPerSocketFormulas:
 
     def test_partial_rows_reduce_over_the_active_cores(self):
         cpus, refs = _stack("intel_a100", seed=3)
-        out = step_cores(CoreBlock(cpus), [0.002], [0.77], [0.93])
+        out = step_cores(CoreBlock(cpus), 0.002, 0.77, 0.93)
         for s, ref in enumerate(refs):
             ref.step(0.002, 0.77, 0.93)
             active = ref._utils > 1e-3
@@ -350,14 +350,11 @@ class _Oracle:
 
 
 def _step_checked(nodes, oracles, twins, utils) -> None:
-    """One tick of ``nodes`` (alone or as a batch), checked against the
-    oracles and against twins stepped alone."""
-    segments = [_segment(u) for u in utils]
-    if len(nodes) == 1:
-        states = [nodes[0].step(0.01, segments[0])]
-    else:
-        states = HeterogeneousNode.batch(nodes).step(0.01, segments)
-    for node, oracle, twin, segment, state in zip(nodes, oracles, twins, segments, states):
+    """One tick of each of ``nodes`` in turn, as a fleet task runs its jobs,
+    checked against the oracles and against twins stepped alone."""
+    for node, oracle, twin, util in zip(nodes, oracles, twins, utils):
+        segment = _segment(util)
+        state = node.step(0.01, segment)
         oracle.check(node, segment, state)
         assert twin.step(0.01, segment) == state
         assert twin.core_utils.tobytes() == node.core_utils.tobytes()
@@ -402,12 +399,13 @@ class TestBlockDraws:
 
 class TestCoreBlocksMatchTheReference:
     def test_alone_then_in_a_batch_then_alone(self):
+        # Node a alone, then in turn with two other nodes, then alone again:
+        # its 64-tick blocks must not notice the others.
         nodes, twins, oracles = _fleet("intel_a100", (1, 2, 3))
         a = nodes[:1]
         utils = [0.3, 0.3, 0.7, 0.3, 0.002, None, 0.3]
         for tick in range(10):
             _step_checked(a, oracles[:1], twins[:1], [utils[tick % 7]])
-        # A 3-node batch spans 21 ticks a block: three blocks and a bit.
         for tick in range(70):
             _step_checked(nodes, oracles, twins, [utils[(tick + k) % 7] for k in range(3)])
         # Alone again for more than one 64-tick block.
@@ -415,12 +413,20 @@ class TestCoreBlocksMatchTheReference:
             _step_checked(a, oracles[:1], twins[:1], [utils[(tick // 9) % 7]])
 
     def test_batches_that_share_a_node_keep_its_stream_in_order(self):
-        # Node a steps in a two-node batch, alone and in another batch in
-        # turn; each block must notice a's stream moved on without it.
+        # Node a steps in turn with node b, alone and in turn with node c,
+        # and its first socket also steps alone as a lone socket model
+        # between some of those ticks; the node's block must notice the
+        # socket's stream moved on without it.
         nodes, twins, oracles = _fleet("intel_max1550", (4, 5, 6))
         pair, other = nodes[:2], [nodes[0], nodes[2]]
         for tick in range(120):
             phase = tick % 11
+            if phase in (4, 8):
+                ref = oracles[0].refs[0]
+                ref.step(0.3, 0.9, 0.8)
+                for node in (nodes[0], twins[0]):
+                    node.cpu(0).step(0.3, 0.9, 0.8)
+                    _assert_socket_matches(node.cpu(0), ref)
             if phase < 5:
                 _step_checked(pair, oracles[:2], twins[:2], [0.4, 0.25])
             elif phase < 8:

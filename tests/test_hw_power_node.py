@@ -104,6 +104,12 @@ class TestNodeStep:
         with pytest.raises(HardwareError):
             a100_node.step(0.0, None)
 
+    @pytest.mark.parametrize("bad_dt", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dt_rejected(self, a100_node, bad_dt):
+        with pytest.raises(HardwareError, match="finite"):
+            a100_node.step(bad_dt, None)
+        assert a100_node.last_state is None
+
     def test_last_state_tracks(self, a100_node):
         assert a100_node.last_state is None
         state = a100_node.step(0.01, None)

@@ -1,13 +1,15 @@
-"""NodeBatch and lockstep: every run in a batch is its single run, byte for byte.
+"""Fleet tasks and the node step: every job a task runs is its single run.
 
-A batch steps its nodes' cores as one ``(Σ sockets, n_cores)`` stack and
-runs each node's scalar physics in turn; :func:`repro.sim.engine.lockstep`
-advances several runs one tick at a time around it. These tests run
-batches of 1, 2 and 17 runs on every preset, with idle runs, runs that
-complete their workload early and runs that stop at different horizons,
-and compare each run with the same run made alone by ``run_application``:
-every trace channel, the decisions, the metrics export, the TSDB state and
-the spans.
+A fleet task (``repro.cluster.simulator._run_job``) runs its batch of jobs
+one after another, each alone on its own node and its own quiet spans, and
+drops each run once it is slimmed. These tests run fleets of 1, 2 and 17
+jobs (17 is two tasks on one worker) on every preset, with jobs that
+complete early, jobs cut at their horizon and jobs that end within their
+first tick, and compare each job's outcome with the same job run alone by
+``run_application`` and slimmed: the power trace, runtime, energy, metrics
+export and TSDB state. They also check the node's span step against the
+same node stepped a tick at a time, what a node and its step refuse, and
+that a task holds one live run at a time.
 """
 
 import gc
@@ -17,84 +19,97 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.errors import HardwareError, SimulationError
+from repro.cluster import simulator
+from repro.cluster.job import ClusterJob
+from repro.cluster.simulator import GRID_S, ClusterSimulator, JobOutcome
+from repro.errors import HardwareError
 from repro.hw.cpu import CPUCoreModel
-from repro.hw.node import HeterogeneousNode, NodeBatch
+from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import get_preset
 from repro.obs.config import ObsConfig
 from repro.obs.exporters import render_prometheus
 from repro.obs.tsdb import canonical_state_bytes
-from repro.runtime.session import RunResult, build_run, make_governor, run_application
+from repro.runtime.session import RunResult, make_governor, run_application
 from repro.sim.clock import SimClock
-from repro.sim.engine import SimulationEngine, lockstep
-from repro.sim.observers import standard_observers
+from repro.sim.engine import SimulationEngine
+from repro.sim.observers import BaseTickObserver, standard_observers
 from repro.sim.rng import RngStreams
-from repro.workloads.base import Segment, Workload
-from repro.workloads.registry import get_workload
+from repro.workloads.base import Segment
 
 PRESETS = ("intel_a100", "intel_4a100", "intel_max1550", "amd_mi210")
 WIDTHS = (1, 2, 17)
-OBS = ObsConfig(enabled=True, metrics=True, spans=True, tsdb=True)
-#: (governor name, make_governor options), cycled over a batch's runs.
-GOVERNORS: Tuple[Tuple[str, Dict[str, float]], ...] = (
-    ("magus", {}),
-    ("ups", {}),
-    ("default", {}),
-    ("powercap", {"cap_w": 150.0}),
-)
+#: Each preset's fleet governor; ``run_fleet`` takes one name per fleet.
+GOVERNORS = {
+    "intel_a100": "magus",
+    "intel_4a100": "ups",
+    "intel_max1550": "default",
+    "amd_mi210": "magus",
+}
+#: A fleet job's observability, as ``run_fleet(obs=True, tsdb=True)`` sets it.
+FLEET_OBS = ObsConfig(enabled=True, metrics=True, spans=False, tsdb=True)
 
 
-def _spec(k: int) -> Dict[str, object]:
-    """Run ``k`` of a batch: its own seed, governor, workload and horizon.
+def fleet_job(k: int) -> ClusterJob:
+    """Job ``k`` of a fleet: its own seed, workload, start and horizon.
 
-    Every fifth run is idle; every third completes a shortened workload
-    before its horizon; the rest stop at horizons 70 ms apart.
+    Jobs 1, 5, 9 and 13 run their whole workload and complete; jobs 3 and
+    15 end within their first tick; the rest stop at horizons 70 ms apart.
     """
-    governor, options = GOVERNORS[k % len(GOVERNORS)]
-    workload: Optional[Workload]
-    if k % 5 == 4:
-        workload = None
-    elif k % 3 == 0:
-        workload = get_workload("srad", seed=k).scaled(0.02)
+    workload = ("unet", "srad", "bfs", "particlefilter_float", "gemm")[k % 5]
+    if k % 4 == 1:
+        horizon: Optional[float] = None
+    elif k % 12 == 3:
+        horizon = 0.004
     else:
-        workload = get_workload(("unet", "srad", "bfs")[k % 3], seed=k)
-    return {
-        "workload": workload,
-        "governor": (governor, options),
-        "seed": 1 + k,
-        "max_time_s": 0.35 + 0.07 * k,
-    }
+        horizon = 0.35 + 0.07 * k
+    return ClusterJob(f"job{k:02d}", workload, 0.5 * k, seed=1 + k, max_time_s=horizon)
 
 
-def _kwargs(spec: Dict[str, object]) -> Dict[str, object]:
-    return {"seed": spec["seed"], "max_time_s": spec["max_time_s"], "obs": OBS}
+def alone_outcome(preset: str, job: ClusterJob) -> JobOutcome:
+    """``job`` run alone by ``run_application``, slimmed as a fleet keeps it."""
+    governor = GOVERNORS[preset]
+    result = run_application(
+        preset,
+        job.workload,
+        make_governor(governor),
+        seed=job.seed,
+        dt_s=0.01,
+        max_time_s=job.max_time_s if job.max_time_s is not None else 600.0,
+        per_core_channels=False,
+        obs=FLEET_OBS,
+    )
+    trace = result.traces["total_w"].resample(GRID_S)
+    return JobOutcome(
+        job=job,
+        governor=governor,
+        runtime_s=result.runtime_s,
+        completed=result.completed,
+        total_energy_j=result.total_energy_j,
+        power_times_s=trace.times,
+        power_values_w=trace.values,
+        metrics=result.metrics,
+        tsdb=result.tsdb,
+    )
 
 
-def _governor(spec: Dict[str, object]):
-    name, options = spec["governor"]
-    return make_governor(name, **options)
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 
-def _alone(preset: str, k: int) -> RunResult:
-    spec = _spec(k)
-    return run_application(preset, spec["workload"], _governor(spec), **_kwargs(spec))
-
-
-def _batched(preset: str, width: int) -> List[RunResult]:
-    runs = []
-    for k in range(width):
-        spec = _spec(k)
-        run = build_run(preset, spec["workload"], _governor(spec), **_kwargs(spec))
-        run.engine.start(run.workload, max_time_s=run.max_time_s)
-        runs.append(run)
-    results: Dict[int, RunResult] = {}
-    for index, result in lockstep([run.engine for run in runs]):
-        assert index not in results
-        results[index] = runs[index].finish(result)
-    return [results[k] for k in range(width)]
+def _assert_same_outcome(fleet: JobOutcome, alone: JobOutcome) -> None:
+    assert fleet.job == alone.job
+    assert fleet.governor == alone.governor
+    assert fleet.power_times_s.tobytes() == alone.power_times_s.tobytes()
+    assert fleet.power_values_w.tobytes() == alone.power_values_w.tobytes()
+    assert _bits(fleet.runtime_s) == _bits(alone.runtime_s)
+    assert fleet.completed == alone.completed
+    assert _bits(fleet.total_energy_j) == _bits(alone.total_energy_j)
+    assert render_prometheus(fleet.metrics) == render_prometheus(alone.metrics)
+    assert canonical_state_bytes(fleet.tsdb) == canonical_state_bytes(alone.tsdb)
 
 
 def _assert_same_run(batched: RunResult, alone: RunResult) -> None:
+    """Two full runs agree on every channel, decision, metric, series and span."""
     assert sorted(batched.traces) == sorted(alone.traces)
     for name, series in alone.traces.items():
         other = batched.traces[name]
@@ -113,36 +128,52 @@ def _assert_same_run(batched: RunResult, alone: RunResult) -> None:
 
 
 @pytest.fixture(scope="module")
-def alone_runs() -> Dict[Tuple[str, int], RunResult]:
-    return {(p, k): _alone(p, k) for p in PRESETS for k in range(max(WIDTHS))}
+def alone_outcomes() -> Dict[Tuple[str, int], JobOutcome]:
+    return {(p, k): alone_outcome(p, fleet_job(k)) for p in PRESETS for k in range(max(WIDTHS))}
 
 
 class TestBatchedRunsMatchSingleRuns:
+    """A fleet's jobs, run by its tasks, each equal the same job run alone."""
+
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_every_run_is_its_single_run(self, preset, width, alone_runs):
-        batched = _batched(preset, width)
-        for k, run in enumerate(batched):
-            _assert_same_run(run, alone_runs[(preset, k)])
+    def test_every_run_is_its_single_run(self, preset, width, alone_outcomes):
+        jobs = [fleet_job(k) for k in range(width)]
+        fleet = ClusterSimulator(preset, jobs).run_fleet(
+            GOVERNORS[preset], n_workers=1, obs=True, tsdb=True
+        )
+        assert [o.job for o in fleet.outcomes] == jobs
+        for k, outcome in enumerate(fleet.outcomes):
+            _assert_same_outcome(outcome, alone_outcomes[(preset, k)])
 
-    def test_the_batch_mixes_idle_early_and_horizon_ends(self, alone_runs):
-        runs = [alone_runs[("intel_a100", k)] for k in range(max(WIDTHS))]
-        assert any(r.workload_name == "<idle>" for r in runs)
-        assert any(r.completed and r.workload_name != "<idle>" for r in runs)
-        assert any(not r.completed for r in runs)
-        assert len({len(r.traces["pkg_w"]) for r in runs}) > 10
+    def test_the_batch_mixes_idle_early_and_horizon_ends(self, alone_outcomes):
+        outcomes = [alone_outcomes[("intel_a100", k)] for k in range(max(WIDTHS))]
+        assert any(o.completed for o in outcomes)
+        assert any(not o.completed and o.runtime_s > GRID_S for o in outcomes)
+        assert any(o.runtime_s < 0.01 for o in outcomes)
+        assert len({o.runtime_s for o in outcomes}) > 10
+        # A fleet's idle node power is an idle run's.
+        idle = run_application(
+            "intel_a100", None, None, seed=0, dt_s=0.01, max_time_s=5.0, per_core_channels=False
+        )
+        fleet = ClusterSimulator("intel_a100", [fleet_job(0)])
+        assert _bits(fleet.idle_node_power_w(0.01)) == _bits(idle.avg_total_w)
 
 
 class TestNodeBatch:
+    """The node's span step, and what a node and its step refuse."""
+
     def _nodes(self, preset_name: str, n: int) -> List[HeterogeneousNode]:
         preset = get_preset(preset_name)
         return [preset.build_node(RngStreams(seed)) for seed in range(n)]
 
     @pytest.mark.parametrize("preset_name", PRESETS)
     def test_batch_step_matches_each_node_stepped_alone(self, preset_name):
-        batch_nodes = self._nodes(preset_name, 5)
-        alone = self._nodes(preset_name, 5)
-        batch = NodeBatch(batch_nodes)
+        # Nodes stepped in turn by spans of up to 7 ticks, each against a
+        # twin stepped a tick at a time: every tick's values and core state,
+        # and the span's last tick as the state.
+        nodes = self._nodes(preset_name, 5)
+        twins = self._nodes(preset_name, 5)
         segments = [
             None,
             Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.7, gpu_util=0.5),
@@ -150,45 +181,51 @@ class TestNodeBatch:
             Segment(1.0, 60.0, mem_intensity=0.9, cpu_util=1.0, gpu_util=0.0),
             Segment(1.0, 5.0, mem_intensity=0.3, cpu_util=0.002, gpu_util=0.2),
         ]
-        alone[3].force_uncore_all(alone[3].uncore_min_ghz)
-        batch_nodes[3].force_uncore_all(batch_nodes[3].uncore_min_ghz)
+        for group in (nodes, twins):
+            group[3].force_uncore_all(group[3].uncore_min_ghz)
+        spans = []
         for _ in range(30):
-            states = batch.step(0.01, segments)
-            for node, state, twin, segment in zip(batch_nodes, states, alone, segments):
-                expected = twin.step(0.01, segment)
-                assert state == expected
+            for node, twin, segment in zip(nodes, twins, segments):
+                state = node.step(0.01, segment, 7)
+                spans.append(state.ticks)
                 assert node.last_state is state
+                for j in range(state.ticks):
+                    expected = twin.step(0.01, segment)
+                    assert expected.ticks == 1
+                    assert _bits(state.tick_time_s[j]) == _bits(expected.time_s)
+                    assert _bits(state.tick_core_w[j]) == _bits(expected.power.core_w)
+                    assert _bits(state.tick_package_w[j]) == _bits(expected.power.package_w)
+                    assert _bits(state.tick_mean_ipc[j]) == _bits(expected.mean_ipc)
+                    assert _bits(state.tick_mean_core_freq_ghz[j]) == _bits(
+                        expected.mean_core_freq_ghz
+                    )
+                    for attr in ("core_utils", "core_freqs_ghz", "core_ipc"):
+                        rows = getattr(node, "tick_" + attr)
+                        assert rows[j].tobytes() == getattr(twin, attr).tobytes()
+                assert state[:11] == expected[:11]
                 for attr in ("core_utils", "core_freqs_ghz", "core_ipc"):
                     assert getattr(node, attr).tobytes() == getattr(twin, attr).tobytes()
                     assert getattr(node, attr).shape == (node.n_cores,)
-
-    def test_rejects_an_empty_batch(self):
-        with pytest.raises(HardwareError, match="at least one node"):
-            NodeBatch([])
-
-    def test_rejects_the_same_node_twice(self):
-        (node,) = self._nodes("intel_a100", 1)
-        with pytest.raises(HardwareError, match="twice"):
-            NodeBatch([node, node])
-
-    def test_rejects_different_socket_counts(self):
-        two_socket = self._nodes("intel_a100", 1)[0]
-        one_socket = HeterogeneousNode(
-            two_socket.sockets[:1], two_socket.memory, two_socket.gpus, name="half"
-        )
-        with pytest.raises(HardwareError, match="sockets"):
-            NodeBatch([two_socket, one_socket])
+        assert max(spans) > 1
 
     def test_rejects_different_parts(self):
+        (a100,) = self._nodes("intel_a100", 1)
+        (max1550,) = self._nodes("intel_max1550", 1)
         with pytest.raises(HardwareError, match="core count"):
-            NodeBatch(self._nodes("intel_a100", 1) + self._nodes("intel_max1550", 1))
+            HeterogeneousNode([a100.sockets[0], max1550.sockets[0]], a100.memory, a100.gpus)
 
-    def test_rejects_a_segment_count_mismatch_and_bad_dt(self):
-        batch = NodeBatch(self._nodes("intel_a100", 2))
-        with pytest.raises(HardwareError, match="segments"):
-            batch.step(0.01, [None])
-        with pytest.raises(HardwareError, match="dt"):
-            batch.step(0.0, [None, None])
+    def test_rejects_a_bad_dt(self):
+        (node,) = self._nodes("intel_a100", 1)
+        for dt_s, message in (
+            (0.0, "positive"),
+            (-0.01, "positive"),
+            (float("nan"), "finite"),
+            (float("inf"), "finite"),
+            (float("-inf"), "finite"),
+        ):
+            with pytest.raises(HardwareError, match=message):
+                node.step(dt_s, None, 4)
+        assert node.last_state is None and node.time_s == 0.0
 
     def test_a_lone_socket_model_still_steps_alone(self):
         cpu = CPUCoreModel(8, rng=np.random.default_rng(3))
@@ -197,50 +234,65 @@ class TestNodeBatch:
 
 
 class TestLockstep:
-    def _engine(self, dt_s: float = 0.01) -> SimulationEngine:
-        preset = get_preset("intel_a100")
-        node = preset.build_node(RngStreams(0))
-        return SimulationEngine(node, observers=standard_observers(node), clock=SimClock(dt_s))
+    """A fleet task's runs, one after another; the engine's recorder."""
 
-    def test_needs_started_engines(self):
-        with pytest.raises(SimulationError, match="start"):
-            list(lockstep([self._engine()]))
+    def _jobs(self, horizons) -> List[ClusterJob]:
+        return [
+            ClusterJob(f"j{k}", "srad", seed=k, max_time_s=horizon)
+            for k, horizon in enumerate(horizons)
+        ]
 
-    def test_runs_must_share_a_tick_width(self):
-        a, b = self._engine(0.01), self._engine(0.02)
-        a.start(None, max_time_s=0.1)
-        b.start(None, max_time_s=0.1)
-        with pytest.raises(SimulationError, match="tick width"):
-            list(lockstep([a, b]))
+    def test_results_arrive_as_runs_end(self, monkeypatch):
+        ended = []
+        slim = simulator._slim
 
-    def test_results_arrive_as_runs_end(self):
-        engines = [self._engine() for _ in range(3)]
-        for engine, horizon in zip(engines, (0.3, 0.1, 0.2)):
-            engine.start(None, max_time_s=horizon)
-        ended = [(index, len(result.recorder)) for index, result in lockstep(engines)]
-        assert ended == [(1, 10), (2, 20), (0, 30)]
+        def tracked(job, governor_name, result):
+            ended.append((job.name, len(result.traces["total_w"])))
+            return slim(job, governor_name, result)
+
+        monkeypatch.setattr(simulator, "_slim", tracked)
+        jobs = self._jobs((0.3, 0.1, 0.2))
+        outcomes = simulator._run_job("intel_a100", jobs, "default", 0.01)
+        # Each run ends, in job order, before the next one starts.
+        assert ended == [("j0", 30), ("j1", 10), ("j2", 20)]
+        assert [o.job for o in outcomes] == jobs
 
     def test_no_engines_is_no_results(self):
-        assert list(lockstep([])) == []
+        assert simulator._run_job("intel_a100", (), "default", 0.01) == []
 
-    def test_an_ended_run_is_not_kept(self):
-        engines = [self._engine() for _ in range(2)]
-        engines[0].start(None, max_time_s=0.1)
-        engines[1].start(None, max_time_s=0.3)
-        first = weakref.ref(engines[0])
-        steps = lockstep(engines)
-        del engines
-        index, result = next(steps)
-        assert index == 0
-        del result
-        index, result = next(steps)
-        assert index == 1
-        gc.collect()
-        assert first() is None
+    def test_an_ended_run_is_not_kept(self, monkeypatch):
+        # A task holds one live run: job k's engine is gone when job k + 1's
+        # engine is built.
+        engines: List[weakref.ref] = []
+        alive: List[int] = []
+        init = SimulationEngine.__init__
+
+        def tracked(self, *args, **kwargs):
+            gc.collect()
+            alive.append(sum(engine() is not None for engine in engines))
+            engines.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "__init__", tracked)
+        outcomes = simulator._run_job("intel_a100", self._jobs((0.1, 0.3, 0.2, 0.1)), "magus", 0.01)
+        assert len(outcomes) == 4
+        assert alive == [0, 0, 0, 0]
 
     def test_recorder_is_sized_to_the_horizon(self):
-        short, long = self._engine(), self._engine()
-        short.start(None, max_time_s=0.25)
-        long.start(None, max_time_s=60.0)
-        assert short.recorder._capacity == 26
-        assert long.recorder._capacity == 1024
+        capacities: List[int] = []
+
+        class _Capacity(BaseTickObserver):
+            def on_start(self, engine):
+                capacities.append(engine.recorder._capacity)
+
+            def quiet_ticks(self, limit: int) -> int:
+                return limit
+
+        preset = get_preset("intel_a100")
+        for horizon in (0.25, 60.0):
+            node = preset.build_node(RngStreams(0))
+            observers = standard_observers(node, extra=[_Capacity()])
+            SimulationEngine(node, observers=observers, clock=SimClock(0.01)).run(
+                None, max_time_s=horizon
+            )
+        assert capacities == [26, 1024]

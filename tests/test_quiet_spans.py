@@ -1,14 +1,15 @@
 """Quiet spans: a step of several ticks is those ticks stepped one by one.
 
-Between governor decisions a node's inputs repeat, so ``lockstep`` steps
-the ticks before the next runtime firing, segment roll, horizon, core-block
-end or fault-window edge as one span (DESIGN.md §6q). An observer without
+Between governor decisions a node's inputs repeat, so the engine steps the
+ticks before the next runtime firing, segment roll, horizon, core-block end
+or fault-window edge as one span (DESIGN.md §6q). An observer without
 the span hook (``quiet_ticks``) bounds every step of its run to one tick, so
 adding a no-op observer gives each run its tick-by-tick reference with no
 switch. These tests compare every channel, the decisions, the device
 counters, the incident log and the guard's records of the two, bit for bit,
 over the golden matrix's clean, faulted and guarded runs, the benchmark's
-faulted run and batches of 1, 2 and 17 runs, and pin each bound on its own.
+faulted run and every run of fleet tasks of 1, 2 and 17 jobs, and pin each
+bound on its own.
 """
 
 import copy
@@ -20,15 +21,16 @@ import numpy as np
 import pytest
 
 from repro.backends.latency import LatencyModel, LatencyParams
+from repro.cluster import simulator
 from repro.errors import SimulationError, WorkloadError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec, standard_campaign
-from repro.hw.node import NodeBatch
+from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import get_preset
 from repro.obs import ObsConfig
 from repro.runtime.session import BuiltRun, RunResult, build_run, make_governor
 from repro.sim.clock import SimClock
-from repro.sim.engine import SimulationEngine, lockstep
+from repro.sim.engine import SimulationEngine
 from repro.sim.observers import BaseTickObserver, RuntimeObserver, standard_observers
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
@@ -36,7 +38,8 @@ from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.rapl import RAPL_DRAM, RAPL_PKG
 from repro.workloads.base import Segment, Workload
 from repro.workloads.registry import get_workload
-from tests.test_node_batch import _assert_same_run, _governor, _kwargs, _spec
+from tests.test_node_batch import GOVERNORS as FLEET_GOVERNORS
+from tests.test_node_batch import _assert_same_run, fleet_job
 
 PRESETS = ("intel_a100", "intel_4a100", "intel_max1550", "amd_mi210")
 #: The golden matrix's governors (tests/data/gen_golden_manifest.py).
@@ -63,16 +66,16 @@ def _b(x) -> bytes:
 
 
 def _counting_steps(monkeypatch) -> List[int]:
-    """Record every ``NodeBatch.step``'s span length."""
+    """Record every ``HeterogeneousNode.step``'s span length."""
     spans: List[int] = []
-    inner = NodeBatch.step
+    inner = HeterogeneousNode.step
 
-    def counted(self, dt_s, segments, ticks=1):
-        states = inner(self, dt_s, segments, ticks)
-        spans.append(states[0].ticks)
-        return states
+    def counted(self, dt_s, segment, ticks=1):
+        state = inner(self, dt_s, segment, ticks)
+        spans.append(state.ticks)
+        return state
 
-    monkeypatch.setattr(NodeBatch, "step", counted)
+    monkeypatch.setattr(HeterogeneousNode, "step", counted)
     return spans
 
 
@@ -209,25 +212,36 @@ class TestSpansMatchTheTickByTickRun:
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("width", (1, 2, 17))
     def test_batches(self, preset, width, monkeypatch):
+        # Every run a fleet task of ``width`` jobs finishes, before it is
+        # slimmed, against the same task's runs stepped tick by tick.
         spans = _counting_steps(monkeypatch)
-        results = []
-        for tick_by_tick in (False, True):
-            runs = []
-            for k in range(width):
-                spec = _spec(k)
-                run = build_run(preset, spec["workload"], _governor(spec), **_kwargs(spec))
-                if tick_by_tick:
-                    run.engine.observers.append(_TickByTick())
-                run.engine.start(run.workload, max_time_s=run.max_time_s)
-                runs.append(run)
-            finished: Dict[int, RunResult] = {}
-            for index, result in lockstep([run.engine for run in runs]):
-                finished[index] = runs[index].finish(result)
-            results.append([finished[k] for k in range(width)])
-            if not tick_by_tick:
-                assert max(spans) > 1
-        for spanned, reference in zip(*results):
-            _assert_same_run(spanned, reference)
+        finished: List[RunResult] = []
+        slim = simulator._slim
+
+        def kept(job, governor_name, result):
+            finished.append(result)
+            return slim(job, governor_name, result)
+
+        monkeypatch.setattr(simulator, "_slim", kept)
+        jobs = [fleet_job(k) for k in range(width)]
+        governor = FLEET_GOVERNORS[preset]
+        simulator._run_job(preset, jobs, governor, 0.01, obs=True, tsdb=True)
+        spanned = list(finished)
+        assert max(spans) > 1
+        finished.clear()
+        run = SimulationEngine.run
+
+        def tick_by_tick(self, *args, **kwargs):
+            self.observers.append(_TickByTick())
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run", tick_by_tick)
+        spans.clear()
+        simulator._run_job(preset, jobs, governor, 0.01, obs=True, tsdb=True)
+        assert set(spans) == {1}
+        assert len(spanned) == len(finished) == width
+        for spanned_run, reference in zip(spanned, finished):
+            _assert_same_run(spanned_run, reference)
 
 
 class TestCoverage:

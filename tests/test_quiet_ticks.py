@@ -1,10 +1,10 @@
 """Quiet ticks: a node tick reuses its physics while its inputs repeat.
 
-``NodeBatch.step`` keeps each node's last recomputed scalar physics (memory
-service, stall factor, uncore ratio, uncore, DRAM and GPU power) and reuses
-it while the segment object and every socket's effective and target uncore
-frequency repeat. ``step_cores`` derives IPC rows a block at a time per
-utilisation vector and IPC levels. These tests pin what the key must hold
+``HeterogeneousNode.step`` keeps the node's last recomputed scalar physics
+(memory service, stall factor, uncore ratio, uncore, DRAM and GPU power) and
+reuses it while the segment object and every socket's effective and target
+uncore frequency repeat. ``step_cores`` derives IPC rows a block at a time
+per utilisation and IPC level. These tests pin what the key must hold
 (the segment by identity, every socket's frequencies, the IPC levels) and
 what must stay per tick (``monitor_w``), and that a settled run mostly hits.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.hw.cpu import CoreBlock, step_cores
 from repro.hw.memory import MemorySubsystem
-from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import intel_a100
 from repro.runtime.session import make_governor, run_application
 from repro.sim.rng import RngStreams
@@ -88,11 +87,14 @@ class TestHits:
         assert services[0] <= 0.05 * ticks
 
     def test_the_memo_outlives_the_batch(self, monkeypatch):
+        # The memo is the node's own: it outlives each step, of a tick or
+        # of a span, and nodes stepped in turn keep their own.
         a, b = (intel_a100().build_node(RngStreams(seed)) for seed in (4, 5))
         seg = Segment(1.0, 20.0, mem_intensity=0.6, cpu_util=0.3, gpu_util=0.5)
         a.step(0.01, seg)
         services = _counting(monkeypatch, MemorySubsystem, "service")
-        HeterogeneousNode.batch([a, b]).step(0.01, [seg, seg])
+        for node in (a, b, a):
+            node.step(0.01, seg, 8)
         # Only b, stepped for the first time, derives its physics.
         assert services[0] == 1
 
@@ -102,22 +104,21 @@ class TestIPCRows:
     @pytest.mark.parametrize("period", [1, 2, 3])
     @pytest.mark.parametrize("width", [1, 3])
     def test_levels_alternating_under_one_utilisation(self, util, period, width):
-        # One utilisation vector for 150 ticks, so every core row comes from
-        # the block; only the IPC levels alternate.
+        # One utilisation for 150 ticks, so every core row comes from the
+        # block; only the IPC level alternates. The stack holds the sockets
+        # of ``width`` nodes: 64-tick blocks for one, 21-tick ones for three.
         nodes = [intel_a100().build_node(RngStreams(seed)) for seed in range(width)]
         cpus = [cpu for node in nodes for cpu, _ in node.sockets]
-        per_node = len(cpus) // width
         block = CoreBlock(cpus)
         kept = []
         for tick in range(150):
             phase = (tick // period) % 2
-            stalls = [(0.6, 0.9)[phase] + 0.01 * k for k in range(width)]
-            ratios = [(0.5, 1.0)[phase]] * width
-            out = step_cores(block, [util] * width, stalls, ratios)
+            stall = (0.6, 0.9)[phase]
+            ratio = (0.5, 1.0)[phase]
+            out = step_cores(block, util, stall, ratio)
             for s, cpu in enumerate(cpus):
-                k = s // per_node
-                level = cpu.peak_ipc * clamp(stalls[k], 0.05, 1.0) * (
-                    0.88 + 0.12 * clamp(ratios[k], 0.0, 1.0)
+                level = cpu.peak_ipc * clamp(stall, 0.05, 1.0) * (
+                    0.88 + 0.12 * clamp(ratio, 0.0, 1.0)
                 )
                 active = out.utils[s] > 1e-3
                 expected = np.where(active, level, 0.0)

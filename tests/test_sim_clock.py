@@ -20,6 +20,17 @@ class TestConstruction:
         with pytest.raises(ClockError):
             SimClock(dt=bad_dt)
 
+    @pytest.mark.parametrize("bad_dt", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_dt_rejected(self, bad_dt):
+        with pytest.raises(ClockError, match="finite"):
+            SimClock(dt=bad_dt)
+
+    def test_a_run_refuses_an_infinite_dt(self):
+        from repro.runtime.session import run_application
+
+        with pytest.raises(ClockError, match="finite"):
+            run_application("intel_a100", None, None, dt_s=float("inf"), max_time_s=1.0)
+
 
 class TestAdvance:
     def test_single_tick(self):

@@ -275,12 +275,7 @@ class TestObserverAPI:
 
         from repro.sim import engine as engine_module
 
-        for func_obj in (
-            engine_module.SimulationEngine.run,
-            engine_module.SimulationEngine.start,
-            engine_module.lockstep,
-            engine_module._step_runs,
-        ):
+        for func_obj in (engine_module.SimulationEngine.run, engine_module._span):
             tree = ast.parse(textwrap.dedent(inspect.getsource(func_obj)))
             func = tree.body[0]
             body = func.body[1:] if isinstance(func.body[0], ast.Expr) else func.body
