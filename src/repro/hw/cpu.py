@@ -40,8 +40,8 @@ from repro.errors import PowerModelError
 
 __all__ = ["CPUPowerParams", "CPUCoreModel", "CoreBlock", "CoreStep", "step_cores", "BLOCK_ROWS"]
 
-#: Socket rows a :class:`CoreBlock` spans: 128 ticks of a 1-socket node, 64
-#: of a 2-socket node, 32 of a 4-socket node.
+#: Socket rows a :class:`CoreBlock` spans: 64 ticks of a 2-socket node (every
+#: preset), 128 of a socket stepped alone.
 BLOCK_ROWS = 128
 
 

@@ -29,7 +29,7 @@ from repro.hw.presets import get_preset
 from repro.obs.config import ObsConfig
 from repro.obs.exporters import render_prometheus
 from repro.obs.tsdb import canonical_state_bytes
-from repro.runtime.session import RunResult, make_governor, run_application
+from repro.runtime.session import BuiltRun, RunResult, make_governor, run_application
 from repro.sim.clock import SimClock
 from repro.sim.engine import SimulationEngine
 from repro.sim.observers import BaseTickObserver, standard_observers
@@ -214,6 +214,11 @@ class TestNodeBatch:
         with pytest.raises(HardwareError, match="core count"):
             HeterogeneousNode([a100.sockets[0], max1550.sockets[0]], a100.memory, a100.gpus)
 
+    def test_rejects_a_node_without_sockets(self):
+        (node,) = self._nodes("intel_a100", 1)
+        with pytest.raises(HardwareError, match="at least one socket"):
+            HeterogeneousNode([], node.memory, node.gpus)
+
     def test_rejects_a_bad_dt(self):
         (node,) = self._nodes("intel_a100", 1)
         for dt_s, message in (
@@ -261,21 +266,28 @@ class TestLockstep:
         assert simulator._run_job("intel_a100", (), "default", 0.01) == []
 
     def test_an_ended_run_is_not_kept(self, monkeypatch):
-        # A task holds one live run: job k's engine is gone when job k + 1's
-        # engine is built.
-        engines: List[weakref.ref] = []
+        # A task holds one live run: job k's engine and its full result are
+        # gone when job k + 1's engine is built.
+        runs: List[weakref.ref] = []
         alive: List[int] = []
         init = SimulationEngine.__init__
+        finish = BuiltRun.finish
 
-        def tracked(self, *args, **kwargs):
+        def tracked_init(self, *args, **kwargs):
             gc.collect()
-            alive.append(sum(engine() is not None for engine in engines))
-            engines.append(weakref.ref(self))
+            alive.append(sum(run() is not None for run in runs))
+            runs.append(weakref.ref(self))
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(SimulationEngine, "__init__", tracked)
+        def tracked_finish(self, result):
+            run = finish(self, result)
+            runs.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(SimulationEngine, "__init__", tracked_init)
+        monkeypatch.setattr(BuiltRun, "finish", tracked_finish)
         outcomes = simulator._run_job("intel_a100", self._jobs((0.1, 0.3, 0.2, 0.1)), "magus", 0.01)
-        assert len(outcomes) == 4
+        assert len(outcomes) == 4 and len(runs) == 8
         assert alive == [0, 0, 0, 0]
 
     def test_recorder_is_sized_to_the_horizon(self):
