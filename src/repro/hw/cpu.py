@@ -19,13 +19,13 @@ reproduction:
 
 :func:`step_cores` advances a stack of identical sockets at once: socket
 ``s`` is row ``s`` of ``(n_sockets, n_cores)`` arrays, so a node pays each
-NumPy call once per step rather than once per socket. What depends only on utilisation and the
-jitter (utilisation, frequency, activity and power per core) is derived a
-:class:`CoreBlock` of ticks at a time, and so is the IPC under each IPC
-level, which carries the memory stalls and the uncore ratio; only the mean
-IPC of a partially active socket is per tick. One call steps a span of
-ticks under one operating point, a single tick being the span of one.
-:meth:`CPUCoreModel.step` is the same function on a stack of one.
+NumPy call once per step rather than once per socket. What depends only on
+utilisation and the jitter (utilisation, frequency, activity and power per
+core) is derived a :class:`CoreBlock` of ticks at a time, and so is the IPC
+under each IPC level, which carries the memory stalls and the uncore ratio;
+only the mean IPC of a partially active socket is per tick. One call steps
+a span of ticks under one operating point, a single tick being the span of
+one. :meth:`CPUCoreModel.step` is the same function on a stack of one.
 """
 
 from __future__ import annotations
@@ -239,10 +239,10 @@ class CoreBlock:
 
     The stack holds a node's sockets (or one socket stepped alone), all of
     one part (core count, DVFS range, peak IPC and power coefficients). A
-    block spans ``ticks = max(1, BLOCK_ROWS // sockets)`` ticks. It starts by taking each
-    socket's next ``ticks`` jitter rows (drawing any the socket has not
-    drawn yet) into a ``(ticks, sockets, n_cores)`` stack. Each tick steps
-    every socket one row through its stream.
+    block spans ``ticks = max(1, BLOCK_ROWS // sockets)`` ticks. It starts
+    by taking each socket's next ``ticks`` jitter rows (drawing any the
+    socket has not drawn yet) into a ``(ticks, sockets, n_cores)`` stack.
+    Each tick steps every socket one row through its stream.
 
     Rows are derived per utilisation: the first time a utilisation is used
     in a block, :func:`step_cores` derives the current tick's row alone; the
@@ -252,9 +252,9 @@ class CoreBlock:
     per utilisation and IPC level. The utilisation and level of a block's
     last tick count as used once in the next block. A fresh utilisation
     every tick therefore costs one row per tick, as a block of one tick
-    would. A span never runs past the
-    block's last tick. Derived arrays are never written, so each tick's
-    views stay valid after the block moves on.
+    would. A span never runs past the block's last tick. Derived arrays are
+    never written, so each tick's views stay valid after the block moves
+    on.
 
     A block is keyed on each socket's stream position at its start. When a
     socket has been stepped by another block since (the socket stepped

@@ -298,7 +298,9 @@ class HeterogeneousNode:
             # A switch latency still running changes the target later.
             ticks = 1
 
-        cores = step_cores(self._block, physics.cpu_util, physics.stall, physics.uncore_ratio, ticks)
+        cores = step_cores(
+            self._block, physics.cpu_util, physics.stall, physics.uncore_ratio, ticks
+        )
         tick_power_w = cores.tick_power_w
         ticks = len(tick_power_w)
         self._tick_utils = cores.tick_utils.reshape(ticks, -1)
