@@ -145,7 +145,7 @@ class TestThresholdRule:
         state = {}
         violated, _, detail = checked(rule, db, target, 1.0, state)
         assert not violated and "holding" in detail
-        violated, _, _ = checked(rule, db, target, 4.0, state)
+        violated, _, _ = rule.check(db, target, 4.0, state)
         assert violated
 
     def test_no_data_before_first_sample(self):
@@ -164,12 +164,12 @@ class TestBurnRateRule:
         strict = BurnRateRule(
             "repro.alert.test", SERIES, ">", window_s=5.0, burn_frac=0.5, threshold=50.0
         )
-        violated, frac, _ = checked(strict, db, target, 10.0, {})
+        violated, frac, _ = strict.check(db, target, 10.0, {})
         assert not violated and frac == pytest.approx(0.4)
         loose = BurnRateRule(
             "repro.alert.test", SERIES, ">", window_s=5.0, burn_frac=0.3, threshold=50.0
         )
-        violated, frac, _ = checked(loose, db, target, 10.0, {})
+        violated, frac, _ = loose.check(db, target, 10.0, {})
         assert violated and frac == pytest.approx(0.4)
 
     def test_threshold_series_matches_labels(self):
@@ -186,8 +186,8 @@ class TestBurnRateRule:
         )
         starved = db.get(SERIES, {"node": "0"})
         happy = db.get(SERIES, {"node": "1"})
-        assert checked(rule, db, starved, 10.0, {})[0]
-        assert not checked(rule, db, happy, 10.0, {})[0]
+        assert rule.check(db, starved, 10.0, {})[0]
+        assert not rule.check(db, happy, 10.0, {})[0]
 
     def test_threshold_series_labelless_fallback(self):
         cap = "repro.ts.test.cap"
@@ -199,7 +199,7 @@ class TestBurnRateRule:
             "repro.alert.test", SERIES, ">",
             window_s=5.0, burn_frac=0.5, threshold_series=cap,
         )
-        assert checked(rule, db, db.get(SERIES, {"node": "2"}), 10.0, {})[0]
+        assert rule.check(db, db.get(SERIES, {"node": "2"}), 10.0, {})[0]
 
     def test_missing_threshold_series_never_fires(self):
         db = make_db({(SERIES, None): [(float(t), 100.0) for t in range(11)]})
