@@ -132,14 +132,14 @@ class HeterogeneousNode:
             raise HardwareError(f"cpu_mem_coupling must be in [0, 1], got {cpu_mem_coupling!r}")
         self.cpu_mem_coupling = float(cpu_mem_coupling)
         self.sockets: List[Tuple[CPUCoreModel, UncoreModel]] = list(sockets)
-        self._cpus = tuple(cpu for cpu, _ in self.sockets)
-        _check_identical_parts(self._cpus)
-        self._block = CoreBlock(self._cpus)
+        cpus = tuple(cpu for cpu, _ in self.sockets)
+        _check_identical_parts(cpus)
+        self._block = CoreBlock(cpus)
         # Per-core state in global core order, one row per tick of the
         # latest step; each step replaces these.
-        self._tick_utils = np.concatenate([cpu.core_utils for cpu in self._cpus])[None]
-        self._tick_freqs_ghz = np.concatenate([cpu.core_freqs_ghz for cpu in self._cpus])[None]
-        self._tick_ipc = np.concatenate([cpu.core_ipc for cpu in self._cpus])[None]
+        self._tick_utils = np.concatenate([cpu.core_utils for cpu in cpus])[None]
+        self._tick_freqs_ghz = np.concatenate([cpu.core_freqs_ghz for cpu in cpus])[None]
+        self._tick_ipc = np.concatenate([cpu.core_ipc for cpu in cpus])[None]
         self.memory = memory
         self.gpus = gpus
         self.tdp_w_per_socket = float(tdp_w_per_socket)
