@@ -13,6 +13,7 @@ process, so neither depends on the machine's absolute speed:
 End-to-end throughput is measured by ``benchmarks/suite`` instead.
 """
 
+import statistics
 import time
 
 from repro.hw.presets import intel_a100
@@ -74,7 +75,17 @@ def test_obs_overhead_under_five_percent(benchmark):
     instrumented_s = min(instrumented_times)
     assert instrumented.metrics is not None and len(instrumented.spans) > 0
 
+    # Every round, so a failure shows whether one slow round or a steady
+    # cost moved the minima; the gate itself reads only the minima.
+    ratios = [i / b for b, i in zip(baseline_times, instrumented_times)]
+    for k, (b, i, ratio) in enumerate(zip(baseline_times, instrumented_times, ratios)):
+        print(
+            f"\nround {k}: disabled {b * 1e3:.1f} ms, instrumented {i * 1e3:.1f} ms, "
+            f"ratio {ratio:.3f}",
+            end="",
+        )
     print(
+        f"\nmedian paired ratio {statistics.median(ratios):.3f}"
         f"\nobs overhead: instrumented {instrumented_s * 1e3:.1f} ms vs "
         f"disabled {baseline_s * 1e3:.1f} ms CPU per run "
         f"({(instrumented_s / baseline_s - 1) * 100:+.1f}% run time)"

@@ -14,6 +14,7 @@ which the golden-trace suite pins bit-for-bit.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.backends.latency import LatencyModel
@@ -33,14 +34,16 @@ class SimBackend:
     ----------
     hub:
         The hub whose devices the backend writes; it builds the backend
-        with itself.
+        with itself. The backend holds it weakly, so a hub and its backend
+        form no reference cycle and a dropped run is freed without the
+        cyclic garbage collector.
     latency:
         Switch-latency model; omitted means the zero model (every switch
         is instantaneous and charges nothing).
     """
 
     def __init__(self, hub: "TelemetryHub", latency: Optional[LatencyModel] = None) -> None:
-        self._hub = hub
+        self._hub = weakref.proxy(hub)
         self._latency = latency if latency is not None else LatencyModel.zero()
         #: Actuations that reached the device and returned.
         self.switch_count = 0
@@ -78,9 +81,11 @@ class SimBackend:
         """Count ticks spent settling (latency window or slew ramp).
 
         Counts every tick of the node's latest step. A step of several ticks
-        holds the uncore settled throughout, so its last tick speaks for all
-        of them. Purely observational: nothing here feeds back into
-        simulated state, so the zero-latency path stays bit-identical.
+        starts with every socket settled (effective frequency equal to
+        target, nothing pending) and nothing re-targets a socket before the
+        step's observers have run, so its last tick speaks for all of them.
+        Purely observational: nothing here feeds back into simulated state,
+        so the zero-latency path stays bit-identical.
         """
         node = self._hub.node
         for _, unc in node.sockets:

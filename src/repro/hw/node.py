@@ -6,9 +6,12 @@ it (through the MSR layer).  It owns no policy — the uncore target is
 whatever was last written, exactly like real hardware.
 
 A node steps a span of ticks at a time, a single tick being the span of
-one; its sockets' cores step as one stack. A node whose inputs repeat its
-last recomputed tick's reuses that tick's scalar physics
-(:class:`_TickPhysics`).
+one; its sockets' cores step as one stack. The span's first tick is
+settled first (:meth:`HeterogeneousNode.settle`): the uncore slew, then
+the tick's scalar physics, reused from the last recomputed tick while the
+inputs repeat (:class:`_TickPhysics`). A node whose sockets are all
+settled may span; one with a slewing socket or a pending switch steps a
+tick at a time.
 """
 
 from __future__ import annotations
@@ -157,6 +160,9 @@ class HeterogeneousNode:
         self._time_s = 0.0
         # The last recomputed tick's physics.
         self._physics: Optional[_TickPhysics] = None
+        # The settled first tick of the next step: its dt, segment and
+        # whether the node is steady (see settle).
+        self._settled: Optional[Tuple[float, Optional["Segment"], bool]] = None
 
     # ------------------------------------------------------------------
     # Uncore control surface (what MSR 0x620 writes reach)
@@ -252,39 +258,31 @@ class HeterogeneousNode:
     # ------------------------------------------------------------------
     # Simulation step
     # ------------------------------------------------------------------
-    def step(self, dt_s: float, segment: Optional["Segment"], ticks: int = 1) -> NodeTickState:
-        """Advance the node by a span of ticks of ``dt_s`` under the given
-        workload segment.
+    def settle(self, dt_s: float, segment: Optional["Segment"]) -> Tuple[float, bool]:
+        """Settle the first tick of the node's next step of ``dt_s`` under
+        ``segment``: slew every socket's uncore, then reuse the last
+        recomputed tick's scalar physics while the segment and the sockets'
+        uncore frequencies repeat (DESIGN.md §6p), or derive them.
 
-        Passing ``segment=None`` models an idle node (no application), used
-        by the Table 2 overhead experiments. The scalar physics runs first:
-        the uncore slew, then memory service, stall factor, uncore ratio,
-        uncore, DRAM and GPU power, reused from the last recomputed tick
-        while the segment and the sockets' uncore frequencies repeat
-        (DESIGN.md §6p). The sockets' cores then step as one
-        :func:`~repro.hw.cpu.step_cores` stack, their jitter-driven state
-        derived a :class:`~repro.hw.cpu.CoreBlock` of ticks at a time; then
-        come the per-tick power, means and times, the power breakdown and
-        the state.
-
-        The span is ``ticks`` ticks when the tick reuses the last recomputed
-        physics (which a slewing socket never does) and no socket has a
-        pending target, so its later ticks repeat the first's inputs; it is
-        cut short where the core block ends, and is one tick otherwise
-        (DESIGN.md §6q). The state's ``ticks`` says how many.
+        Returns the tick's roofline stretch and whether the node is steady:
+        every socket settled, its effective uncore frequency equal to its
+        target and no target pending. A steady node's later ticks repeat
+        this tick's inputs, so its next step may span them (DESIGN.md §6q).
+        The next :meth:`step` must take the same ``dt_s`` and segment.
         """
         # NaN passes the comparison below; an infinite dt makes every time
         # infinite or NaN.
         require_finite(dt_s, error=_non_finite_dt)
         if dt_s <= 0:
             raise HardwareError(f"dt must be positive, got {dt_s!r}")
-        # Each socket's slew returns its new effective frequency. A slewing
-        # socket moves it every tick, so its tick never matches the last
-        # recomputed one; a matching socket is settled and, with nothing
-        # pending, keeps its frequency: the slew of a span's first tick is
-        # the slew of all of them.
-        effective = [unc.step(dt_s) for _, unc in self.sockets]
-        target = [unc.target_ghz for _, unc in self.sockets]
+        if self._settled is not None:
+            raise HardwareError("the node's next step is already settled")
+        # Each socket's slew returns its new effective frequency. A settled
+        # socket with nothing pending keeps it: the slew of a span's first
+        # tick is the slew of all of them.
+        sockets = self.sockets
+        effective = [unc.step(dt_s) for _, unc in sockets]
+        target = [unc.target_ghz for _, unc in sockets]
         physics = self._physics
         if (
             physics is None
@@ -293,11 +291,49 @@ class HeterogeneousNode:
             or physics.target_ghz != target
         ):
             physics = self._physics = self._derive_physics(segment, effective, target)
-            ticks = 1
-        elif ticks > 1 and any(unc.pending_target_ghz is not None for _, unc in self.sockets):
-            # A switch latency still running changes the target later.
-            ticks = 1
+        # A switch latency still running changes the target later.
+        steady = effective == target
+        if steady:
+            for _, unc in sockets:
+                if unc.pending_target_ghz is not None:
+                    steady = False
+                    break
+        self._settled = (dt_s, segment, steady)
+        return physics.service.stretch, steady
 
+    def step(self, dt_s: float, segment: Optional["Segment"], ticks: int = 1) -> NodeTickState:
+        """Advance the node by a span of ticks of ``dt_s`` under the given
+        workload segment.
+
+        Passing ``segment=None`` models an idle node (no application), used
+        by the Table 2 overhead experiments. The span's first tick is the
+        one :meth:`settle` settled; a step without a prior settle settles
+        itself, and one whose ``dt_s`` or segment is not the settle's
+        raises. The sockets' cores then step as one
+        :func:`~repro.hw.cpu.step_cores` stack, their jitter-driven state
+        derived a :class:`~repro.hw.cpu.CoreBlock` of ticks at a time; then
+        come the per-tick power, means and times, the power breakdown and
+        the state.
+
+        A span of more than one tick needs a steady node (:meth:`settle`),
+        whose later ticks repeat the first's inputs; a span over a node that
+        is not steady raises. The span is cut short where the core block
+        ends (DESIGN.md §6q); the state's ``ticks`` says how many it took.
+        """
+        settled = self._settled
+        if settled is None:
+            self.settle(dt_s, segment)
+            settled = self._settled
+        self._settled = None
+        settled_dt_s, settled_segment, steady = settled
+        if settled_dt_s != dt_s or settled_segment is not segment:
+            raise HardwareError(
+                f"a step of {dt_s!r} s under {segment!r} after a settle of "
+                f"{settled_dt_s!r} s under {settled_segment!r}"
+            )
+        if ticks > 1 and not steady:
+            raise HardwareError(f"a {ticks}-tick span needs every socket settled")
+        physics = self._physics
         cores = step_cores(
             self._block, physics.cpu_util, physics.stall, physics.uncore_ratio, ticks
         )

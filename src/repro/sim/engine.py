@@ -3,16 +3,20 @@
 Each step the engine:
 
 1. asks the workload execution for the active segment (or idle),
-2. bounds the step's span: how many ticks every observer, the horizon and
-   the workload's segment allow to pass as one (DESIGN.md §6q),
-3. steps the node (uncore slew → memory service → DVFS → power) by that
-   span, or by one tick when the node's inputs do not repeat,
-4. advances workload progress by ``dt / stretch`` nominal seconds per tick
+2. settles the step's first tick on the node (uncore slew → memory
+   service → uncore, DRAM and GPU power), which says the tick's stretch
+   and whether every socket is settled,
+3. bounds the step's span: how many ticks every observer, the horizon and
+   the workload's segment allow to pass as one, up to a runtime's firing
+   tick or the tick that rolls the segment (DESIGN.md §6q); one tick while
+   a socket is not settled,
+4. steps the node (DVFS → power) by that span,
+5. advances workload progress by ``dt / stretch`` nominal seconds per tick
    (the roofline stretch is where an underfed uncore costs runtime),
-5. dispatches every :class:`~repro.sim.observers.TickObserver` in order
+6. dispatches every :class:`~repro.sim.observers.TickObserver` in order
    (telemetry advancement, trace-channel capture, scheduled-runtime
    firing all live here as observers),
-6. appends the step's trace rows through the recorder's
+7. appends the step's trace rows through the recorder's
    :meth:`~repro.sim.trace.TraceRecorder.record_rows`.
 
 A single tick is the span of one, so there is one stepping path and one
@@ -130,10 +134,12 @@ class SimulationEngine:
 
         Each step first checks whether the run has reached its horizon or
         completed its workload; if it has, the observers' ``on_finish``
-        runs and the result is returned. Otherwise the node steps for the
-        longest span every bound allows (DESIGN.md §6q), the workload
-        advances by ``dt / stretch`` per tick, the observers are
-        dispatched, the step's rows are recorded and the clock advances.
+        runs and the result is returned. Otherwise the node settles the
+        step's first tick and, while every socket is settled, steps for the
+        longest span every bound allows (DESIGN.md §6q), else for one tick;
+        the workload advances by ``dt / stretch`` per tick, the observers
+        are dispatched, the step's rows are recorded and the clock
+        advances.
 
         Parameters
         ----------
@@ -202,14 +208,19 @@ class SimulationEngine:
         # The longest span the row block holds.
         limit = len(rows) if rows is not None else node.max_span_ticks
         dt = clock.dt
+        settle = node.settle
         step = node.step
         now = clock.now
         while now < horizon and not (execution is not None and execution.done):
             segment = execution.current() if execution is not None else None
-            state = step(dt, segment, _span(node, clock, execution, horizon, bounds, limit))
+            stretch, steady = settle(dt, segment)
+            # The workload's nominal time per tick of the step.
+            nominal_dt = dt / stretch
+            ticks = _span(clock, execution, horizon, bounds, limit, nominal_dt) if steady else 1
+            state = step(dt, segment, ticks)
             ticks = state.ticks
             if execution is not None:
-                execution.advance(dt / state.stretch, ticks)
+                execution.advance(nominal_dt, ticks)
             for hook in hooks:
                 hook(state, execution)
             if record is not None:
@@ -233,21 +244,21 @@ def _one_tick(limit: int) -> int:
 
 
 def _span(
-    node: "HeterogeneousNode",
     clock: SimClock,
     execution: Optional["WorkloadExecution"],
     horizon: float,
     bounds: List[Callable[[int], int]],
     limit: int,
+    nominal_dt: float,
 ) -> int:
     """How many ticks the run's next step may span, at least 1.
 
     The span is the smallest of the run's bounds: ``limit`` (its row
-    block), every span hook, the ticks until its horizon and, for a
-    workload, the ticks before the advance that would roll its segment.
-    That last bound assumes the stretch of the node's previous tick; the
-    node steps a span only when that tick's physics repeats, and steps one
-    tick otherwise.
+    block), every span hook, the ticks up to the one that reaches the
+    horizon and, for a workload, the advances of ``nominal_dt`` up to the
+    one that rolls its segment. ``nominal_dt`` is the step's first tick's,
+    which the node settled; the engine asks only while the node is steady,
+    so every tick of the span repeats it.
     """
     for bound in bounds:
         limit = bound(limit)
@@ -256,8 +267,5 @@ def _span(
     # The tick whose end reaches the horizon is the run's last one.
     limit = min(limit, clock.ticks_before(horizon, limit) + 1)
     if execution is not None and limit > 1:
-        previous = node.last_state
-        if previous is None:
-            return 1
-        limit = execution.quiet_ticks(clock.dt / previous.stretch, limit)
+        limit = execution.quiet_ticks(nominal_dt, limit)
     return limit

@@ -320,8 +320,10 @@ class DegradedStateObserver(BaseTickObserver):
         self._rows = list(engine.trace_rows)
 
     def quiet_ticks(self, limit: int) -> int:
-        # Health changes only when a runtime fires or a fault injector logs
-        # a wrap or a freeze; each of those ticks steps alone.
+        # Health changes only when a runtime fires, after every tick of the
+        # step has been recorded (the runtime observer comes last), or when
+        # a fault injector logs a wrap or a freeze on an edge tick, which
+        # steps alone.
         return limit
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
@@ -344,10 +346,13 @@ class RuntimeObserver(BaseTickObserver):
     schedule past its own firing time would spin forever, so that is
     detected and raised.
 
-    Its span hook counts the ticks before the next firing by the same
-    boundaries (:meth:`~repro.sim.clock.SimClock.ticks_before`), so a span
-    holds no firing tick: every firing tick is stepped alone, and a span
-    that reaches one is refused.
+    Its span hook counts the ticks up to the next firing by the same
+    boundaries (:meth:`~repro.sim.clock.SimClock.ticks_before`, plus the
+    firing tick), so a span may end on a firing tick: the runtime fires
+    after the whole span, with its own due time, as it fires after a tick
+    stepped alone. Every observer before this one has then taken the firing
+    tick, as it would have taken the lone tick. A span with a due time in
+    one of its earlier ticks is refused.
     """
 
     def __init__(self, runtimes: Sequence[ScheduledRuntime] = ()) -> None:
@@ -366,21 +371,27 @@ class RuntimeObserver(BaseTickObserver):
         if clock is None:  # pragma: no cover - engine always calls on_start
             raise SimulationError("RuntimeObserver.quiet_ticks before on_start")
         for rt in self.runtimes:
-            limit = min(limit, clock.ticks_before(rt.next_fire_s(), limit))
-        return max(1, limit)
+            # The ticks that end before the runtime falls due, then the one
+            # it falls due in.
+            limit = min(limit, clock.ticks_before(rt.next_fire_s(), limit) + 1)
+        return limit
 
     def on_tick(self, state: "NodeTickState", execution: Optional["WorkloadExecution"]) -> None:
         clock = self._clock
         if clock is None:  # pragma: no cover - engine always calls on_start
             raise SimulationError("RuntimeObserver.on_tick before on_start")
         ticks = state.ticks
-        now = (clock.tick + ticks) * self._dt
+        tick, dt = clock.tick, self._dt
+        now = (tick + ticks) * dt
         for rt in self.runtimes:
             while rt.next_fire_s() <= now:
                 due = rt.next_fire_s()
-                if ticks > 1:
+                # A span may end on a firing tick, not run past one: the
+                # span's earlier ticks end at or before (tick + ticks - 1) * dt.
+                if ticks > 1 and due <= (tick + ticks - 1) * dt:
                     raise SimulationError(
-                        f"runtime {rt!r} fell due at {due!r} inside a {ticks}-tick span"
+                        f"runtime {rt!r} fell due at {due!r} inside a {ticks}-tick span, "
+                        "before its last tick"
                     )
                 rt.invoke(due)
                 if rt.next_fire_s() <= due:

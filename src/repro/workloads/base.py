@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.units import ordered_sum
+from repro.units import ordered_sum, require_finite
 
 __all__ = ["Segment", "Workload", "WorkloadExecution"]
 
@@ -33,10 +33,11 @@ class Segment:
     Parameters
     ----------
     duration_s:
-        Nominal duration in seconds; must be positive.
+        Nominal duration in seconds; must be finite and positive.
     mem_bw_gbps:
         Host memory throughput demand in GB/s (system total, the quantity
-        Intel PCM reports). Zero for pure-compute phases.
+        Intel PCM reports); finite and not negative. Zero for pure-compute
+        phases.
     mem_intensity:
         Fraction of the phase's critical path that is bound on host memory
         traffic, in [0, 1]. Controls how much the phase stretches when its
@@ -57,6 +58,17 @@ class Segment:
     name: str = ""
 
     def __post_init__(self) -> None:
+        # NaN passes the bandwidth check below, and an infinite duration or
+        # demand passes both: a run could never end its segment, or would
+        # divide by an infinite stretch.
+        require_finite(
+            self.duration_s,
+            self.mem_bw_gbps,
+            error=lambda duration, demand: WorkloadError(
+                f"segment {self.name!r}: duration and bandwidth demand must be finite, "
+                f"got {duration!r} and {demand!r}"
+            ),
+        )
         if not (self.duration_s > 0):
             raise WorkloadError(f"segment {self.name!r}: duration must be positive, got {self.duration_s!r}")
         if self.mem_bw_gbps < 0:
@@ -154,7 +166,7 @@ class WorkloadExecution:
     (wall time divided by the stretch factor) and the step's tick count.
     When a tick spans a segment boundary the cursor rolls into the next
     segment, consuming the remainder. :meth:`quiet_ticks` says how many
-    ticks can pass before one would roll.
+    ticks one step can take: up to the one whose advance rolls.
     """
 
     def __init__(self, workload: Workload):
@@ -239,12 +251,14 @@ class WorkloadExecution:
         self.tick_progress = progress
 
     def quiet_ticks(self, nominal_dt: float, limit: int) -> int:
-        """How many of the next ``limit`` advances of ``nominal_dt`` stay in
-        the current segment, at least 1.
+        """How many of the next ``limit`` advances of ``nominal_dt`` one
+        step can take, at least 1: up to and including the advance that
+        rolls the segment.
 
         Replays :meth:`advance`'s own arithmetic on the segment's consumed
-        time and stops before the advance that would roll the segment, so a
-        span of that many ticks never crosses a segment boundary.
+        time. The rolling advance may close a span: that tick runs under
+        the segment it leaves, and the roll happens inside its own advance,
+        so the span's ticks all share one segment.
         """
         if self.done:
             return 1
@@ -252,13 +266,12 @@ class WorkloadExecution:
             return limit  # an advance of nothing never rolls
         duration = self.workload.segments[self._index].duration_s
         consumed = self._consumed_in_segment
-        quiet = 0
-        while quiet < limit:
+        # Whether or not the limit-th advance rolls, the span may take it.
+        for quiet in range(1, limit):
             consumed += min(nominal_dt, duration - consumed)
             if consumed >= duration - _END_SLACK_S:
-                break
-            quiet += 1
-        return max(1, quiet)
+                return quiet
+        return max(1, limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -326,3 +326,24 @@ class TestLatencyDeterminism:
         assert modeled.actuation_settling_ticks > 0
         assert modeled.total_energy_j != ideal.total_energy_j
         assert ideal.actuation_latency_s == 0.0
+
+
+class TestNoReferenceCycle:
+    def test_a_dropped_run_is_freed_without_the_cyclic_collector(self):
+        # The backend holds its hub weakly, so a finished run's hub, node
+        # and everything the node holds go when the last reference does.
+        import gc
+        import weakref
+
+        from repro.runtime.session import build_run
+
+        gc.collect()
+        gc.disable()
+        try:
+            run = build_run("intel_a100", "unet", make_governor("magus"), seed=1, max_time_s=2.0)
+            result = run.finish(run.engine.run(run.workload, max_time_s=run.max_time_s))
+            node, hub = weakref.ref(run.hub.node), weakref.ref(run.hub)
+            del run, result
+            assert node() is None and hub() is None
+        finally:
+            gc.enable()

@@ -24,6 +24,18 @@ class TestSegment:
         with pytest.raises(WorkloadError):
             Segment(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "duration,demand",
+        [(1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)],
+        ids=["nan-demand", "inf-demand", "inf-duration"],
+    )
+    def test_non_finite_segment_rejected(self, duration, demand):
+        # Each got through before: a NaN demand died at MAGUS's first
+        # sample, an infinite one divided by zero, and an infinite duration
+        # never completed.
+        with pytest.raises(WorkloadError, match="must be finite"):
+            Segment(duration, demand)
+
     @pytest.mark.parametrize("field", ["mem_intensity", "cpu_util", "gpu_util"])
     def test_unit_interval_fields(self, field):
         with pytest.raises(WorkloadError):
