@@ -292,12 +292,9 @@ class HeterogeneousNode:
         ):
             physics = self._physics = self._derive_physics(segment, effective, target)
         # A switch latency still running changes the target later.
-        steady = effective == target
-        if steady:
-            for _, unc in sockets:
-                if unc.pending_target_ghz is not None:
-                    steady = False
-                    break
+        steady = effective == target and all(
+            unc.pending_target_ghz is None for _, unc in sockets
+        )
         self._settled = (dt_s, segment, steady)
         return physics.service.stretch, steady
 

@@ -114,8 +114,9 @@ class TelemetryHub:
     def quiet_ticks(self, dt_s: float, limit: int) -> int:
         """How many of the next ``limit`` ticks of ``dt_s`` the hub can take
         as one step: the fault injector's bound, else ``limit``. Every other
-        fault and every guard check happens inside a runtime firing, and a
-        firing tick steps alone."""
+        fault and every guard check happens inside a runtime firing, which
+        runs after the hub has taken the whole step, firing tick included,
+        and reads the node's time as after a lone firing tick."""
         injector = self.fault_injector
         return limit if injector is None else injector.quiet_ticks(dt_s, limit)
 

@@ -1,8 +1,8 @@
 """Quiet spans: a step of several ticks is those ticks stepped one by one.
 
 Between governor decisions a node's inputs repeat, so the engine steps the
-ticks before the next runtime firing, segment roll, horizon, core-block end
-or fault-window edge as one span (DESIGN.md §6q). An observer without
+ticks up to the next runtime firing or segment roll, the horizon, the
+core-block end or a fault-window edge as one span (DESIGN.md §6q). An observer without
 the span hook (``quiet_ticks``) bounds every step of its run to one tick, so
 adding a no-op observer gives each run its tick-by-tick reference with no
 switch. These tests compare every channel, the decisions, the device
