@@ -28,6 +28,7 @@ deterministic — so the same plan replays the same incident log.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import FaultInjectionError, MSRAccessError, TelemetryError
@@ -89,7 +90,9 @@ class FaultInjector:
         """
         if self._hub is not None:
             raise FaultInjectionError("fault injector is already armed")
-        self._hub = hub
+        # Held weakly: the hub holds the injector, and a cycle would keep a
+        # dropped run alive until the cyclic collector ran.
+        self._hub = weakref.proxy(hub)
         self._msr = hub.msr
         hub.msr = _FaultyMSRDevice(hub.msr, self)
         hub.pcm = _FaultyPCMCounters(hub.pcm, self)

@@ -33,6 +33,7 @@ a zero-fault plan is golden-trace bit-identical to guard-off.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -174,7 +175,9 @@ class TelemetryGuard:
         """Attach to a hub (called by ``hub.install_guard``); once only."""
         if self._hub is not None:
             raise TelemetryError("guard is already bound to a hub")
-        self._hub = hub
+        # Held weakly: the hub holds the guard, and a cycle would keep a
+        # dropped run alive until the cyclic collector ran.
+        self._hub = weakref.proxy(hub)
 
     @property
     def now_s(self) -> float:

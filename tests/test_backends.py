@@ -329,18 +329,28 @@ class TestLatencyDeterminism:
 
 
 class TestNoReferenceCycle:
-    def test_a_dropped_run_is_freed_without_the_cyclic_collector(self):
-        # The backend holds its hub weakly, so a finished run's hub, node
-        # and everything the node holds go when the last reference does.
+    @pytest.mark.parametrize("options", ["plain", "faulted", "guarded"])
+    def test_a_dropped_run_is_freed_without_the_cyclic_collector(self, options):
+        # The backend, the fault injector and the guard hold their hub
+        # weakly, so a finished run's hub, node and everything the node
+        # holds go when the last reference does.
         import gc
         import weakref
 
+        from repro.faults.plan import standard_campaign
         from repro.runtime.session import build_run
 
+        kwargs = {
+            "plain": {},
+            "faulted": {"fault_plan": standard_campaign(1, horizon_s=2.0), "supervise": True},
+            "guarded": {"guard": True, "actuation_latency": "msr_fast"},
+        }[options]
         gc.collect()
         gc.disable()
         try:
-            run = build_run("intel_a100", "unet", make_governor("magus"), seed=1, max_time_s=2.0)
+            run = build_run(
+                "intel_a100", "unet", make_governor("magus"), seed=1, max_time_s=2.0, **kwargs
+            )
             result = run.finish(run.engine.run(run.workload, max_time_s=run.max_time_s))
             node, hub = weakref.ref(run.hub.node), weakref.ref(run.hub)
             del run, result
