@@ -2,10 +2,10 @@
 
 Between governor decisions a node's inputs repeat, so the engine steps the
 ticks up to the next runtime firing or segment roll, the horizon, the
-core-block end or a fault-window edge as one span (DESIGN.md §6q). An observer without
-the span hook (``quiet_ticks``) bounds every step of its run to one tick, so
-adding a no-op observer gives each run its tick-by-tick reference with no
-switch. These tests compare every channel, the decisions, the device
+core-block end or a fault-window edge as one span (DESIGN.md §6q). An
+observer without the span hook (``quiet_ticks``) bounds every step of its
+run to one tick, so adding a no-op observer gives each run its tick-by-tick
+reference with no switch. These tests compare every channel, the decisions, the device
 counters, the incident log and the guard's records of the two, bit for bit,
 over the golden matrix's clean, faulted and guarded runs, the benchmark's
 faulted run and every run of fleet tasks of 1, 2 and 17 jobs, and pin each
@@ -275,8 +275,13 @@ class TestCoverage:
         # jobs on intel_a100, each alone on its own node.
         spans = _counting_steps(monkeypatch)
         jobs = [
-            ClusterJob(f"job{i:02d}", SUITE_INTEL_A100[i % len(SUITE_INTEL_A100)], 1.875 * i,
-                       seed=1 + i, max_time_s=2.5)
+            ClusterJob(
+                f"job{i:02d}",
+                SUITE_INTEL_A100[i % len(SUITE_INTEL_A100)],
+                1.875 * i,
+                seed=1 + i,
+                max_time_s=2.5,
+            )
             for i in range(16)
         ]
         outcomes = simulator._run_job("intel_a100", jobs, "magus", 0.01, obs=True, tsdb=True)
@@ -510,7 +515,7 @@ class TestBounds:
         with pytest.raises(HardwareError, match="already settled"):
             node.settle(0.01, segment)
 
-    def test_fault_edge_ticks_step_alone_in_a_run(self, a100_preset, a100_node, a100_hub):
+    def test_fault_edge_ticks_step_alone_in_a_run(self, a100_node, a100_hub):
         # The plan of test_each_fault_edge_tick_steps_alone, run by an
         # engine: the ticks ending at 1.0, 2.0 and 3.0 s step alone, and
         # spans fill the rest.
